@@ -5,6 +5,12 @@ vectors into cuspidal divisor coefficients.  A degree-0 divisor class has
 order k, the least positive integer such that k * Lambda(N)^{-1} * C
 satisfies the eta-quotient conditions: integrality, two congruences mod 24,
 weight zero, and even valuation of the associated product of levels.
+
+Lambda(N)^{-1} = 24 * (tensor over q^r || N of T_q / (q^r (q^2 - 1))), with
+T_q an integer tridiagonal (r+1) x (r+1) block.  The engine applies it one
+prime at a time, in integers over one common denominator, and reads every
+eta-quotient condition as a gcd against that denominator.  The dense inverse
+is built only for `cuspidal lambda --inverse` and the invariant sweep.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .heckediv import EisensteinDatum, NotCovered, build_c_divisor, deg_map
 __all__ = [
     "lambda_matrix",
     "lambda_inverse",
+    "apply_lambda_inverse",
     "solve_lambda",
     "mat_vec",
     "mat_mul",
@@ -56,8 +63,9 @@ def lambda_matrix(n: int) -> Matrix:
     return tuple(rows)
 
 
-def _block_entry(q: int, r: int, m: int, k: int) -> Fraction:
-    """Entry (m, k), 1-based, of the prime-power block inverse at q^r."""
+def _block_entry(q: int, r: int, m: int, k: int) -> int:
+    """Entry (m, k), 1-based, of the integer block T_q at q^r, where
+    Lambda(q^r)^{-1} = 24 * T_q / (q^r (q^2 - 1)).  Zero off the tridiagonal."""
     g = q ** min(k - 1, r + 1 - k)
     if m == k:
         kappa = q * q if m in (1, r + 1) else q * q + 1
@@ -65,7 +73,11 @@ def _block_entry(q: int, r: int, m: int, k: int) -> Fraction:
         kappa = -q
     else:
         kappa = 0
-    return Fraction(g * kappa, q**r * (q * q - 1))
+    return g * kappa
+
+
+def _block_denominator(q: int, r: int) -> int:
+    return q**r * (q * q - 1)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +92,11 @@ def lambda_inverse(n: int) -> Matrix:
     divs: list[int] = [1]
     for q, r in factor(n).factors:
         w = len(divs)
-        blocks = [[_block_entry(q, r, m, k) for k in range(1, r + 2)] for m in range(1, r + 2)]
+        den = _block_denominator(q, r)
+        blocks = [
+            [Fraction(_block_entry(q, r, m, k), den) for k in range(1, r + 2)]
+            for m in range(1, r + 2)
+        ]
         size = w * (r + 1)
         new = [[Fraction(0)] * size for _ in range(size)]
         for bm in range(r + 1):
@@ -97,6 +113,39 @@ def lambda_inverse(n: int) -> Matrix:
         inv = new
     order = sorted(range(len(divs)), key=lambda k: divs[k])
     return tuple(tuple(inv[i][j] for j in order) for i in order)
+
+
+def apply_lambda_inverse(
+    n: int, a: Sequence[int], den: int = 1
+) -> tuple[tuple[int, ...], int]:
+    """Lambda(n)^{-1} (a / den) for an integer vector a over the ascending
+    divisors of n, as (u, den') with Lambda(n)^{-1} (a / den) = u / den'.
+
+    One tridiagonal pass per prime q^r || n runs along the chains
+    d, d q, ..., d q^r (q not dividing d), in integer arithmetic.
+    """
+    divs = divisors_of(n)
+    if len(a) != len(divs):
+        raise ValueError(f"vector length {len(a)} != number of divisors {len(divs)}")
+    x = dict(zip(divs, a))
+    for q, r in factor(n).factors:
+        den *= _block_denominator(q, r)
+        diag = [_block_entry(q, r, j, j) for j in range(1, r + 2)]
+        below = [_block_entry(q, r, j, j - 1) for j in range(2, r + 2)]
+        above = [_block_entry(q, r, j, j + 1) for j in range(1, r + 1)]
+        for d in divs:
+            if d % q == 0:
+                continue
+            chain = [d * q**j for j in range(r + 1)]
+            old = [x[e] for e in chain]
+            for j, e in enumerate(chain):
+                v = diag[j] * old[j]
+                if j:
+                    v += below[j - 1] * old[j - 1]
+                if j < r:
+                    v += above[j] * old[j + 1]
+                x[e] = v
+    return tuple(24 * x[d] for d in divs), den
 
 
 def solve_lambda(n: int, a: Sequence[Fraction | int]) -> Vector:
@@ -133,20 +182,25 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _as_vector(n: int, a) -> Vector:
+def _integer_vector(n: int, a) -> tuple[list[int], int]:
+    """Coefficients of a over the ascending divisors of n, as integer
+    numerators over their one common denominator."""
     divs = divisors_of(n)
     if isinstance(a, RationalCuspDivisor):
         if a.n != n:
             raise ValueError(f"divisor lives on X0({a.n}), not X0({n})")
-        return tuple(Fraction(c) for c in a.as_vector())
+        return list(a.as_vector()), 1
     if isinstance(a, Mapping):
-        if any(d not in divs for d in a):
+        divset = set(divs)
+        if any(d not in divset for d in a):
             raise ValueError("coefficient keys must divide the level")
-        return tuple(Fraction(a.get(d, 0)) for d in divs)
-    vec = tuple(Fraction(x) for x in a)
-    if len(vec) != len(divs):
-        raise ValueError(f"vector length {len(vec)} != number of divisors {len(divs)}")
-    return vec
+        vec = [Fraction(a.get(d, 0)) for d in divs]
+    else:
+        vec = [Fraction(x) for x in a]
+        if len(vec) != len(divs):
+            raise ValueError(f"vector length {len(vec)} != number of divisors {len(divs)}")
+    den = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 def _exponent_data(datum: EisensteinDatum) -> Fraction:
@@ -167,8 +221,9 @@ def r_vector(datum: EisensteinDatum) -> Vector:
     """Lambda(N)^{-1} applied to the datum's divisor, for m coprime to the
     square support.
 
-    Computed three ways -- per-divisor closed entries, a prime-by-prime
-    recursion, and a generic linear solve -- which must agree exactly.
+    Computed three ways -- per-divisor closed entries, the prime-by-prime
+    engine on the datum's divisor, and a generic linear solve -- which must
+    agree exactly.
     """
     n, m, dp = datum.n, datum.m, datum.d_part
     sf, sq, _ = parts(n)
@@ -191,37 +246,12 @@ def r_vector(datum: EisensteinDatum) -> Vector:
         closed.append(Fraction(val) / scale)
     closed_vec = tuple(closed)
 
-    vec: list[Fraction] = [Fraction(24)]
-    divs: list[int] = [1]
-    for q, r in factor(n).factors:
-        if r == 1 and m % q == 0:
-            s = Fraction(1, q - 1)
-            vec = [x * s for x in vec] + [-x * s for x in vec]
-        elif r == 1:
-            s = Fraction(1, q * q - 1)
-            vec = [q * x * s for x in vec] + [-x * s for x in vec]
-        elif dp % q:
-            s = Fraction(1, q ** (r - 2) * (q * q - 1))
-            vec = (
-                [q * x * s for x in vec]
-                + [-(q + 1) * x * s for x in vec]
-                + [x * s for x in vec]
-                + [Fraction(0)] * (len(vec) * (r - 2))
-            )
-        else:
-            s = Fraction(1, q ** (r - 1) * (q * q - 1))
-            vec = (
-                [q * x * s for x in vec]
-                + [-x * s for x in vec]
-                + [Fraction(0)] * (len(vec) * (r - 1))
-            )
-        divs = [d * q**j for j in range(r + 1) for d in divs]
-    order = sorted(range(len(divs)), key=lambda k: divs[k])
-    recursive_vec = tuple(vec[i] for i in order)
+    c, _ = _integer_vector(n, build_c_divisor(datum))
+    u, den = apply_lambda_inverse(n, c)
+    engine_vec = tuple(Fraction(x, den) for x in u)
+    solved_vec = solve_lambda(n, c)
 
-    solved_vec = solve_lambda(n, _as_vector(n, build_c_divisor(datum)))
-
-    if not (closed_vec == recursive_vec == solved_vec):
+    if not (closed_vec == engine_vec == solved_vec):
         raise ConsistencyError(f"exponent-vector paths disagree for {datum}")
     return closed_vec
 
@@ -230,24 +260,26 @@ def class_order(n: int, a) -> int:
     """Order of the class of a degree-0 divisor sum a_d (P_d) on X0(n).
 
     Every eta-quotient condition admits the multiples of one modulus, so the
-    order is the lcm of the per-condition minimal moduli for Lambda^{-1} a.
+    order is the lcm of the per-condition minimal moduli for Lambda^{-1} a
+    = u / den; each modulus is den (or 24 den, 2 den) over its gcd with the
+    condition's integer sum.
     """
-    vec = _as_vector(n, a)
+    nums, den = _integer_vector(n, a)
     divs = divisors_of(n)
-    degree = sum(vec[i] * euler_phi(math.gcd(d, n // d)) for i, d in enumerate(divs))
+    degree = sum(x * euler_phi(math.gcd(d, n // d)) for x, d in zip(nums, divs))
     if degree != 0:
-        raise ValueError(f"divisor has degree {degree}, expected 0")
-    r = mat_vec(lambda_inverse(n), vec)
-    if sum(r) != 0:
+        raise ValueError(f"divisor has degree {Fraction(degree, den)}, expected 0")
+    u, den = apply_lambda_inverse(n, nums, den)
+    if sum(u) != 0:
         raise ValueError("exponent vector has nonzero weight; no multiple is principal")
-    k = math.lcm(*(x.denominator for x in r))
-    s1 = sum((x * d for x, d in zip(r, divs)), Fraction(0)) / 24
-    k = math.lcm(k, s1.denominator)
-    s2 = sum((x * (n // d) for x, d in zip(r, divs)), Fraction(0)) / 24
-    k = math.lcm(k, s2.denominator)
+    k = den // math.gcd(den, *u)
+    s1 = sum(x * d for x, d in zip(u, divs))
+    k = math.lcm(k, 24 * den // math.gcd(24 * den, s1))
+    s2 = sum(x * (n // d) for x, d in zip(u, divs))
+    k = math.lcm(k, 24 * den // math.gcd(24 * den, s2))
     for p in prime_divisors(n):
-        v = sum((x * valuation(d, p) for x, d in zip(r, divs)), Fraction(0)) / 2
-        k = math.lcm(k, v.denominator)
+        v = sum(x * valuation(d, p) for x, d in zip(u, divs))
+        k = math.lcm(k, 2 * den // math.gcd(2 * den, v))
     return k
 
 

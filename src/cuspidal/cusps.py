@@ -208,7 +208,8 @@ class RationalCuspDivisor:
 
     def as_vector(self) -> tuple[int, ...]:
         """Coefficients over the ascending divisors of n."""
-        return tuple(self.coeff(d) for d in divisors_of(self.n))
+        coeffs = dict(self.coeffs)
+        return tuple(coeffs.get(d, 0) for d in divisors_of(self.n))
 
     def expand(self) -> CuspDivisor:
         """The underlying cusp divisor: every cusp of level d gets a_d."""

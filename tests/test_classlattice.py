@@ -1,13 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal.arith import divisors_of, euler_phi, numerator_of, parts
+from cuspidal.arith import divisors_of, euler_phi, numerator_of, parts, prime_divisors, valuation
 from cuspidal.classlattice import (
+    apply_lambda_inverse,
     class_order,
     closed_form_order,
     is_principal,
@@ -19,7 +21,12 @@ from cuspidal.classlattice import (
     r_vector,
     solve_lambda,
 )
+from cuspidal.classifier import enumerate_data
+from cuspidal.cusps import RationalCuspDivisor
 from cuspidal.heckediv import EisensteinDatum, NotCovered, build_c_divisor
+
+# Levels whose interior tridiagonal rows (prime exponent >= 2) carry weight.
+HIGH_POWER_LEVELS = (2**12, 3**8, 5**5 * 7**2, 2**4 * 3**3 * 5**2 * 7)
 
 
 def test_lambda_matrix_small():
@@ -208,3 +215,111 @@ def test_kernel_intersection_examples():
         kernel_intersection_order("minus", EisensteinDatum(11, 11, 1), 2)
     with pytest.raises(ValueError):
         kernel_intersection_order("plain", EisensteinDatum(11, 11, 1), 11)
+
+
+def _dense_class_order(n, a):
+    """Reference: the class order through the dense Fraction Lambda(n)^{-1}."""
+    divs = divisors_of(n)
+    if isinstance(a, RationalCuspDivisor):
+        vec = tuple(Fraction(c) for c in a.as_vector())
+    elif isinstance(a, Mapping):
+        vec = tuple(Fraction(a.get(d, 0)) for d in divs)
+    else:
+        vec = tuple(Fraction(x) for x in a)
+    degree = sum(vec[i] * euler_phi(math.gcd(d, n // d)) for i, d in enumerate(divs))
+    if degree != 0:
+        raise ValueError(f"divisor has degree {degree}, expected 0")
+    r = mat_vec(lambda_inverse(n), vec)
+    if sum(r) != 0:
+        raise ValueError("exponent vector has nonzero weight; no multiple is principal")
+    k = math.lcm(*(x.denominator for x in r))
+    s1 = sum((x * d for x, d in zip(r, divs)), Fraction(0)) / 24
+    k = math.lcm(k, s1.denominator)
+    s2 = sum((x * (n // d) for x, d in zip(r, divs)), Fraction(0)) / 24
+    k = math.lcm(k, s2.denominator)
+    for p in prime_divisors(n):
+        v = sum((x * valuation(d, p) for x, d in zip(r, divs)), Fraction(0)) / 2
+        k = math.lcm(k, v.denominator)
+    return k
+
+
+def _engine(n, vec):
+    """The engine on a Fraction vector, its denominator cleared by hand."""
+    den = math.lcm(*(x.denominator for x in vec))
+    u, out_den = apply_lambda_inverse(n, [x.numerator * (den // x.denominator) for x in vec], den)
+    return tuple(Fraction(x, out_den) for x in u)
+
+
+def _rational_vectors(size):
+    entries = st.one_of(
+        st.integers(min_value=-10**6, max_value=10**6).map(Fraction),
+        st.fractions(max_denominator=60).filter(lambda x: abs(x.numerator) < 10**6),
+    )
+    return st.lists(entries, min_size=size, max_size=size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_engine_matches_dense_and_solve(data):
+    n = data.draw(
+        st.one_of(st.integers(min_value=1, max_value=399), st.sampled_from(HIGH_POWER_LEVELS))
+    )
+    vec = tuple(data.draw(_rational_vectors(len(divisors_of(n)))))
+    got = _engine(n, vec)
+    assert got == mat_vec(lambda_inverse(n), vec)
+    assert mat_vec(lambda_matrix(n), got) == vec
+    if len(vec) <= 24:
+        assert got == solve_lambda(n, vec)
+
+
+@pytest.mark.parametrize("n", HIGH_POWER_LEVELS)
+def test_engine_on_unit_vectors(n):
+    inv = lambda_inverse(n)
+    size = len(divisors_of(n))
+    for j in range(size):
+        u, den = apply_lambda_inverse(n, [int(i == j) for i in range(size)])
+        assert tuple(Fraction(x, den) for x in u) == tuple(row[j] for row in inv)
+
+
+def test_engine_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        apply_lambda_inverse(12, [1, 2, 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), scale=st.integers(min_value=1, max_value=12), bump=st.booleans())
+def test_class_order_matches_dense_reference(data, scale, bump):
+    n = data.draw(st.sampled_from([11, 32, 45, 50, 120, 2**12, 3**8, 5**5 * 7**2]))
+    coeffs = data.draw(_degree_zero_strategy(n))
+    if data.draw(st.booleans()):
+        coeffs = {d: Fraction(v, scale) for d, v in coeffs.items()}
+    if bump:
+        coeffs[1] = coeffs.get(1, 0) + Fraction(1, scale)
+        with pytest.raises(ValueError) as reference:
+            _dense_class_order(n, coeffs)
+        with pytest.raises(ValueError) as engine:
+            class_order(n, coeffs)
+        assert str(engine.value) == str(reference.value)
+        assert "degree" in str(engine.value)
+    else:
+        assert class_order(n, coeffs) == _dense_class_order(n, coeffs)
+        vec = [coeffs.get(d, 0) for d in divisors_of(n)]
+        assert class_order(n, vec) == class_order(n, coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {1: Fraction(1, 2), 2: Fraction(-1, 2)},  # only sum (n/d) r_d = 0 mod 24 binds
+        {2: Fraction(1, 2), 4: Fraction(-1, 2)},  # only sum d r_d = 0 mod 24 binds
+    ],
+)
+def test_class_order_mod_24_conditions(coeffs):
+    assert class_order(4, coeffs) == _dense_class_order(4, coeffs) == 2
+
+
+@pytest.mark.parametrize("n", HIGH_POWER_LEVELS)
+def test_class_order_of_data_matches_dense_reference(n):
+    for datum in enumerate_data(n)[:6]:
+        div = build_c_divisor(datum)
+        assert class_order(n, div) == _dense_class_order(n, div), datum

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from cuspidal.cli import main, to_json
 
@@ -142,3 +145,32 @@ def test_timing_flag_optional(capsys):
     parsed = json.loads(out)
     assert code == 0
     assert "timing_ms" in parsed
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("classify", "5040"),
+            "b924349848e65b5e964846f648c59b33b7a9b774f2a4d17da9917d2c74f3ac30",
+        ),
+        (
+            ("classify", "27720"),
+            "20f421781a2b9e2a0392cec282084f637ae2e61cc80dfdf22a0933f06e061683",
+        ),
+        (
+            ("classify", "46656"),  # 2^6 * 3^6
+            "63cfab89ca9b24b8e806949919acd2ac0f6ff388270f5b55eb58f4860a75abb9",
+        ),
+        (
+            ("order", "153125", "--M", "7", "--D", "7", "--method", "both"),  # 5^5 * 7^2
+            "f4ed400e111eb2a8e1c10046fbb2fb95e05d9aab3266724da97584fc9117a315",
+        ),
+    ],
+)
+def test_golden_bytes(capsys, argv, sha256):
+    # Taken from the dense-Fraction class-order engine; the integer engine
+    # must reproduce its bytes at high-tau and high prime-power levels.
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
