@@ -256,8 +256,9 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
             afibers: dict = {}
             bfibers: dict = {}
             for c in enumerate_cusps(n * p):
-                afibers[alpha_image(c, p)] = afibers.get(alpha_image(c, p), 0) + alpha_ram(c, p)
-                bfibers[beta_image(c, p)] = bfibers.get(beta_image(c, p), 0) + beta_ram(c, p)
+                a, b = alpha_image(c, p), beta_image(c, p)
+                afibers[a] = afibers.get(a, 0) + alpha_ram(c, p)
+                bfibers[b] = bfibers.get(b, 0) + beta_ram(c, p)
             for c in enumerate_cusps(n):
                 check(afibers.get(c) == deg, f"alpha fiber degree at N={n}, p={p}")
                 check(bfibers.get(c) == deg, f"beta fiber degree at N={n}, p={p}")

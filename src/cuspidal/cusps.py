@@ -2,12 +2,14 @@
 
 A cusp is a pair (x : d) with d | N and gcd(x, d) = 1, where x is read
 modulo y = gcd(d, N/d).  The canonical representative is the smallest
-positive integer in its class coprime to d.  The covering z -> z acts on
-the pair directly; z -> p*z is computed through reduced fractions.
+positive integer in its class coprime to d.  A reduced fraction a/c is the
+cusp (a*c/d : d) with d = gcd(c, N), so both coverings act on the pair in
+closed form: z -> z directly, z -> p*z through the fraction p*x/(p^i d).
 
 Cuspidal divisors come in two flavours: honest formal sums of cusps
 (CuspDivisor) and the Galois-stable level-indexed sums a_d * (P_d)
-(RationalCuspDivisor), where (P_d) collects every cusp of level d.
+(RationalCuspDivisor), where (P_d) collects every cusp of level d.  On the
+latter the coverings act level by level and no cusp is ever listed.
 """
 
 from __future__ import annotations
@@ -95,24 +97,18 @@ def cusp_count(n: int) -> int:
 def normalize_fraction(a: int, c: int, n: int) -> Cusp:
     """Canonical cusp of X0(n) equivalent to the fraction a/c, gcd(a, c) = 1.
 
-    Two fractions a1/c1, a2/c2 name the same cusp iff s1*c2 = s2*c1 modulo
-    gcd(c1*c2, n), where si inverts ai modulo ci; the candidate cusps of the
-    level gcd(c, n) are searched with that criterion.
+    The cusp has level d = gcd(c, n) and class a*(c/d) modulo gcd(d, n/d):
+    two fractions a1/c1, a2/c2 name the same cusp iff s1*c2 = s2*c1 modulo
+    gcd(c1*c2, n), where si inverts ai modulo ci, and (a*c/d)/d satisfies
+    that against a/c.  The class is always a unit: a prime q dividing both
+    c/d and gcd(d, n/d) would make d*q a common divisor of c and n.
     """
     if c < 1:
         raise ValueError("denominator must be positive")
     if math.gcd(a, c) != 1:
         raise ValueError(f"{a}/{c} is not in lowest terms")
     d = math.gcd(c, n)
-    g = math.gcd(c * d, n)
-    s1 = pow(a, -1, c) if c > 1 else 0
-    for cand in enumerate_cusps(n):
-        if cand.d != d:
-            continue
-        s2 = pow(cand.x, -1, d) if d > 1 else 0
-        if (s1 * d - s2 * c) % g == 0:
-            return cand
-    raise ConsistencyError(f"no cusp of X0({n}) matches {a}/{c}")
+    return make_cusp(n, d, a * (c // d))
 
 
 @dataclass(frozen=True)
@@ -213,11 +209,8 @@ class RationalCuspDivisor:
 
     def expand(self) -> CuspDivisor:
         """The underlying cusp divisor: every cusp of level d gets a_d."""
-        out: dict[Cusp, int] = {}
-        for c in enumerate_cusps(self.n):
-            v = self.coeff(c.d)
-            if v:
-                out[c] = v
+        coeffs = dict(self.coeffs)
+        out = {c: coeffs[c.d] for c in enumerate_cusps(self.n) if c.d in coeffs}
         return CuspDivisor.from_dict(self.n, out)
 
     def _merge(self, other: "RationalCuspDivisor", sign: int) -> "RationalCuspDivisor":
@@ -323,22 +316,30 @@ def pushforward(kind: str, div: CuspDivisor, p: int) -> CuspDivisor:
 
 # ---------------------------------------------------------------------------
 # The same maps on the (P_d) basis.  Image level and ramification depend only
-# on the level of a cusp, so pullbacks are purely combinatorial; pushing (P_e)
-# forward needs the actual cusp images once per (N, p), with a loud check that
-# the result is again a multiple of a single (P_f).
+# on the level of a cusp, so pullbacks are purely combinatorial.  The image
+# z -> p*z maps the cusps of level e onto those of its beta level f, each hit
+# equally often by Galois equivariance, so beta_*(P_e) = m * (P_f) with m the
+# ratio of the two cusp counts; an inexact ratio fails loudly.
 
 
 @lru_cache(maxsize=None)
-def _level_tables(n: int, p: int) -> dict[int, tuple[int, int, int, int]]:
-    """Per level e | n*p: (alpha level, alpha ram, beta level, beta ram)."""
+def _level_tables(n: int, p: int) -> dict[int, tuple[int, int, int, int, int]]:
+    """Per level e | n*p: (alpha level, alpha ram, beta level, beta ram,
+    beta pushforward multiplicity m with beta_*(P_e) = m * (P_f))."""
     r = valuation(n, p)
+    top = n * p
     out = {}
-    for e in divisors_of(n * p):
+    for e in divisors_of(top):
         i = valuation(e, p)
         d0 = e // p**i
         al = p ** min(i, r) * d0
         bl = p ** (i - 1) * d0 if i >= 1 else d0
-        out[e] = (al, p if 2 * i <= r else 1, bl, p if 2 * i >= r + 2 else 1)
+        m, rem = divmod(euler_phi(math.gcd(e, top // e)), euler_phi(math.gcd(bl, n // bl)))
+        if rem:
+            raise ConsistencyError(
+                f"pushforward of (P_{e}) from X0({top}) is not a multiple of (P_{bl})"
+            )
+        out[e] = (al, p if 2 * i <= r else 1, bl, p if 2 * i >= r + 2 else 1, m)
     return out
 
 
@@ -346,10 +347,10 @@ def alpha_pullback(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     """Pullback through z -> z with ramification multiplicities, on (P_d) sums."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    tab = _level_tables(div.n, p)
+    coeffs = dict(div.coeffs)
     out = {}
-    for e, (al, ar, _, _) in tab.items():
-        v = ar * div.coeff(al)
+    for e, (al, ar, _, _, _) in _level_tables(div.n, p).items():
+        v = ar * coeffs.get(al, 0)
         if v:
             out[e] = v
     return RationalCuspDivisor.from_dict(div.n * p, out)
@@ -359,35 +360,13 @@ def beta_pullback(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     """Pullback through z -> p*z on (P_d) sums."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    tab = _level_tables(div.n, p)
+    coeffs = dict(div.coeffs)
     out = {}
-    for e, (_, _, bl, br) in tab.items():
-        v = br * div.coeff(bl)
+    for e, (_, _, bl, br, _) in _level_tables(div.n, p).items():
+        v = br * coeffs.get(bl, 0)
         if v:
             out[e] = v
     return RationalCuspDivisor.from_dict(div.n * p, out)
-
-
-@lru_cache(maxsize=None)
-def _beta_push_levels(n: int, p: int) -> dict[int, tuple[int, int]]:
-    """Per level e | n*p: (image level f, multiplicity m) with beta_*(P_e) = m * (P_f)."""
-    by_level: dict[int, dict[Cusp, int]] = {e: {} for e in divisors_of(n * p)}
-    for c in enumerate_cusps(n * p):
-        img = beta_image(c, p)
-        by_level[c.d][img] = by_level[c.d].get(img, 0) + 1
-    out = {}
-    for e, bucket in by_level.items():
-        targets = {c.d for c in bucket}
-        if len(targets) != 1:
-            raise ConsistencyError(f"pushforward of level {e} from X0({n * p}) mixes levels")
-        (f,) = targets
-        mults = {bucket.get(c, 0) for c in enumerate_cusps(n) if c.d == f}
-        if len(mults) != 1:
-            raise ConsistencyError(
-                f"pushforward of (P_{e}) from X0({n * p}) is not a multiple of (P_{f})"
-            )
-        out[e] = (f, mults.pop())
-    return out
 
 
 def beta_pushforward(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
@@ -397,9 +376,9 @@ def beta_pushforward(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     if div.n % p:
         raise ValueError(f"divisor of X0({div.n}) cannot descend along p={p}")
     n = div.n // p
-    tab = _beta_push_levels(n, p)
+    tab = _level_tables(n, p)
     out: dict[int, int] = {}
     for e, v in div.coeffs:
-        f, m = tab[e]
+        _, _, f, _, m = tab[e]
         out[f] = out.get(f, 0) + m * v
     return RationalCuspDivisor.from_dict(n, out)

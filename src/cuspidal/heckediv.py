@@ -111,8 +111,10 @@ def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
 
 def hecke_delta(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     """The level-p Hecke correspondence on divisors: pull back along z -> z
-    with ramification multiplicities, push forward along z -> p*z, and
-    re-aggregate in the (P_d) basis (loudly failing if that is impossible)."""
+    with ramification multiplicities, then push forward along z -> p*z, which
+    sends each (P_e) to m * (P_f).  Both steps work on levels and list no
+    cusp; the pushforward table raises ConsistencyError if the cusp count of
+    level e is not a multiple of that of f."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return beta_pushforward(alpha_pullback(div, p), p)

@@ -166,11 +166,28 @@ def test_timing_flag_optional(capsys):
             ("order", "153125", "--M", "7", "--D", "7", "--method", "both"),  # 5^5 * 7^2
             "f4ed400e111eb2a8e1c10046fbb2fb95e05d9aab3266724da97584fc9117a315",
         ),
+        (
+            ("hecke", "765625", "--p", "5", "--divisor", "1:1"),  # 5^6 * 7^2
+            "ae1aa071e806b2aecd8f0133ab987f01187bd674a316a0e1c24633eac5304bbd",
+        ),
+        (
+            ("hecke", "19140625", "--p", "5", "--divisor", "1:1"),  # 5^8 * 7^2
+            "8aadff1197ffaf056cbdb1199328f579018dfe9782daf8aa46acf0099ab3cf3e",
+        ),
+        (
+            ("hecke", "27720", "--p", "13", "--divisor", "1:3,8:-1,45:2,27720:-5,12:4"),
+            "1100a2af14cb0cb73374e43daca1aaef9737f4b79545a4e71c7008758723dccb",
+        ),
+        (
+            ("hecke", "765625", "--p", "5", "--divisor", "125:1,625:-1,15625:2,245:-3,35:1"),
+            "a51758c2753e15db384cd4865a72f46e17823944255c876429d30b5e4cc69ea4",
+        ),
     ],
 )
 def test_golden_bytes(capsys, argv, sha256):
-    # Taken from the dense-Fraction class-order engine; the integer engine
-    # must reproduce its bytes at high-tau and high prime-power levels.
+    # Taken from the dense-Fraction class-order engine and the cusp-enumerating
+    # Hecke pushforward; the integer engine and the closed cusp maps must
+    # reproduce their bytes at high-tau and high prime-power levels.
     code, out, _ = _run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal.arith import divisors_of, euler_phi
+from cuspidal.arith import divisors_of, euler_phi, valuation
 from cuspidal.cusps import (
+    ConsistencyError,
+    Cusp,
     CuspDivisor,
+    RationalCuspDivisor,
     alpha_image,
     alpha_pullback,
     alpha_ram,
@@ -23,6 +26,62 @@ from cuspidal.cusps import (
     pullback,
     pushforward,
 )
+
+# Levels with high prime powers, where the beta pushforward multiplicities
+# of the interior levels exceed 1.
+HIGH_POWER_LEVELS = (2**10, 3**6, 5**5 * 7**2)
+HECKE_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _scan_normalize_fraction(a: int, c: int, n: int) -> Cusp:
+    """Reference normalizer: search the cusps of level gcd(c, n) for the one
+    equivalent to a/c (s1*c2 = s2*c1 modulo gcd(c1*c2, n), si = ai^-1 mod ci)."""
+    if c < 1:
+        raise ValueError("denominator must be positive")
+    if math.gcd(a, c) != 1:
+        raise ValueError(f"{a}/{c} is not in lowest terms")
+    d = math.gcd(c, n)
+    g = math.gcd(c * d, n)
+    s1 = pow(a, -1, c) if c > 1 else 0
+    for cand in enumerate_cusps(n):
+        if cand.d != d:
+            continue
+        s2 = pow(cand.x, -1, d) if d > 1 else 0
+        if (s1 * d - s2 * c) % g == 0:
+            return cand
+    raise ConsistencyError(f"no cusp of X0({n}) matches {a}/{c}")
+
+
+def _scan_beta_image(c: Cusp, p: int) -> Cusp:
+    """beta_image with the reference normalizer."""
+    n = c.n // p
+    i = valuation(c.d, p)
+    d0 = c.d // p**i
+    if i >= 1:
+        return _scan_normalize_fraction(c.x, p ** (i - 1) * d0, n)
+    return _scan_normalize_fraction(p * c.x, d0, n)
+
+
+def _enumerated_beta_push_levels(n: int, p: int) -> dict[int, tuple[int, int]]:
+    """Reference pushforward table: per level e | n*p, (f, m) with
+    beta_*(P_e) = m * (P_f), read off the images of every cusp of X0(np)."""
+    by_level: dict[int, dict[Cusp, int]] = {e: {} for e in divisors_of(n * p)}
+    for c in enumerate_cusps(n * p):
+        img = _scan_beta_image(c, p)
+        by_level[c.d][img] = by_level[c.d].get(img, 0) + 1
+    out = {}
+    for e, bucket in by_level.items():
+        targets = {c.d for c in bucket}
+        if len(targets) != 1:
+            raise ConsistencyError(f"pushforward of level {e} from X0({n * p}) mixes levels")
+        (f,) = targets
+        mults = {bucket.get(c, 0) for c in enumerate_cusps(n) if c.d == f}
+        if len(mults) != 1:
+            raise ConsistencyError(
+                f"pushforward of (P_{e}) from X0({n * p}) is not a multiple of (P_{f})"
+            )
+        out[e] = (f, mults.pop())
+    return out
 
 
 def test_enumerate_prime_level():
@@ -184,3 +243,105 @@ def test_pushforward_composition_is_hecke_like():
     up = alpha_pullback(div, 2)
     down = beta_pushforward(up, 2)
     assert down.degree() == covering_degree(11, 2) * div.degree()
+
+
+def _error_text(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _fractions(draw):
+    """(a, c, n) with c below, above and at multiples of n, a of either sign."""
+    n = draw(st.integers(min_value=1, max_value=120))
+    c = draw(
+        st.one_of(
+            st.integers(min_value=-2, max_value=3 * n),
+            st.integers(min_value=1, max_value=4).map(lambda k: k * n),
+            st.sampled_from(divisors_of(n)),
+        )
+    )
+    bound = 3 * max(c, 1)
+    a = draw(st.integers(min_value=-bound, max_value=bound))
+    return a, c, n
+
+
+@settings(max_examples=400)
+@given(_fractions())
+def test_normalize_fraction_matches_scan(frac):
+    a, c, n = frac
+    got = _error_text(normalize_fraction, a, c, n)
+    assert got == _error_text(_scan_normalize_fraction, a, c, n)
+    if not isinstance(got, str):
+        assert got == make_cusp(n, got.d, got.x)
+
+
+@pytest.mark.parametrize(
+    "a,c,n,text",
+    [
+        (1, 0, 9, "denominator must be positive"),
+        (1, -3, 9, "denominator must be positive"),
+        (3, 3, 9, "3/3 is not in lowest terms"),
+        (-4, 6, 9, "-4/6 is not in lowest terms"),
+        (0, 5, 9, "0/5 is not in lowest terms"),
+    ],
+)
+def test_normalize_fraction_error_texts(a, c, n, text):
+    with pytest.raises(ValueError) as exc:
+        normalize_fraction(a, c, n)
+    assert str(exc.value) == text
+    assert _error_text(_scan_normalize_fraction, a, c, n) == f"ValueError: {text}"
+
+
+def test_normalize_fraction_high_prime_powers():
+    # c = (a divisor of n) * k, so that c // gcd(c, n) runs over units and non-units
+    for n in HIGH_POWER_LEVELS:
+        for g in divisors_of(n)[:: max(1, len(divisors_of(n)) // 12)]:
+            for c in (g, 2 * g, 3 * g, 13 * g, g * (n + 1)):
+                for a in (-7 * c - 1, -1, 1, c + 1, 5 * c - 1):
+                    if math.gcd(a, c) == 1:
+                        assert normalize_fraction(a, c, n) == _scan_normalize_fraction(a, c, n)
+
+
+def _push_table(n, p):
+    """beta_*(P_e) = m * (P_f) per level e of X0(np), read from the production pushforward."""
+    out = {}
+    for e in divisors_of(n * p):
+        ((f, m),) = beta_pushforward(p_divisor(e, n * p), p).coeffs
+        out[e] = (f, m)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.sampled_from(HECKE_PRIMES))
+def test_beta_push_levels_match_enumeration(n, p):
+    assert _push_table(n, p) == _enumerated_beta_push_levels(n, p)
+
+
+@pytest.mark.parametrize("n", HIGH_POWER_LEVELS)
+@pytest.mark.parametrize("p", HECKE_PRIMES)
+def test_beta_push_levels_high_prime_powers(n, p):
+    # p divides n for 2, 3, 5, 7 at some of these levels and not at the rest
+    table = _push_table(n, p)
+    assert table == _enumerated_beta_push_levels(n, p)
+    if n % p == 0:
+        assert any(m > 1 for _, m in table.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(HIGH_POWER_LEVELS + (2**4 * 3**2 * 5, 7**3 * 11)),
+    st.sampled_from(HECKE_PRIMES),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_beta_pushforward_matches_cusp_images(n, p, values, rnd):
+    # push a random multi-level divisor of X0(np) down through every cusp image
+    levels = divisors_of(n * p)
+    div = RationalCuspDivisor.from_dict(n * p, {rnd.choice(levels): v for v in values})
+    slow = CuspDivisor.from_dict(n, {})
+    for c, v in div.expand().coeffs:
+        slow = slow + CuspDivisor.from_dict(n, {_scan_beta_image(c, p): v})
+    assert beta_pushforward(div, p) == slow.aggregate()
