@@ -31,7 +31,7 @@ from .arith import (
     valuation,
 )
 from .cusps import ConsistencyError, RationalCuspDivisor
-from .heckediv import EisensteinDatum, NotCovered, build_c_divisor, deg_map
+from .heckediv import EisensteinDatum, NotCovered, build_c_divisor, deg_map, epsilon
 
 __all__ = [
     "lambda_matrix",
@@ -203,55 +203,51 @@ def _integer_vector(n: int, a) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in vec], den
 
 
+def _local_exponents(q: int, r: int, eps: int) -> tuple[list[int], int]:
+    """Local eta-exponent entries over q^0, ..., q^r and local scale at
+    q^r || N, by the eigenvalue eps of the level-q operator."""
+    if eps == 1:
+        entries, scale = [1, -1], q ** (r - 1) * (q - 1)
+    elif eps == q:
+        entries, scale = [q, -1], q ** (r - 1) * (q * q - 1)
+    else:
+        entries, scale = [q, -(q + 1), 1], q ** (r - 2) * (q * q - 1)
+    return entries + [0] * (r + 1 - len(entries)), scale
+
+
 def _exponent_data(datum: EisensteinDatum) -> Fraction:
-    """The rational 1/24 * prod(p-1, p|M) * prod(p^2-1, p|rad/M) * (N/rad) / prod(p|L)."""
-    n, m = datum.n, datum.m
-    _, _, rad = parts(n)
-    val = Fraction(1, 24) * (n // rad)
-    for p in prime_divisors(m):
-        val *= p - 1
-    for p in prime_divisors(rad // m):
-        val *= p * p - 1
-    for p in prime_divisors(datum.l_part):
-        val /= p
-    return val
+    """The rational 1/24 * prod(p-1, p|M) * prod(p^2-1, p|rad/M) * (N/rad) / prod(p|L),
+    the product of the local scales over 24."""
+    scales = (_local_exponents(q, r, epsilon(datum, q))[1] for q, r in factor(datum.n).factors)
+    return Fraction(math.prod(scales), 24)
 
 
 def r_vector(datum: EisensteinDatum) -> Vector:
     """Lambda(N)^{-1} applied to the datum's divisor, for m coprime to the
     square support.
 
-    Computed three ways -- per-divisor closed entries, the prime-by-prime
-    engine on the datum's divisor, and a generic linear solve -- which must
-    agree exactly.
+    Computed two ways, which must agree exactly: the closed entries, whose
+    value at delta is 24 times the product over q^r || N of the local entry
+    at val_q(delta) over the local scale, and the prime-by-prime engine on
+    the datum's divisor.
     """
-    n, m, dp = datum.n, datum.m, datum.d_part
-    sf, sq, _ = parts(n)
-    if math.gcd(m, sq) != 1:
+    n = datum.n
+    if math.gcd(datum.m, parts(n)[1]) != 1:
         raise ValueError("closed entries need m coprime to the square support")
 
-    scale = _exponent_data(datum)
-    big_l = sq // dp
-    closed = []
-    for delta in divisors_of(n):
-        val = 1
-        for p in prime_divisors(m):
-            val *= 1 if delta % p else -1
-        for p in prime_divisors((sf // m) * dp):
-            e = valuation(delta, p)
-            val *= p if e == 0 else (-1 if e == 1 else 0)
-        for p in prime_divisors(big_l):
-            e = valuation(delta, p)
-            val *= (p, -(p + 1), 1, 0)[min(e, 3)]
-        closed.append(Fraction(val) / scale)
-    closed_vec = tuple(closed)
+    closed = {1: Fraction(24)}
+    for q, r in factor(n).factors:
+        entries, scale = _local_exponents(q, r, epsilon(datum, q))
+        closed = {
+            d * q**a: x * Fraction(v, scale)
+            for d, x in closed.items()
+            for a, v in enumerate(entries)
+        }
+    closed_vec = tuple(closed[d] for d in divisors_of(n))
 
     c, _ = _integer_vector(n, build_c_divisor(datum))
     u, den = apply_lambda_inverse(n, c)
-    engine_vec = tuple(Fraction(x, den) for x in u)
-    solved_vec = solve_lambda(n, c)
-
-    if not (closed_vec == engine_vec == solved_vec):
+    if closed_vec != tuple(Fraction(x, den) for x in u):
         raise ConsistencyError(f"exponent-vector paths disagree for {datum}")
     return closed_vec
 

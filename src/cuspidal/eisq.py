@@ -1,8 +1,10 @@
 """Weight-2 Eisenstein q-expansions and their residues at the cusps of X0(N).
 
-Series are built prime by prime from the level-p base series, each new
-prime acting through one of five level-raising substitutions; residues
-follow the same recursion through the ramification of the two coverings.
+A datum fixes the eigenvalue eps = epsilon(datum, q) in {1, q, 0} of the
+level-q operator at every prime q | N, and both the series and its residues
+are products of one local factor per prime power q^r || N chosen by eps:
+the Euler factor (1 - X)^[eps != 1] (1 - qX)^[eps != q] on the series, a
+local residue vector over the levels q^0, ..., q^r on the residues.
 Truncations carry their precision, and operators shrink it explicitly.
 """
 
@@ -70,14 +72,16 @@ class QExpansion:
         return QExpansion(self.n, self.prec, tuple(s * a for a in self.coeffs))
 
 
-def _dilate(coeffs: tuple[Fraction, ...], m: int) -> tuple[Fraction, ...]:
-    """Coefficients of f(q^m) to the same precision: a_{k/m}, zero off multiples."""
-    return tuple(coeffs[k // m] if k % m == 0 else Fraction(0) for k in range(len(coeffs)))
+def _euler_step(coeffs: tuple[Fraction, ...], q: int, k: int) -> tuple[Fraction, ...]:
+    """Coefficients of f(z) - k f(qz) to the same precision: a_j - k a_{j/q}."""
+    return tuple(a - k * coeffs[j // q] if j % q == 0 else a for j, a in enumerate(coeffs))
 
 
 def base_epp(p: int, prec: int) -> QExpansion:
     """The weight-2 Eisenstein series at prime level p normalized to
     (p-1)/24 + sum_{n>=1} (sum of divisors of n coprime to p) q^n."""
+    if prec < 0:
+        raise ValueError("precision must be non-negative")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     coeffs = [Fraction(p - 1, 24)]
@@ -89,31 +93,21 @@ def base_epp(p: int, prec: int) -> QExpansion:
 def build_qexp(datum: EisensteinDatum, prec: int) -> QExpansion:
     """q-expansion of the Eisenstein series attached to a datum.
 
-    The base is the prime-power series of the smallest prime dividing m*L;
-    the remaining primes of n are adjoined in ascending order, each through
-    the substitution matching its eigenvalue pattern.
+    The series is the level-one series times the Euler factor
+    (1 - X)^[eps != 1] (1 - qX)^[eps != q] at every prime q | n, with
+    eps = epsilon(datum, q) and X acting as f(z) -> f(qz).  The base is the
+    level-p series of the smallest prime p with eps != p, which already
+    carries the factor (1 - pX); the other factors follow in ascending order.
     """
-    n, m, dp = datum.n, datum.m, datum.d_part
-    base = min(prime_divisors(m * datum.l_part))
+    steps = [
+        (q, k) for q in prime_divisors(datum.n) for k in (1, q) if epsilon(datum, q) != k
+    ]
+    base = min(q for q, k in steps if k == q)
     coeffs = base_epp(base, prec).coeffs
-    if valuation(n, base) >= 2 and m % base:
-        coeffs = tuple(a - b for a, b in zip(coeffs, _dilate(coeffs, base)))
-    for q, r in factor(n).factors:
-        if q == base:
-            continue
-        dil = _dilate(coeffs, q)
-        if r == 1 and m % q == 0:
-            coeffs = tuple(a - q * b for a, b in zip(coeffs, dil))
-        elif r == 1:
-            coeffs = tuple(a - b for a, b in zip(coeffs, dil))
-        elif dp % q:
-            dil2 = _dilate(coeffs, q * q)
-            coeffs = tuple(a - (q + 1) * b + q * c for a, b, c in zip(coeffs, dil, dil2))
-        elif m % q == 0:
-            coeffs = tuple(a - q * b for a, b in zip(coeffs, dil))
-        else:
-            coeffs = tuple(a - b for a, b in zip(coeffs, dil))
-    return QExpansion(n, prec, coeffs)
+    for q, k in steps:
+        if (q, k) != (base, base):
+            coeffs = _euler_step(coeffs, q, k)
+    return QExpansion(datum.n, prec, coeffs)
 
 
 def hecke_on_qexp(f: QExpansion, q: int) -> QExpansion:
@@ -135,11 +129,8 @@ def hecke_on_qexp(f: QExpansion, q: int) -> QExpansion:
 def level_map(kind: str, f: QExpansion, p: int) -> QExpansion:
     """The level-raising maps on forms: plus sends f(z) to f(z) - p f(pz),
     minus to f(z) - f(pz), plain leaves the expansion unchanged."""
-    dil = _dilate(f.coeffs, p)
-    if kind == "plus":
-        coeffs = tuple(a - p * b for a, b in zip(f.coeffs, dil))
-    elif kind == "minus":
-        coeffs = tuple(a - b for a, b in zip(f.coeffs, dil))
+    if kind in ("plus", "minus"):
+        coeffs = _euler_step(f.coeffs, p, p if kind == "plus" else 1)
     elif kind == "plain":
         coeffs = f.coeffs
     else:
@@ -216,37 +207,29 @@ class ResidueTable:
         )
 
 
+def _local_residues(q: int, r: int, eps: int) -> list[Fraction | int]:
+    """Residue factors at the levels q^0, ..., q^r for q^r || n, by the
+    eigenvalue eps of the level-q operator."""
+    if eps == 1:
+        return [q ** (r - 1) * (q - 1)] + [
+            q ** max(r - 2 * a, 0) * (1 - q) for a in range(1, r + 1)
+        ]
+    u = Fraction(q) ** (r - 2) * (q * q - 1)
+    if eps == q:
+        return [u] + [0] * r
+    return [u * (q - 1) / q, -u / q] + [0] * (r - 1)
+
+
 def residue_table(datum: EisensteinDatum) -> ResidueTable:
-    """Residues of the datum's series at every cusp level, built prime by
-    prime with the same classification as build_qexp.  The weighted residue
-    sum over all cusps must vanish and is checked on construction."""
-    n, m, dp = datum.n, datum.m, datum.d_part
+    """Residues of the datum's series at every cusp level: the residue at
+    level d is the product over q^r || n of the local factor at val_q(d),
+    chosen by epsilon(datum, q).  The weighted residue sum over all cusps
+    must vanish and is checked on construction."""
     table: dict[int, Fraction] = {1: Fraction(1)}
-    for q, r in factor(n).factors:
-        new: dict[int, Fraction] = {}
-        for d, prev in table.items():
-            if r == 1 and m % q == 0:
-                new[d] = (q - 1) * prev
-                new[q * d] = (1 - q) * prev
-            elif r == 1:
-                new[d] = Fraction(q * q - 1, q) * prev
-                new[q * d] = Fraction(0)
-            elif dp % q:
-                new[d] = q ** (r - 2) * Fraction((q * q - 1) * (q - 1), q) * prev
-                new[q * d] = q ** (r - 2) * Fraction(1 - q * q, q) * prev
-                for a in range(2, r + 1):
-                    new[q**a * d] = Fraction(0)
-            elif m % q == 0:
-                new[d] = q ** (r - 1) * (q - 1) * prev
-                new[q * d] = q ** (r - 2) * (1 - q) * prev
-                for a in range(2, r + 1):
-                    new[q**a * d] = q ** max(r - 2 * a, 0) * (1 - q) * prev
-            else:
-                new[d] = q ** (r - 2) * (q * q - 1) * prev
-                for a in range(1, r + 1):
-                    new[q**a * d] = Fraction(0)
-        table = new
-    out = ResidueTable(n, tuple(sorted((d, Fraction(v)) for d, v in table.items())))
+    for q, r in factor(datum.n).factors:
+        local = _local_residues(q, r, epsilon(datum, q))
+        table = {d * q**a: x * prev for d, prev in table.items() for a, x in enumerate(local)}
+    out = ResidueTable(datum.n, tuple(sorted(table.items())))
     if out.weighted_sum() != 0:
         raise ConsistencyError(f"weighted residue sum is nonzero for {datum}")
     return out

@@ -66,7 +66,12 @@ class EisensteinDatum:
 
 
 def epsilon(datum: EisensteinDatum, p: int) -> int:
-    """Eigenvalue in {1, p, 0} of the level-p operator attached to the datum."""
+    """Eigenvalue in {1, p, 0} of the level-p operator attached to the datum.
+
+    This is the one per-prime classification of the package: the series, its
+    residues, the exponent vector and its scale take their local factor at
+    p^r || n from this value and r alone.
+    """
     if datum.n % p:
         raise ValueError(f"{p} does not divide {datum.n}")
     sf, sq, _ = parts(datum.n)

@@ -108,7 +108,7 @@ def test_criterion_05_r_vector_triple_agreement():
                 if m * (sq // d) == 1:
                     continue
                 datum = EisensteinDatum(n, m, d)
-                r = r_vector(datum)  # internally computed three ways
+                r = r_vector(datum)  # closed entries checked against the engine
                 c = build_c_divisor(datum)
                 assert mat_vec(lambda_matrix(n), r) == tuple(
                     Fraction(x) for x in c.as_vector()

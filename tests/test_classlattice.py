@@ -112,6 +112,7 @@ def test_r_vector_solves_lambda():
                 assert mat_vec(lambda_matrix(n), r) == tuple(
                     Fraction(x) for x in c.as_vector()
                 )
+                assert r == solve_lambda(n, c.as_vector())
 
 
 def test_class_order_examples():

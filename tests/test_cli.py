@@ -125,6 +125,13 @@ def test_invalid_input_exits_one(capsys):
     assert _run(capsys, "cusps", "not-a-number")[0] == 1
 
 
+def test_negative_precision_exits_one(capsys):
+    code, out, err = _run(capsys, "qexp", "6", "--M", "2", "--prec", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "cuspidal: error: precision must be non-negative\n"
+
+
 def test_lambda_inverse_flag(capsys):
     code, out, _ = _run(capsys, "lambda", "9", "--inverse", "--format", "json")
     parsed = json.loads(out)
@@ -182,12 +189,34 @@ def test_timing_flag_optional(capsys):
             ("hecke", "765625", "--p", "5", "--divisor", "125:1,625:-1,15625:2,245:-3,35:1"),
             "a51758c2753e15db384cd4865a72f46e17823944255c876429d30b5e4cc69ea4",
         ),
+        (
+            # 2^3 * 3^2 * 5 * 7 * 11^2: every local type of the series occurs
+            ("qexp", "304920", "--M", "15", "--D", "33", "--prec", "300"),
+            "d128c5d6a42eb668cc22a7d6c9d0e9523d6d7cf825d91d7e2373554f381ff67f",
+        ),
+        (
+            ("qexp", "4725", "--M", "7", "--prec", "300"),  # 3^3 * 5^2 * 7, 5 in L
+            "f7111a406bd93f9c7f16e8a3eba73e9a6e76f7191e95fea26ee07bc3d3fd10d2",
+        ),
+        (
+            ("residues", "304920", "--M", "15", "--D", "33"),
+            "6a5880516f8b47a98524ea1ee1e304c5374a687c5f82627d55c7d565cd045249",
+        ),
+        (
+            ("residues", "4725", "--M", "7"),
+            "2ba901b7a71feba4f4be29cb22fd1b488429d31ab6bc999d62e8bfac0cead3d3",
+        ),
+        (
+            ("residues", "1990656", "--M", "2", "--D", "6"),  # 2^13 * 3^5
+            "a7f684ed0d2091e9b5adc398fa948951ab6adfd878a76806dddf280d9464afdb",
+        ),
     ],
 )
 def test_golden_bytes(capsys, argv, sha256):
-    # Taken from the dense-Fraction class-order engine and the cusp-enumerating
-    # Hecke pushforward; the integer engine and the closed cusp maps must
-    # reproduce their bytes at high-tau and high prime-power levels.
+    # Taken from the dense-Fraction class-order engine, the cusp-enumerating
+    # Hecke pushforward and the five-way per-prime case split of the series
+    # and residues; the integer engine, the closed cusp maps and the local
+    # factors must reproduce their bytes at high-tau and high prime-power levels.
     code, out, _ = _run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

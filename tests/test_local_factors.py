@@ -1,0 +1,198 @@
+"""Differential tests of the per-prime local factors against a case split.
+
+The series, the residues, the closed exponent vector and the exponent scale
+are products over q^r || N of one local factor chosen by epsilon(datum, q).
+The references below classify each prime by a five-way split on
+(r == 1, q | M, q | D) instead, and must agree exactly on random data that
+cover every eigenvalue at r = 1 and at r >= 2, high prime powers, and a base
+prime in M and in L.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from cuspidal.arith import divisors_of, factor, parts, prime_divisors, valuation
+from cuspidal.classlattice import _exponent_data, r_vector
+from cuspidal.eisq import QExpansion, base_epp, build_qexp, residue_table
+from cuspidal.heckediv import EisensteinDatum, epsilon
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _dilate(coeffs, m):
+    return tuple(coeffs[k // m] if k % m == 0 else Fraction(0) for k in range(len(coeffs)))
+
+
+def _split_build_qexp(datum, prec):
+    """Reference: the series through the five-way case split per prime."""
+    n, m, dp = datum.n, datum.m, datum.d_part
+    base = min(prime_divisors(m * datum.l_part))
+    coeffs = base_epp(base, prec).coeffs
+    if valuation(n, base) >= 2 and m % base:
+        coeffs = tuple(a - b for a, b in zip(coeffs, _dilate(coeffs, base)))
+    for q, r in factor(n).factors:
+        if q == base:
+            continue
+        dil = _dilate(coeffs, q)
+        if r == 1 and m % q == 0:
+            coeffs = tuple(a - q * b for a, b in zip(coeffs, dil))
+        elif r == 1:
+            coeffs = tuple(a - b for a, b in zip(coeffs, dil))
+        elif dp % q:
+            dil2 = _dilate(coeffs, q * q)
+            coeffs = tuple(a - (q + 1) * b + q * c for a, b, c in zip(coeffs, dil, dil2))
+        elif m % q == 0:
+            coeffs = tuple(a - q * b for a, b in zip(coeffs, dil))
+        else:
+            coeffs = tuple(a - b for a, b in zip(coeffs, dil))
+    return QExpansion(n, prec, coeffs)
+
+
+def _split_residue_table(datum):
+    """Reference: the residues through the five-way case split per prime."""
+    n, m, dp = datum.n, datum.m, datum.d_part
+    table = {1: Fraction(1)}
+    for q, r in factor(n).factors:
+        new = {}
+        for d, prev in table.items():
+            if r == 1 and m % q == 0:
+                new[d] = (q - 1) * prev
+                new[q * d] = (1 - q) * prev
+            elif r == 1:
+                new[d] = Fraction(q * q - 1, q) * prev
+                new[q * d] = Fraction(0)
+            elif dp % q:
+                new[d] = q ** (r - 2) * Fraction((q * q - 1) * (q - 1), q) * prev
+                new[q * d] = q ** (r - 2) * Fraction(1 - q * q, q) * prev
+                for a in range(2, r + 1):
+                    new[q**a * d] = Fraction(0)
+            elif m % q == 0:
+                new[d] = q ** (r - 1) * (q - 1) * prev
+                new[q * d] = q ** (r - 2) * (1 - q) * prev
+                for a in range(2, r + 1):
+                    new[q**a * d] = q ** max(r - 2 * a, 0) * (1 - q) * prev
+            else:
+                new[d] = q ** (r - 2) * (q * q - 1) * prev
+                for a in range(1, r + 1):
+                    new[q**a * d] = Fraction(0)
+        table = new
+    return tuple(sorted((d, Fraction(v)) for d, v in table.items()))
+
+
+def _split_exponent_data(datum):
+    """Reference: 1/24 * prod(p-1, p|M) * prod(p^2-1, p|rad/M) * (N/rad) / prod(p|L)."""
+    n, m = datum.n, datum.m
+    _, _, rad = parts(n)
+    val = Fraction(1, 24) * (n // rad)
+    for p in prime_divisors(m):
+        val *= p - 1
+    for p in prime_divisors(rad // m):
+        val *= p * p - 1
+    for p in prime_divisors(datum.l_part):
+        val /= p
+    return val
+
+
+def _split_closed_r_vector(datum):
+    """Reference: the closed exponent entries, one prime family at a time."""
+    n, m, dp = datum.n, datum.m, datum.d_part
+    sf, sq, _ = parts(n)
+    scale = _split_exponent_data(datum)
+    closed = []
+    for delta in divisors_of(n):
+        val = 1
+        for p in prime_divisors(m):
+            val *= 1 if delta % p else -1
+        for p in prime_divisors((sf // m) * dp):
+            e = valuation(delta, p)
+            val *= p if e == 0 else (-1 if e == 1 else 0)
+        for p in prime_divisors(sq // dp):
+            e = valuation(delta, p)
+            val *= (p, -(p + 1), 1, 0)[min(e, 3)]
+        closed.append(Fraction(val) / scale)
+    return tuple(closed)
+
+
+@st.composite
+def data(draw):
+    """A datum chosen by its eigenvalue at each prime: 1 puts q in M (and in
+    D when r >= 2), q puts q in sf(N) * D outside M, 0 puts q in L."""
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=4, unique=True))
+    n = m = dp = 1
+    for q in sorted(primes):
+        r = draw(st.integers(min_value=1, max_value=8 if q <= 3 else 4))
+        eps = draw(st.sampled_from((1, q) if r == 1 else (1, q, 0)))
+        n *= q**r
+        m *= q if eps == 1 else 1
+        dp *= q if r >= 2 and eps != 0 else 1
+    assume(m * (parts(n)[1] // dp) != 1)
+    return EisensteinDatum(n, m, dp)
+
+
+def _squarefree_m(datum):
+    """M is coprime to the square support: eigenvalue 1 only at r = 1."""
+    return all(epsilon(datum, q) != 1 or r == 1 for q, r in factor(datum.n).factors)
+
+
+# 2520 = 2^3 * 3^2 * 5 * 7.  With (M, D) = (10, 6) the base prime 2 lies in
+# M, with eigenvalue 1 at r = 3; with (5, 2) it is 3, in L and not the least
+# prime.  4725 = 3^3 * 5^2 * 7 with M = 7 has eigenvalue 0 off the base prime.
+EXAMPLES = (
+    EisensteinDatum(2520, 10, 6),
+    EisensteinDatum(2520, 5, 2),
+    EisensteinDatum(4725, 7, 1),
+    EisensteinDatum(2**10, 1, 1),
+    EisensteinDatum(2**10, 2, 2),
+)
+
+
+def _with_examples(keep=lambda datum: True):
+    def decorate(test):
+        for datum in filter(keep, EXAMPLES):
+            test = example(datum=datum)(test)
+        return test
+
+    return decorate
+
+
+def test_examples_cover_every_local_type():
+    types, base_eigenvalues = set(), set()
+    for datum in EXAMPLES:
+        for q, r in factor(datum.n).factors:
+            eps = epsilon(datum, q)
+            types.add(("q" if eps == q else eps, r >= 2))
+        base = min(q for q in prime_divisors(datum.n) if epsilon(datum, q) != q)
+        base_eigenvalues.add(epsilon(datum, base))
+    assert types == {(1, False), (1, True), ("q", False), ("q", True), (0, True)}
+    assert base_eigenvalues == {1, 0}
+
+
+@settings(max_examples=80, deadline=None)
+@_with_examples()
+@given(datum=data())
+def test_build_qexp_matches_case_split(datum):
+    for prec in (0, 1, 97):
+        assert build_qexp(datum, prec) == _split_build_qexp(datum, prec), datum
+
+
+@settings(max_examples=80, deadline=None)
+@_with_examples()
+@given(datum=data())
+def test_residue_table_matches_case_split(datum):
+    assert residue_table(datum).res == _split_residue_table(datum), datum
+
+
+@settings(max_examples=80, deadline=None)
+@_with_examples()
+@given(datum=data())
+def test_exponent_data_matches_case_split(datum):
+    assert _exponent_data(datum) == _split_exponent_data(datum), datum
+
+
+@settings(max_examples=60, deadline=None)
+@_with_examples(_squarefree_m)
+@given(datum=data().filter(_squarefree_m))
+def test_r_vector_matches_case_split(datum):
+    assert r_vector(datum) == _split_closed_r_vector(datum), datum
