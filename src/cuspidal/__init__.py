@@ -3,125 +3,28 @@
 Cusps and degeneracy maps, rational cuspidal divisors and their class
 orders, weight-2 Eisenstein q-expansions with residues, and the resulting
 classification of rational Eisenstein primes.  Everything is computed in
-exact rational arithmetic.
+exact rational arithmetic.  The package root names the paper's objects;
+every other function is imported from its submodule.
 """
 
-from .arith import (
-    Factored,
-    divisors_of,
-    euler_phi,
-    factor,
-    is_prime,
-    numerator_of,
-    omega,
-    parts,
-    valuation,
-)
-from .classifier import (
-    EisensteinPrime,
-    enumerate_data,
-    index_n,
-    normalize_datum,
-    rational_eisenstein_primes,
-)
-from .classlattice import (
-    class_order,
-    closed_form_order,
-    is_principal,
-    kernel_intersection_order,
-    lambda_inverse,
-    lambda_matrix,
-    r_vector,
-    solve_lambda,
-)
-from .cusps import (
-    ConsistencyError,
-    Cusp,
-    CuspDivisor,
-    RationalCuspDivisor,
-    alpha_image,
-    alpha_ram,
-    beta_image,
-    beta_ram,
-    enumerate_cusps,
-    make_cusp,
-    normalize_fraction,
-    p_divisor,
-    pullback,
-    pushforward,
-)
-from .eisq import (
-    QExpansion,
-    ResidueTable,
-    base_epp,
-    build_qexp,
-    eigen_check,
-    hecke_on_qexp,
-    level_map,
-    residue_closed,
-    residue_table,
-)
-from .heckediv import (
-    EisensteinDatum,
-    NotCovered,
-    build_c_divisor,
-    deg_map,
-    epsilon,
-    hecke_delta,
-    hecke_delta_closed,
-)
+from .classifier import rational_eisenstein_primes
+from .classlattice import class_order, closed_form_order, r_vector
+from .cusps import ConsistencyError, RationalCuspDivisor
+from .eisq import build_qexp, residue_table
+from .heckediv import EisensteinDatum, NotCovered, build_c_divisor, epsilon, hecke_delta
 
 __all__ = [
-    "Factored",
-    "factor",
-    "parts",
-    "euler_phi",
-    "omega",
-    "divisors_of",
-    "valuation",
-    "numerator_of",
-    "is_prime",
-    "Cusp",
-    "CuspDivisor",
-    "RationalCuspDivisor",
-    "ConsistencyError",
-    "make_cusp",
-    "enumerate_cusps",
-    "normalize_fraction",
-    "p_divisor",
-    "alpha_image",
-    "beta_image",
-    "alpha_ram",
-    "beta_ram",
-    "pullback",
-    "pushforward",
     "EisensteinDatum",
-    "NotCovered",
     "epsilon",
     "build_c_divisor",
+    "RationalCuspDivisor",
     "hecke_delta",
-    "hecke_delta_closed",
-    "deg_map",
-    "lambda_matrix",
-    "lambda_inverse",
-    "solve_lambda",
-    "r_vector",
     "class_order",
-    "is_principal",
     "closed_form_order",
-    "kernel_intersection_order",
-    "QExpansion",
-    "ResidueTable",
-    "base_epp",
+    "r_vector",
     "build_qexp",
-    "hecke_on_qexp",
-    "level_map",
-    "eigen_check",
     "residue_table",
-    "residue_closed",
-    "EisensteinPrime",
-    "enumerate_data",
-    "normalize_datum",
-    "index_n",
     "rational_eisenstein_primes",
+    "ConsistencyError",
+    "NotCovered",
 ]

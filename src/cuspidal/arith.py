@@ -33,12 +33,6 @@ class Factored:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def valuation(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

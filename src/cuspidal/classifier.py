@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import divisors_of, parts, prime_divisors
+from .arith import divisors_of, is_prime, parts, prime_divisors
 from .classlattice import class_order, closed_form_order
 from .cusps import ConsistencyError
 from .heckediv import EisensteinDatum, NotCovered, build_c_divisor
@@ -118,6 +118,8 @@ def rational_eisenstein_primes(n: int, ell: int | None = None) -> tuple[Eisenste
     change the 2-part).  Candidates outside the theorem's hypotheses are
     emitted with hypothesis_ok = False rather than suppressed.
     """
+    if ell is not None and not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
     found: dict[tuple[int, int, int], EisensteinPrime] = {}
     for datum in enumerate_data(n):
         order = index_n(datum)

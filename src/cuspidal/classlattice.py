@@ -10,7 +10,7 @@ Lambda(N)^{-1} = 24 * (tensor over q^r || N of T_q / (q^r (q^2 - 1))), with
 T_q an integer tridiagonal (r+1) x (r+1) block.  The engine applies it one
 prime at a time, in integers over one common denominator, and reads every
 eta-quotient condition as a gcd against that denominator.  The dense inverse
-is built only for `cuspidal lambda --inverse` and the invariant sweep.
+of `cuspidal lambda --inverse` is the engine's columns.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "apply_lambda_inverse",
     "solve_lambda",
     "mat_vec",
-    "mat_mul",
     "r_vector",
     "class_order",
     "is_principal",
@@ -80,41 +79,6 @@ def _block_denominator(q: int, r: int) -> int:
     return q**r * (q * q - 1)
 
 
-@lru_cache(maxsize=None)
-def lambda_inverse(n: int) -> Matrix:
-    """Lambda(n)^{-1}, built by adjoining one prime power at a time.
-
-    Each prime power q^r contributes a tridiagonal (r+1) x (r+1) block
-    pattern scaled against the smaller inverse; the block divisor order
-    d_i * q^j is permuted back to ascending divisors at the end.
-    """
-    inv: list[list[Fraction]] = [[Fraction(24)]]
-    divs: list[int] = [1]
-    for q, r in factor(n).factors:
-        w = len(divs)
-        den = _block_denominator(q, r)
-        blocks = [
-            [Fraction(_block_entry(q, r, m, k), den) for k in range(1, r + 2)]
-            for m in range(1, r + 2)
-        ]
-        size = w * (r + 1)
-        new = [[Fraction(0)] * size for _ in range(size)]
-        for bm in range(r + 1):
-            for bk in range(r + 1):
-                b = blocks[bm][bk]
-                if not b:
-                    continue
-                for i in range(w):
-                    row = new[bm * w + i]
-                    src = inv[i]
-                    for j in range(w):
-                        row[bk * w + j] = b * src[j]
-        divs = [d * q**j for j in range(r + 1) for d in divs]
-        inv = new
-    order = sorted(range(len(divs)), key=lambda k: divs[k])
-    return tuple(tuple(inv[i][j] for j in order) for i in order)
-
-
 def apply_lambda_inverse(
     n: int, a: Sequence[int], den: int = 1
 ) -> tuple[tuple[int, ...], int]:
@@ -148,10 +112,20 @@ def apply_lambda_inverse(
     return tuple(24 * x[d] for d in divs), den
 
 
+def lambda_inverse(n: int) -> Matrix:
+    """Lambda(n)^{-1} as a dense matrix: the engine on each unit vector."""
+    size = len(divisors_of(n))
+    columns = []
+    for j in range(size):
+        u, den = apply_lambda_inverse(n, [int(i == j) for i in range(size)])
+        columns.append([Fraction(x, den) for x in u])
+    return tuple(zip(*columns))
+
+
 def solve_lambda(n: int, a: Sequence[Fraction | int]) -> Vector:
     """Solve Lambda(n) x = a by Gaussian elimination over exact rationals.
 
-    Kept as an independent oracle against lambda_inverse.
+    Kept as an independent oracle against apply_lambda_inverse.
     """
     divs = divisors_of(n)
     if len(a) != len(divs):
@@ -172,14 +146,6 @@ def solve_lambda(n: int, a: Sequence[Fraction | int]) -> Vector:
 
 def mat_vec(m: Matrix, v: Sequence[Fraction | int]) -> Vector:
     return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(size)), Fraction(0)) for j in range(size))
-        for i in range(size)
-    )
 
 
 def _integer_vector(n: int, a) -> tuple[list[int], int]:

@@ -18,12 +18,12 @@ from fractions import Fraction
 from .arith import divisors_of, is_prime, prime_divisors, primes_upto
 from .classifier import enumerate_data, rational_eisenstein_primes
 from .classlattice import (
+    apply_lambda_inverse,
     class_order,
     closed_form_order,
     is_principal,
     lambda_inverse,
     lambda_matrix,
-    mat_mul,
     mat_vec,
     r_vector,
     solve_lambda,
@@ -236,6 +236,13 @@ def cmd_sweep(args) -> tuple[dict, int]:
     return {"outputs": report, "consistency": {"all_invariants_hold": ok}}, 0 if ok else 2
 
 
+def _inverts_column(n: int, j: int, column) -> bool:
+    """Whether the engine sends column j of Lambda(n) to the j-th unit vector."""
+    den = math.lcm(*(x.denominator for x in column))
+    u, den = apply_lambda_inverse(n, [x.numerator * (den // x.denominator) for x in column], den)
+    return u == tuple(den if i == j else 0 for i in range(len(u)))
+
+
 def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
     """Run the cross-module invariant suite for every level up to max_n."""
     failures: list[str] = []
@@ -262,19 +269,15 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
             for c in enumerate_cusps(n):
                 check(afibers.get(c) == deg, f"alpha fiber degree at N={n}, p={p}")
                 check(bfibers.get(c) == deg, f"beta fiber degree at N={n}, p={p}")
-        ident = mat_mul(lambda_matrix(n), lambda_inverse(n))
-        divs = divisors_of(n)
         check(
-            all(
-                ident[i][j] == (1 if i == j else 0)
-                for i in range(len(divs))
-                for j in range(len(divs))
-            ),
+            all(_inverts_column(n, j, col) for j, col in enumerate(zip(*lambda_matrix(n)))),
             f"Lambda inverse at {n}",
         )
-        rhs = tuple(Fraction((-1) ** i * (i + 1)) for i in range(len(divs)))
+        divs = divisors_of(n)
+        rhs = tuple((-1) ** i * (i + 1) for i in range(len(divs)))
+        u, den = apply_lambda_inverse(n, rhs)
         check(
-            solve_lambda(n, rhs) == mat_vec(lambda_inverse(n), rhs),
+            solve_lambda(n, rhs) == tuple(Fraction(x, den) for x in u),
             f"solver agreement at {n}",
         )
         for p in prime_divisors(n):

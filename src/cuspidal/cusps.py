@@ -58,10 +58,6 @@ class Cusp:
     def __repr__(self) -> str:
         return f"Cusp({self.x}:{self.d} @ {self.n})"
 
-    @property
-    def modulus(self) -> int:
-        return math.gcd(self.d, self.n // self.d)
-
 
 def make_cusp(n: int, d: int, x: int) -> Cusp:
     """Canonical cusp (x : d) of X0(n); x may be any member of its residue class."""
@@ -129,12 +125,6 @@ class CuspDivisor:
         items.sort(key=lambda t: (t[0].d, t[0].x))
         return CuspDivisor(n, tuple(items))
 
-    def coeff(self, c: Cusp) -> int:
-        for cc, v in self.coeffs:
-            if cc == c:
-                return v
-        return 0
-
     def degree(self) -> int:
         return sum(v for _, v in self.coeffs)
 
@@ -192,12 +182,6 @@ class RationalCuspDivisor:
             if v:
                 items.append((d, v))
         return RationalCuspDivisor(n, tuple(sorted(items)))
-
-    def coeff(self, d: int) -> int:
-        for dd, v in self.coeffs:
-            if dd == d:
-                return v
-        return 0
 
     def degree(self) -> int:
         return sum(v * euler_phi(math.gcd(d, self.n // d)) for d, v in self.coeffs)

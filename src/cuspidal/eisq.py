@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors_of, euler_phi, factor, is_prime, omega, parts, prime_divisors, primes_upto, valuation
+from .arith import euler_phi, factor, is_prime, omega, parts, prime_divisors, primes_upto, valuation
 from .cusps import ConsistencyError
 from .heckediv import EisensteinDatum, epsilon
 
@@ -84,10 +84,12 @@ def base_epp(p: int, prec: int) -> QExpansion:
         raise ValueError("precision must be non-negative")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    coeffs = [Fraction(p - 1, 24)]
-    for k in range(1, prec + 1):
-        coeffs.append(Fraction(sum(d for d in divisors_of(k) if d % p)))
-    return QExpansion(p, prec, tuple(coeffs))
+    sigma = [0] * (prec + 1)
+    for d in range(1, prec + 1):
+        if d % p:
+            for k in range(d, prec + 1, d):
+                sigma[k] += d
+    return QExpansion(p, prec, (Fraction(p - 1, 24), *map(Fraction, sigma[1:])))
 
 
 def build_qexp(datum: EisensteinDatum, prec: int) -> QExpansion:

@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal.arith import divisors_of, euler_phi, numerator_of, parts, prime_divisors, valuation
+from cuspidal.arith import (
+    divisors_of,
+    euler_phi,
+    factor,
+    numerator_of,
+    parts,
+    prime_divisors,
+    valuation,
+)
 from cuspidal.classlattice import (
+    _block_denominator,
+    _block_entry,
     apply_lambda_inverse,
     class_order,
     closed_form_order,
@@ -16,7 +26,6 @@ from cuspidal.classlattice import (
     kernel_intersection_order,
     lambda_inverse,
     lambda_matrix,
-    mat_mul,
     mat_vec,
     r_vector,
     solve_lambda,
@@ -27,6 +36,42 @@ from cuspidal.heckediv import EisensteinDatum, NotCovered, build_c_divisor
 
 # Levels whose interior tridiagonal rows (prime exponent >= 2) carry weight.
 HIGH_POWER_LEVELS = (2**12, 3**8, 5**5 * 7**2, 2**4 * 3**3 * 5**2 * 7)
+
+
+def _kronecker_lambda_inverse(n):
+    """Reference: Lambda(n)^{-1} built densely by adjoining one prime power at
+    a time, each tridiagonal block scaled against the smaller inverse; the
+    block divisor order d_i * q^j is permuted back to ascending divisors."""
+    inv = [[Fraction(24)]]
+    divs = [1]
+    for q, r in factor(n).factors:
+        w = len(divs)
+        den = _block_denominator(q, r)
+        blocks = [
+            [Fraction(_block_entry(q, r, m, k), den) for k in range(1, r + 2)]
+            for m in range(1, r + 2)
+        ]
+        size = w * (r + 1)
+        new = [[Fraction(0)] * size for _ in range(size)]
+        for bm in range(r + 1):
+            for bk in range(r + 1):
+                b = blocks[bm][bk]
+                if not b:
+                    continue
+                for i in range(w):
+                    row = new[bm * w + i]
+                    src = inv[i]
+                    for j in range(w):
+                        row[bk * w + j] = b * src[j]
+        divs = [d * q**j for j in range(r + 1) for d in divs]
+        inv = new
+    order = sorted(range(len(divs)), key=lambda k: divs[k])
+    return tuple(tuple(inv[i][j] for j in order) for i in order)
+
+
+def _mat_mul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols) for r in a)
 
 
 def test_lambda_matrix_small():
@@ -42,14 +87,14 @@ def test_lambda_matrix_small():
 
 
 def test_lambda_inverse_small():
-    assert lambda_inverse(1) == ((Fraction(24),),)
+    assert lambda_inverse(1) == _kronecker_lambda_inverse(1) == ((Fraction(24),),)
     for p in (2, 3, 11):
         scale = Fraction(24, p * p - 1)
-        assert lambda_inverse(p) == (
+        assert lambda_inverse(p) == _kronecker_lambda_inverse(p) == (
             (scale * p, -scale),
             (-scale, scale * p),
         )
-    assert lambda_inverse(9) == tuple(
+    assert lambda_inverse(9) == _kronecker_lambda_inverse(9) == tuple(
         tuple(Fraction(x) for x in row) for row in ((3, -3, 0), (-1, 10, -1), (0, -3, 3))
     )
 
@@ -63,7 +108,7 @@ def _identity(size):
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 12, 36, 60, 90, 128, 144, 150])
 def test_lambda_inverse_is_inverse(n):
     size = len(divisors_of(n))
-    assert mat_mul(lambda_matrix(n), lambda_inverse(n)) == _identity(size)
+    assert _mat_mul(lambda_matrix(n), lambda_inverse(n)) == _identity(size)
 
 
 def test_solve_lambda_examples():
@@ -82,6 +127,7 @@ def test_solve_agrees_with_inverse():
     for n in (6, 24, 45, 100, 147):
         vec = tuple(Fraction(rng.randint(-9, 9)) for _ in divisors_of(n))
         assert solve_lambda(n, vec) == mat_vec(lambda_inverse(n), vec)
+        assert solve_lambda(n, vec) == mat_vec(_kronecker_lambda_inverse(n), vec)
 
 
 def test_r_vector_examples():
@@ -230,7 +276,7 @@ def _dense_class_order(n, a):
     degree = sum(vec[i] * euler_phi(math.gcd(d, n // d)) for i, d in enumerate(divs))
     if degree != 0:
         raise ValueError(f"divisor has degree {degree}, expected 0")
-    r = mat_vec(lambda_inverse(n), vec)
+    r = mat_vec(_kronecker_lambda_inverse(n), vec)
     if sum(r) != 0:
         raise ValueError("exponent vector has nonzero weight; no multiple is principal")
     k = math.lcm(*(x.denominator for x in r))
@@ -267,7 +313,7 @@ def test_engine_matches_dense_and_solve(data):
     )
     vec = tuple(data.draw(_rational_vectors(len(divisors_of(n)))))
     got = _engine(n, vec)
-    assert got == mat_vec(lambda_inverse(n), vec)
+    assert got == mat_vec(_kronecker_lambda_inverse(n), vec)
     assert mat_vec(lambda_matrix(n), got) == vec
     if len(vec) <= 24:
         assert got == solve_lambda(n, vec)
@@ -275,11 +321,19 @@ def test_engine_matches_dense_and_solve(data):
 
 @pytest.mark.parametrize("n", HIGH_POWER_LEVELS)
 def test_engine_on_unit_vectors(n):
-    inv = lambda_inverse(n)
+    inv = _kronecker_lambda_inverse(n)
     size = len(divisors_of(n))
     for j in range(size):
         u, den = apply_lambda_inverse(n, [int(i == j) for i in range(size)])
         assert tuple(Fraction(x, den) for x in u) == tuple(row[j] for row in inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(min_value=1, max_value=399), st.sampled_from(HIGH_POWER_LEVELS))
+)
+def test_dense_inverse_matches_kronecker(n):
+    assert lambda_inverse(n) == _kronecker_lambda_inverse(n)
 
 
 def test_engine_rejects_wrong_length():

@@ -1,8 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import traceback
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cuspidal import cli
+from cuspidal.arith import divisors_of
 from cuspidal.cli import main, to_json
 
 
@@ -125,6 +132,14 @@ def test_invalid_input_exits_one(capsys):
     assert _run(capsys, "cusps", "not-a-number")[0] == 1
 
 
+@pytest.mark.parametrize("ell", ["4", "0", "-1", "1"])
+def test_classify_rejects_non_prime_ell(capsys, ell):
+    code, out, err = _run(capsys, "classify", "12", "--ell", ell)
+    assert code == 1
+    assert out == ""
+    assert err == f"cuspidal: error: {ell} is not prime\n"
+
+
 def test_negative_precision_exits_one(capsys):
     code, out, err = _run(capsys, "qexp", "6", "--M", "2", "--prec", "-1")
     assert code == 1
@@ -145,6 +160,23 @@ def test_sweep_small(capsys):
     assert code == 0
     assert parsed["consistency"]["all_invariants_hold"] is True
     assert parsed["outputs"]["failures"] == []
+
+
+def test_sweep_reports_a_broken_engine(capsys, monkeypatch):
+    real = cli.apply_lambda_inverse
+
+    def one_entry_off(n, a, den=1):
+        u, den = real(n, a, den)
+        return (u[0] + 1, *u[1:]), den
+
+    monkeypatch.setattr(cli, "apply_lambda_inverse", one_entry_off)
+    report, ok = cli.run_sweep(6)
+    assert not ok
+    labels = ("Lambda inverse at {}", "solver agreement at {}")
+    assert report["failures"] == [label.format(n) for n in range(1, 7) for label in labels]
+    code, out, _ = _run(capsys, "sweep", "--max-N", "6", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["consistency"]["all_invariants_hold"] is False
 
 
 def test_timing_flag_optional(capsys):
@@ -210,13 +242,94 @@ def test_timing_flag_optional(capsys):
             ("residues", "1990656", "--M", "2", "--D", "6"),  # 2^13 * 3^5
             "a7f684ed0d2091e9b5adc398fa948951ab6adfd878a76806dddf280d9464afdb",
         ),
+        (
+            ("lambda", "27720", "--inverse"),
+            "59619cf76b3433c7b573f2edb62f20822eebba2b110056e0471fa3bb0eaf9e62",
+        ),
+        (
+            ("lambda", "153125", "--inverse"),  # 5^5 * 7^2
+            "5c258afd350039c7cc0df41bd14f834dc231a15d1d1373488991ab13c9ac54a4",
+        ),
+        (
+            ("lambda", "1024", "--inverse"),
+            "3d246c3c56b4a7cfe1251c7b5551074724d90069d69913ae6ad9da22a91f3595",
+        ),
+        (
+            ("sweep", "--max-N", "60"),
+            "97c02003e4631d92bdc1d2371e2839a48aa64d8f8356cce4fadd4e7fbbf9b175",
+        ),
     ],
 )
 def test_golden_bytes(capsys, argv, sha256):
     # Taken from the dense-Fraction class-order engine, the cusp-enumerating
-    # Hecke pushforward and the five-way per-prime case split of the series
-    # and residues; the integer engine, the closed cusp maps and the local
+    # Hecke pushforward, the five-way per-prime case split of the series
+    # and residues, and the Kronecker-built dense inverse with its O(tau^3)
+    # sweep check; the integer engine, the closed cusp maps and the local
     # factors must reproduce their bytes at high-tau and high prime-power levels.
     code, out, _ = _run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+_SUBCOMMANDS = (
+    "cusps", "lambda", "cdivisor", "order", "residues", "qexp", "hecke", "classify", "sweep"
+)
+_DIVISOR_TEXTS = ("", "1", "1:1:1", "1:x", "1:1,,2:1", "7:1", "0:1", "-2:1", "1:1,1:-1")
+
+
+@st.composite
+def _argv(draw):
+    """One command line from the subcommand grammar, valid or not."""
+    n = draw(st.integers(min_value=-2, max_value=2000))
+    level = str(n)
+    divs = divisors_of(n) if n > 0 else (1,)
+    some_divisor = st.sampled_from(divs).map(str)
+    small = st.integers(min_value=-2, max_value=60).map(str)
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    if command == "cusps":
+        argv = [command, level]
+    elif command == "lambda":
+        argv = [command, level] + draw(st.sampled_from(([], ["--inverse"])))
+    elif command in ("cdivisor", "order", "residues", "qexp"):
+        argv = [command, level, "--M", draw(st.one_of(some_divisor, small))]
+        if draw(st.booleans()):
+            argv += ["--D", draw(st.one_of(some_divisor, small))]
+        if command == "order":
+            argv += ["--method", draw(st.sampled_from(("closed", "lattice", "both")))]
+        if command == "qexp":
+            argv += ["--prec", str(draw(st.integers(min_value=-2, max_value=200)))]
+    elif command == "hecke":
+        term = st.tuples(some_divisor, st.integers(min_value=-5, max_value=5)).map(
+            lambda t: f"{t[0]}:{t[1]}"
+        )
+        terms = st.lists(term, min_size=1, max_size=4).map(",".join)
+        text = draw(st.one_of(st.sampled_from(_DIVISOR_TEXTS), terms))
+        p = draw(st.integers(min_value=-1, max_value=13))
+        argv = [command, level, "--p", str(p), "--divisor", text]
+    elif command == "classify":
+        argv = [command, level]
+        if draw(st.booleans()):
+            argv += ["--ell", str(draw(st.integers(min_value=-3, max_value=20)))]
+    else:
+        argv = [command, "--max-N", str(draw(st.integers(min_value=-2, max_value=10)))]
+    return argv + ["--format", draw(st.sampled_from(("text", "json")))]
+
+
+def _run_isolated(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except Exception:  # an escaped exception is a traceback, as in a process
+            traceback.print_exc()
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_argv())
+def test_cli_fuzz_contract(argv):
+    code, out, err = _run_isolated(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    assert _run_isolated(argv) == (code, out, err)
