@@ -50,16 +50,20 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 
 
+def _lambda_integer(n: int) -> tuple[list[list[int]], list[int]]:
+    """Lambda(n) = diag(s)^{-1} A in integers over the ascending divisors of
+    n: A_ij = (n/d_j) gcd(d_i, d_j)^2 and s_i = 24 gcd(d_i, n/d_i) d_i."""
+    divs = divisors_of(n)
+    rows = [[(n // dj) * math.gcd(di, dj) ** 2 for dj in divs] for di in divs]
+    return rows, [24 * math.gcd(di, n // di) * di for di in divs]
+
+
 @lru_cache(maxsize=None)
 def lambda_matrix(n: int) -> Matrix:
     """Lambda(n)_{ij} = (1/24) * n/gcd(d_i, n/d_i) * gcd(d_i, d_j)^2/(d_i d_j),
-    indexed by the ascending divisors of n."""
-    divs = divisors_of(n)
-    rows = []
-    for di in divs:
-        w = Fraction(n, 24 * math.gcd(di, n // di))
-        rows.append(tuple(w * Fraction(math.gcd(di, dj) ** 2, di * dj) for dj in divs))
-    return tuple(rows)
+    indexed by the ascending divisors of n: row i of _lambda_integer's A over s_i."""
+    rows, scale = _lambda_integer(n)
+    return tuple(tuple(Fraction(x, s) for x in row) for row, s in zip(rows, scale))
 
 
 def _block_entry(q: int, r: int, m: int, k: int) -> int:
@@ -123,25 +127,33 @@ def lambda_inverse(n: int) -> Matrix:
 
 
 def solve_lambda(n: int, a: Sequence[Fraction | int]) -> Vector:
-    """Solve Lambda(n) x = a by Gaussian elimination over exact rationals.
+    """Solve Lambda(n) x = a by fraction-free (Bareiss) Gaussian elimination.
 
+    With a = v / den, A x = s v / den for the integer rows of Lambda(n); the
+    elimination keeps every entry an integer, and back substitution yields
+    det * x, so the solve runs without rationals until the final division.
     Kept as an independent oracle against apply_lambda_inverse.
     """
-    divs = divisors_of(n)
-    if len(a) != len(divs):
-        raise ValueError(f"vector length {len(a)} != number of divisors {len(divs)}")
-    size = len(divs)
-    m = [list(row) + [Fraction(a[i])] for i, row in enumerate(lambda_matrix(n))]
+    v, den = _integer_vector(n, a)
+    rows, scale = _lambda_integer(n)
+    m = [row + [s * x] for row, s, x in zip(rows, scale, v)]
+    size = len(m)
+    prev = 1
     for col in range(size):
-        piv = next(r for r in range(col, size) if m[r][col] != 0)
+        piv = next(r for r in range(col, size) if m[r][col])
         m[col], m[piv] = m[piv], m[col]
-        inv_p = 1 / m[col][col]
-        m[col] = [v * inv_p for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return tuple(row[size] for row in m)
+        top = m[col][col:]
+        p = top[0]
+        for r in range(col + 1, size):
+            f = m[r][col]
+            m[r][col:] = [(p * x - f * y) // prev for x, y in zip(m[r][col:], top)]
+        prev = p
+    y = [0] * size
+    for i in reversed(range(size)):
+        row = m[i]
+        tail = sum(row[j] * y[j] for j in range(i + 1, size))
+        y[i] = (prev * row[size] - tail) // row[i]
+    return tuple(Fraction(x, prev * den) for x in y)
 
 
 def mat_vec(m: Matrix, v: Sequence[Fraction | int]) -> Vector:

@@ -18,13 +18,13 @@ from fractions import Fraction
 from .arith import divisors_of, is_prime, prime_divisors, primes_upto
 from .classifier import enumerate_data, rational_eisenstein_primes
 from .classlattice import (
+    _lambda_integer,
     apply_lambda_inverse,
     class_order,
     closed_form_order,
     is_principal,
     lambda_inverse,
     lambda_matrix,
-    mat_vec,
     r_vector,
     solve_lambda,
 )
@@ -57,8 +57,8 @@ def to_json(obj) -> str:
 
 
 def _rat(x) -> dict:
-    f = Fraction(x)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+    """An int or Fraction as its numerator and denominator strings."""
+    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _vec(pairs) -> list:
@@ -111,8 +111,11 @@ def _parse_divisor(n: int, text: str) -> RationalCuspDivisor:
     coeffs: dict[int, int] = {}
     for part in text.split(","):
         level, _, value = part.partition(":")
-        d = int(level.strip())
-        coeffs[d] = coeffs.get(d, 0) + int(value.strip())
+        try:
+            d, c = int(level), int(value)
+        except ValueError:
+            raise ValueError(f"--divisor term {part!r} is not level:coefficient") from None
+        coeffs[d] = coeffs.get(d, 0) + c
     return RationalCuspDivisor.from_dict(n, coeffs)
 
 
@@ -139,7 +142,7 @@ def cmd_lambda(args) -> tuple[dict, int]:
 def cmd_cdivisor(args) -> tuple[dict, int]:
     div = build_c_divisor(_datum(args))
     outputs = {
-        "coefficients": _vec((d, Fraction(c)) for d, c in div.coeffs),
+        "coefficients": _vec(div.coeffs),
         "degree": div.degree(),
     }
     return {"outputs": outputs, "consistency": {"degree_zero": div.degree() == 0}}, 0
@@ -202,13 +205,15 @@ def cmd_qexp(args) -> tuple[dict, int]:
 
 
 def cmd_hecke(args) -> tuple[dict, int]:
+    if args.N < 1:
+        raise ValueError(f"level {args.N} is not a positive integer")
     if not is_prime(args.p):
         raise ValueError(f"{args.p} is not prime")
     div = _parse_divisor(args.N, args.divisor)
     image = hecke_delta(div, args.p)
     outputs = {
-        "image": _vec((d, Fraction(c)) for d, c in image.coeffs),
-        "input": _vec((d, Fraction(c)) for d, c in div.coeffs),
+        "image": _vec(image.coeffs),
+        "input": _vec(div.coeffs),
     }
     return {"outputs": outputs, "consistency": {}}, 0
 
@@ -236,11 +241,25 @@ def cmd_sweep(args) -> tuple[dict, int]:
     return {"outputs": report, "consistency": {"all_invariants_hold": ok}}, 0 if ok else 2
 
 
+def _clear_denominators(x) -> tuple[list[int], int]:
+    """Integer numerators u and their common denominator den, x = u / den."""
+    den = math.lcm(*(v.denominator for v in x))
+    return [v.numerator * (den // v.denominator) for v in x], den
+
+
 def _inverts_column(n: int, j: int, column) -> bool:
     """Whether the engine sends column j of Lambda(n) to the j-th unit vector."""
-    den = math.lcm(*(x.denominator for x in column))
-    u, den = apply_lambda_inverse(n, [x.numerator * (den // x.denominator) for x in column], den)
+    u, den = apply_lambda_inverse(n, *_clear_denominators(column))
     return u == tuple(den if i == j else 0 for i in range(len(u)))
+
+
+def _maps_to(rows, scale, x, c) -> bool:
+    """Whether Lambda x == c for Lambda = diag(scale)^{-1} rows, in integers:
+    with x = u / den, whether rows . u == den * scale * c."""
+    u, den = _clear_denominators(x)
+    return all(
+        sum(a * v for a, v in zip(row, u)) == den * s * w for row, s, w in zip(rows, scale, c)
+    )
 
 
 def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
@@ -274,6 +293,7 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
             f"Lambda inverse at {n}",
         )
         divs = divisors_of(n)
+        rows, scale = _lambda_integer(n)
         rhs = tuple((-1) ** i * (i + 1) for i in range(len(divs)))
         u, den = apply_lambda_inverse(n, rhs)
         check(
@@ -301,8 +321,7 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
             squarefree_m = math.gcd(datum.m, datum.d_part) == 1
             if squarefree_m:
                 check(
-                    mat_vec(lambda_matrix(n), r_vector(datum))
-                    == tuple(Fraction(c) for c in div.as_vector()),
+                    _maps_to(rows, scale, r_vector(datum), div.as_vector()),
                     f"exponent vector of {datum}",
                 )
             for p in [q for q in divisors_of(n) if is_prime(q)]:
@@ -384,10 +403,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()

@@ -34,17 +34,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QExpansion:
-    """Exact rational q-expansion a_0 + a_1 q + ... + a_prec q^prec at one level."""
+    """Exact q-expansion a_0 + a_1 q + ... + a_prec q^prec at one level.
+
+    The series built here have a rational a_0 (a Fraction) and integer
+    coefficients a_k for k >= 1 (ints), so the operators on them run in
+    integer arithmetic beyond the constant term.
+    """
 
     n: int
     prec: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Fraction | int, ...]
 
     def __post_init__(self) -> None:
         if self.prec < 0 or len(self.coeffs) != self.prec + 1:
             raise ValueError("coefficient count must equal prec + 1")
 
-    def a(self, k: int) -> Fraction:
+    def a(self, k: int) -> Fraction | int:
         return self.coeffs[k]
 
     def truncate(self, prec: int) -> "QExpansion":
@@ -68,11 +73,13 @@ class QExpansion:
         return self._combine(other, -1)
 
     def __rmul__(self, k) -> "QExpansion":
-        s = Fraction(k)
+        s = k if isinstance(k, int) else Fraction(k)
         return QExpansion(self.n, self.prec, tuple(s * a for a in self.coeffs))
 
 
-def _euler_step(coeffs: tuple[Fraction, ...], q: int, k: int) -> tuple[Fraction, ...]:
+def _euler_step(
+    coeffs: tuple[Fraction | int, ...], q: int, k: int
+) -> tuple[Fraction | int, ...]:
     """Coefficients of f(z) - k f(qz) to the same precision: a_j - k a_{j/q}."""
     return tuple(a - k * coeffs[j // q] if j % q == 0 else a for j, a in enumerate(coeffs))
 
@@ -89,7 +96,7 @@ def base_epp(p: int, prec: int) -> QExpansion:
         if d % p:
             for k in range(d, prec + 1, d):
                 sigma[k] += d
-    return QExpansion(p, prec, (Fraction(p - 1, 24), *map(Fraction, sigma[1:])))
+    return QExpansion(p, prec, (Fraction(p - 1, 24), *sigma[1:]))
 
 
 def build_qexp(datum: EisensteinDatum, prec: int) -> QExpansion:
@@ -122,7 +129,7 @@ def hecke_on_qexp(f: QExpansion, q: int) -> QExpansion:
         coeffs = tuple(f.coeffs[q * k] for k in range(prec + 1))
     else:
         coeffs = tuple(
-            f.coeffs[q * k] + q * (f.coeffs[k // q] if k % q == 0 else Fraction(0))
+            f.coeffs[q * k] + q * (f.coeffs[k // q] if k % q == 0 else 0)
             for k in range(prec + 1)
         )
     return QExpansion(f.n, prec, coeffs)
@@ -204,9 +211,12 @@ class ResidueTable:
         raise KeyError(f"{d} is not a level of X0({self.n})")
 
     def weighted_sum(self) -> Fraction:
-        return sum(
-            (euler_phi(math.gcd(d, self.n // d)) * v for d, v in self.res), Fraction(0)
+        den = math.lcm(*(v.denominator for _, v in self.res))
+        total = sum(
+            euler_phi(math.gcd(d, self.n // d)) * v.numerator * (den // v.denominator)
+            for d, v in self.res
         )
+        return Fraction(total, den)
 
 
 def _local_residues(q: int, r: int, eps: int) -> list[Fraction | int]:

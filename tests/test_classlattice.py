@@ -16,6 +16,7 @@ from cuspidal.arith import (
     prime_divisors,
     valuation,
 )
+from cuspidal import classlattice
 from cuspidal.classlattice import (
     _block_denominator,
     _block_entry,
@@ -67,6 +68,25 @@ def _kronecker_lambda_inverse(n):
         inv = new
     order = sorted(range(len(divs)), key=lambda k: divs[k])
     return tuple(tuple(inv[i][j] for j in order) for i in order)
+
+
+def _fraction_solve_lambda(n, a):
+    """Reference: Gauss-Jordan elimination over the Fraction rows of Lambda(n)."""
+    divs = divisors_of(n)
+    if len(a) != len(divs):
+        raise ValueError(f"vector length {len(a)} != number of divisors {len(divs)}")
+    size = len(divs)
+    m = [list(row) + [Fraction(a[i])] for i, row in enumerate(lambda_matrix(n))]
+    for col in range(size):
+        piv = next(r for r in range(col, size) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv_p = 1 / m[col][col]
+        m[col] = [v * inv_p for v in m[col]]
+        for r in range(size):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return tuple(row[size] for row in m)
 
 
 def _mat_mul(a, b):
@@ -378,3 +398,59 @@ def test_class_order_of_data_matches_dense_reference(n):
     for datum in enumerate_data(n)[:6]:
         div = build_c_divisor(datum)
         assert class_order(n, div) == _dense_class_order(n, div), datum
+
+
+def _int_or_rational_vectors(size):
+    ints = st.lists(
+        st.integers(min_value=-10**6, max_value=10**6), min_size=size, max_size=size
+    )
+    return st.one_of(ints, _rational_vectors(size))
+
+
+# The Fraction reference takes seconds at tau = 120; levels up to tau = 24 suffice for it.
+_SMALL_TAU_HIGH_POWER_LEVELS = [n for n in HIGH_POWER_LEVELS if len(divisors_of(n)) <= 24]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solve_lambda_matches_fraction_reference_and_engine(data):
+    n = data.draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=399),
+            st.sampled_from(_SMALL_TAU_HIGH_POWER_LEVELS),
+        )
+    )
+    vec = data.draw(_int_or_rational_vectors(len(divisors_of(n))))
+    got = solve_lambda(n, vec)
+    assert all(type(x) is Fraction for x in got)
+    assert got == _fraction_solve_lambda(n, vec)
+    assert got == _engine(n, vec)
+
+
+def test_solve_lambda_at_tau_120():
+    n = 2**4 * 3**3 * 5**2 * 7
+    rng = random.Random(11)
+    vec = [
+        Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 60)) if i % 2 else rng.randint(-9, 9)
+        for i in range(len(divisors_of(n)))
+    ]
+    got = solve_lambda(n, vec)
+    assert got == _engine(n, vec)
+    assert mat_vec(lambda_matrix(n), got) == tuple(Fraction(x) for x in vec)
+
+
+def test_solve_lambda_rejects_wrong_length():
+    for solve in (solve_lambda, _fraction_solve_lambda):
+        with pytest.raises(ValueError) as exc:
+            solve(12, [1, 2, 3])
+        assert str(exc.value) == "vector length 3 != number of divisors 6"
+
+
+def test_solve_lambda_is_independent_of_the_engine(monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("solve_lambda reached the prime-local engine")
+
+    expected = _fraction_solve_lambda(360, list(range(24)))
+    for name in ("apply_lambda_inverse", "_block_entry", "_block_denominator"):
+        monkeypatch.setattr(classlattice, name, unavailable)
+    assert solve_lambda(360, list(range(24))) == expected

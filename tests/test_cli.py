@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import traceback
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from cuspidal import cli
 from cuspidal.arith import divisors_of
+from cuspidal.classifier import enumerate_data
 from cuspidal.cli import main, to_json
 
 
@@ -179,6 +181,74 @@ def test_sweep_reports_a_broken_engine(capsys, monkeypatch):
     assert json.loads(out)["consistency"]["all_invariants_hold"] is False
 
 
+def _one_entry_off(real):
+    def patched(*args):
+        x = real(*args)
+        return (x[0] + 1, *x[1:])
+
+    return patched
+
+
+def test_sweep_reports_a_broken_exponent_vector(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "r_vector", _one_entry_off(cli.r_vector))
+    report, ok = cli.run_sweep(12)
+    assert not ok
+    assert report["failures"] == [
+        f"exponent vector of {datum}"
+        for n in range(1, 13)
+        for datum in enumerate_data(n)
+        if math.gcd(datum.m, datum.d_part) == 1
+    ]
+    code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["consistency"]["all_invariants_hold"] is False
+
+
+def test_sweep_reports_a_broken_solver(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_lambda", _one_entry_off(cli.solve_lambda))
+    report, ok = cli.run_sweep(6)
+    assert not ok
+    assert report["failures"] == [f"solver agreement at {n}" for n in range(1, 7)]
+    code, out, _ = _run(capsys, "sweep", "--max-N", "6", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["consistency"]["all_invariants_hold"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hecke", "0", "--p", "2", "--divisor", "1:1"), "level 0 is not a positive integer"),
+        (("hecke", "-3", "--p", "2", "--divisor", "1:1"), "level -3 is not a positive integer"),
+        (
+            ("hecke", "12", "--p", "2", "--divisor", "1:1,,2:1"),
+            "--divisor term '' is not level:coefficient",
+        ),
+        (
+            ("hecke", "12", "--p", "2", "--divisor", "1:x"),
+            "--divisor term '1:x' is not level:coefficient",
+        ),
+        (
+            ("hecke", "12", "--p", "2", "--divisor", "4"),
+            "--divisor term '4' is not level:coefficient",
+        ),
+    ],
+)
+def test_hecke_invalid_input_names_the_input(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"cuspidal: error: {message}\n"
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    assert _run(capsys, "cusps", "4")[0] == 0
+    assert _run(capsys, "cusps")[0] == 1
+
+
 def test_timing_flag_optional(capsys):
     code, out, _ = _run(capsys, "cusps", "4", "--timing", "--format", "json")
     parsed = json.loads(out)
@@ -258,14 +328,24 @@ def test_timing_flag_optional(capsys):
             ("sweep", "--max-N", "60"),
             "97c02003e4631d92bdc1d2371e2839a48aa64d8f8356cce4fadd4e7fbbf9b175",
         ),
+        (
+            ("sweep", "--max-N", "125"),
+            "7655e34bfeca559668d33b6833c7cf9d672121405869cdc9f8b54f12f400e879",
+        ),
+        (
+            ("qexp", "2310", "--M", "1155", "--D", "1", "--prec", "9820"),
+            "b2da04297e7e698e7f860ac28fa0056fabd35b77375b630f9d07b9fc7515a1ca",
+        ),
     ],
 )
 def test_golden_bytes(capsys, argv, sha256):
     # Taken from the dense-Fraction class-order engine, the cusp-enumerating
     # Hecke pushforward, the five-way per-prime case split of the series
     # and residues, and the Kronecker-built dense inverse with its O(tau^3)
-    # sweep check; the integer engine, the closed cusp maps and the local
-    # factors must reproduce their bytes at high-tau and high prime-power levels.
+    # sweep check, the Fraction Gauss-Jordan solve and the Fraction q-expansion
+    # coefficients; the integer engine, the closed cusp maps, the local factors,
+    # the fraction-free solve and the integer coefficients must reproduce their
+    # bytes at high-tau and high prime-power levels.
     code, out, _ = _run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

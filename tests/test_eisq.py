@@ -1,10 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal.arith import divisors_of, parts
+from cuspidal import eisq
+from cuspidal.arith import divisors_of, is_prime, parts
 from cuspidal.eisq import (
     QExpansion,
     base_epp,
@@ -188,3 +190,58 @@ def test_hecke_multiplicative_coefficients(p, prec):
     a = hecke_on_qexp(hecke_on_qexp(f, qs[0]), qs[1])
     b = hecke_on_qexp(hecke_on_qexp(f, qs[1]), qs[0])
     assert a.coeffs == b.coeffs
+
+
+def _fraction_base_epp(p, prec):
+    """Reference: the level-p series with every coefficient a Fraction."""
+    if prec < 0:
+        raise ValueError("precision must be non-negative")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    sigma = [0] * (prec + 1)
+    for d in range(1, prec + 1):
+        if d % p:
+            for k in range(d, prec + 1, d):
+                sigma[k] += d
+    return QExpansion(p, prec, (Fraction(p - 1, 24), *map(Fraction, sigma[1:])))
+
+
+def _fraction_hecke_on_qexp(f, q):
+    """Reference: the level-q Hecke operator in Fraction arithmetic."""
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    prec = f.prec // q
+    if f.n % q == 0:
+        coeffs = tuple(f.coeffs[q * k] for k in range(prec + 1))
+    else:
+        coeffs = tuple(
+            f.coeffs[q * k] + q * (f.coeffs[k // q] if k % q == 0 else Fraction(0))
+            for k in range(prec + 1)
+        )
+    return QExpansion(f.n, prec, coeffs)
+
+
+def _integral_beyond_a0(f):
+    return type(f.coeffs[0]) is Fraction and all(type(a) is int for a in f.coeffs[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=2400),
+    pick=st.integers(min_value=0),
+    prec=st.integers(min_value=0, max_value=120),
+    q=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    kind=st.sampled_from(["plus", "minus", "plain"]),
+)
+def test_integer_series_match_fraction_reference(n, pick, prec, q, kind):
+    data = list(_valid_data(n))
+    datum = data[pick % len(data)]
+    f = build_qexp(datum, prec)
+    with mock.patch.object(eisq, "base_epp", _fraction_base_epp):
+        ref = build_qexp(datum, prec)
+    assert f.coeffs == ref.coeffs and _integral_beyond_a0(f)
+    g = hecke_on_qexp(f, q)
+    assert g.coeffs == _fraction_hecke_on_qexp(ref, q).coeffs and _integral_beyond_a0(g)
+    h = level_map(kind, f, q)
+    assert h.coeffs == level_map(kind, ref, q).coeffs and _integral_beyond_a0(h)
+    assert base_epp(q, prec).coeffs == _fraction_base_epp(q, prec).coeffs
