@@ -7,11 +7,12 @@ Levels in this package are desk-scale, so trial division is plenty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 __all__ = [
+    "Record",
     "Factored",
     "factor",
     "parts",
@@ -26,12 +27,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factored:
+class Record:
+    """Immutable record over the fields named in a subclass's __slots__.
+
+    Built positionally; a subclass that validates its fields or gives them
+    defaults overrides __init__.  Two records are equal when they are of the
+    same class with equal fields, hash as the tuple of their fields, and
+    print as Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+
+class Factored(Record):
     """A positive integer with its prime factorization, primes ascending."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
 
     @property
     def primes(self) -> tuple[int, ...]:

@@ -9,10 +9,9 @@ emitted pairs (ell, datum) name distinct ideals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import divisors_of, is_prime, parts, prime_divisors
+from .arith import Record, divisors_of, is_prime, parts, prime_divisors
 from .classlattice import class_order, closed_form_order
 from .cusps import ConsistencyError
 from .heckediv import EisensteinDatum, NotCovered, build_c_divisor
@@ -26,15 +25,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EisensteinPrime:
+class EisensteinPrime(Record):
     """A classified maximal-ideal descriptor (ell, datum) with hypothesis flags."""
 
-    ell: int
-    datum: EisensteinDatum
-    index_n: int
-    hypothesis_ok: bool
-    new_candidate: bool
+    __slots__ = ("ell", "datum", "index_n", "hypothesis_ok", "new_candidate")
 
 
 def enumerate_data(n: int) -> tuple[EisensteinDatum, ...]:

@@ -16,9 +16,8 @@ of `cuspidal lambda --inverse` is the engine's columns.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, Sequence
 
 from .arith import (
     divisors_of,
@@ -58,7 +57,6 @@ def _lambda_integer(n: int) -> tuple[list[list[int]], list[int]]:
     return rows, [24 * math.gcd(di, n // di) * di for di in divs]
 
 
-@lru_cache(maxsize=None)
 def lambda_matrix(n: int) -> Matrix:
     """Lambda(n)_{ij} = (1/24) * n/gcd(d_i, n/d_i) * gcd(d_i, d_j)^2/(d_i d_j),
     indexed by the ascending divisors of n: row i of _lambda_integer's A over s_i."""

@@ -15,10 +15,9 @@ latter the coverings act level by level and no cusp is ever listed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import divisors_of, euler_phi, is_prime, valuation
+from .arith import Record, divisors_of, euler_phi, is_prime, valuation
 
 __all__ = [
     "ConsistencyError",
@@ -47,13 +46,15 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; downstream results cannot be trusted."""
 
 
-@dataclass(frozen=True)
-class Cusp:
+class Cusp(Record):
     """The cusp (x : d) of X0(n), with x canonical in its class mod gcd(d, n/d)."""
 
-    n: int
-    d: int
-    x: int
+    __slots__ = ("n", "d", "x")
+
+    def __init__(self, n: int, d: int, x: int) -> None:  # spelled out: the most-built record
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "x", x)
 
     def __repr__(self) -> str:
         return f"Cusp({self.x}:{self.d} @ {self.n})"
@@ -107,12 +108,10 @@ def normalize_fraction(a: int, c: int, n: int) -> Cusp:
     return make_cusp(n, d, a * (c // d))
 
 
-@dataclass(frozen=True)
-class CuspDivisor:
-    """Formal integer combination of cusps of one X0(n)."""
+class CuspDivisor(Record):
+    """Formal integer combination of cusps of one X0(n): (cusp, coefficient) pairs."""
 
-    n: int
-    coeffs: tuple[tuple[Cusp, int], ...]
+    __slots__ = ("n", "coeffs")
 
     @staticmethod
     def from_dict(n: int, mapping: dict[Cusp, int]) -> "CuspDivisor":
@@ -166,12 +165,11 @@ class CuspDivisor:
         return RationalCuspDivisor.from_dict(self.n, values)
 
 
-@dataclass(frozen=True)
-class RationalCuspDivisor:
-    """Integer combination sum_d a_d * (P_d) of the Galois-stable level sums."""
+class RationalCuspDivisor(Record):
+    """Integer combination sum_d a_d * (P_d) of the Galois-stable level sums,
+    as (level, coefficient) pairs."""
 
-    n: int
-    coeffs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "coeffs")
 
     @staticmethod
     def from_dict(n: int, mapping: dict[int, int]) -> "RationalCuspDivisor":

@@ -11,10 +11,19 @@ Truncations carry their precision, and operators shrink it explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import euler_phi, factor, is_prime, omega, parts, prime_divisors, primes_upto, valuation
+from .arith import (
+    Record,
+    euler_phi,
+    factor,
+    is_prime,
+    omega,
+    parts,
+    prime_divisors,
+    primes_upto,
+    valuation,
+)
 from .cusps import ConsistencyError
 from .heckediv import EisensteinDatum, epsilon
 
@@ -32,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QExpansion:
+class QExpansion(Record):
     """Exact q-expansion a_0 + a_1 q + ... + a_prec q^prec at one level.
 
     The series built here have a rational a_0 (a Fraction) and integer
@@ -41,11 +49,10 @@ class QExpansion:
     integer arithmetic beyond the constant term.
     """
 
-    n: int
-    prec: int
-    coeffs: tuple[Fraction | int, ...]
+    __slots__ = ("n", "prec", "coeffs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, prec: int, coeffs: tuple[Fraction | int, ...]) -> None:
+        super().__init__(n, prec, coeffs)
         if self.prec < 0 or len(self.coeffs) != self.prec + 1:
             raise ValueError("coefficient count must equal prec + 1")
 
@@ -147,24 +154,20 @@ def level_map(kind: str, f: QExpansion, p: int) -> QExpansion:
     return QExpansion(f.n * p, f.prec, coeffs)
 
 
-@dataclass(frozen=True)
-class EigenFact:
-    prime: int
-    on_level: bool
-    eigenvalue: int
-    checked_prec: int
-    first_bad: int | None
+class EigenFact(Record):
+    """One Hecke eigenvalue test: the first coefficient index that fails, or None."""
+
+    __slots__ = ("prime", "on_level", "eigenvalue", "checked_prec", "first_bad")
 
     @property
     def ok(self) -> bool:
         return self.first_bad is None
 
 
-@dataclass(frozen=True)
-class EigenReport:
-    datum: EisensteinDatum
-    prec: int
-    checks: tuple[EigenFact, ...]
+class EigenReport(Record):
+    """The eigenvalue tests of one datum's series at one precision."""
+
+    __slots__ = ("datum", "prec", "checks")
 
     @property
     def passed(self) -> bool:
@@ -197,12 +200,10 @@ def _eigen_fact(f: QExpansion, q: int, eigenvalue: int, on_level: bool) -> Eigen
     return EigenFact(q, on_level, eigenvalue, g.prec, bad)
 
 
-@dataclass(frozen=True)
-class ResidueTable:
-    """Residue of a series at the cusps of X0(n), one value per level."""
+class ResidueTable(Record):
+    """Residue of a series at the cusps of X0(n), one (level, value) pair per level."""
 
-    n: int
-    res: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("n", "res")
 
     def at_level(self, d: int) -> Fraction:
         for dd, v in self.res:

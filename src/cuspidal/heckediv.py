@@ -9,10 +9,9 @@ degree-0 rational cuspidal divisor whose class these operators annihilate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import divisors_of, euler_phi, is_prime, omega, parts, prime_divisors, valuation
+from .arith import Record, divisors_of, euler_phi, is_prime, omega, parts, prime_divisors, valuation
 from .cusps import (
     ConsistencyError,
     RationalCuspDivisor,
@@ -36,19 +35,17 @@ class NotCovered(Exception):
     """The requested closed form does not cover this configuration."""
 
 
-@dataclass(frozen=True)
-class EisensteinDatum:
+class EisensteinDatum(Record):
     """A level n with divisors (m, d_part) pinning the bad-prime eigenvalues.
 
     d_part divides the square support of n, m divides sf(n) * d_part, and the
     degenerate configuration m * (square/d_part) = 1 is rejected.
     """
 
-    n: int
-    m: int
-    d_part: int = 1
+    __slots__ = ("n", "m", "d_part")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, m: int, d_part: int = 1) -> None:
+        super().__init__(n, m, d_part)
         if self.n < 1:
             raise ValueError("level must be positive")
         sf, sq, _ = parts(self.n)

@@ -240,6 +240,16 @@ def test_hecke_invalid_input_names_the_input(capsys, argv, message):
     assert err == f"cuspidal: error: {message}\n"
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_sweep_rejects_a_bound_below_one(capsys, bound):
+    code, out, err = _run(capsys, "sweep", "--max-N", bound)
+    assert code == 1
+    assert out == ""
+    assert err == f"cuspidal: error: sweep bound {bound} is not a positive integer\n"
+    with pytest.raises(ValueError):
+        cli.run_sweep(int(bound))
+
+
 def test_parser_is_built_once(capsys, monkeypatch):
     def rebuilt():
         raise AssertionError("main rebuilt the argument parser")
