@@ -30,7 +30,7 @@ from .arith import (
     valuation,
 )
 from .cusps import ConsistencyError, RationalCuspDivisor
-from .heckediv import EisensteinDatum, NotCovered, build_c_divisor, deg_map, epsilon
+from .heckediv import EisensteinDatum, NotCovered, build_c_divisor, epsilon
 
 __all__ = [
     "lambda_matrix",
@@ -42,7 +42,6 @@ __all__ = [
     "class_order",
     "is_principal",
     "closed_form_order",
-    "kernel_intersection_order",
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -280,46 +279,3 @@ def closed_form_order(datum: EisensteinDatum) -> int:
         raise NotCovered(f"no closed form for {datum}: L = 1 at non-squarefree level {n2}")
     h = 2 if (is_prime(m) and m % 8 == 1 and n2 in (m, 2 * m)) else 1
     return numerator_of(_exponent_data(reduced) * h)
-
-
-def _kernel_prediction(kind: str, datum: EisensteinDatum, p: int) -> int:
-    m, n = datum.m, datum.n
-    special = is_prime(m) and m % 8 == 1
-    if kind == "minus":
-        return 2 if special and n in (m, 2 * m) else 1
-    if kind == "plus":
-        return 2 if special and n == 2 * m else 1
-    return 1
-
-
-def kernel_intersection_order(kind: str, datum: EisensteinDatum, p: int) -> int:
-    """Order of ker(level-raising map) meet the cyclic group of the datum's class.
-
-    Computed as order(C) / order(image class); cross-checked against the
-    2-versus-1 prediction and raising on any mismatch.
-    """
-    if datum.d_part != 1:
-        raise ValueError("kernel intersections are stated for d_part = 1 data")
-    n, m = datum.n, datum.m
-    sf, sq, _ = parts(n)
-    compatible = {
-        "minus": m % p == 0,
-        "plus": (sf % p == 0) and (m % p != 0),
-        "plain": sq % p == 0,
-    }
-    if kind not in compatible:
-        raise ValueError(f"unknown map kind {kind!r}")
-    if not compatible[kind]:
-        raise ValueError(f"map {kind!r} is not compatible with p={p} for {datum}")
-    div = build_c_divisor(datum)
-    n1 = class_order(n, div)
-    n2 = class_order(n * p, deg_map(kind, div, p))
-    if n1 % n2:
-        raise ConsistencyError(f"image order {n2} does not divide source order {n1}")
-    k = n1 // n2
-    expected = _kernel_prediction(kind, datum, p)
-    if k != expected:
-        raise ConsistencyError(
-            f"kernel intersection for {kind} at {datum}, p={p}: got {k}, predicted {expected}"
-        )
-    return k

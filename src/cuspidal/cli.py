@@ -18,6 +18,7 @@ from fractions import Fraction
 from .arith import divisors_of, is_prime, prime_divisors, primes_upto
 from .classifier import enumerate_data, rational_eisenstein_primes
 from .classlattice import (
+    _integer_vector,
     _lambda_integer,
     apply_lambda_inverse,
     class_order,
@@ -241,12 +242,6 @@ def cmd_sweep(args) -> tuple[dict, int]:
     return {"outputs": report, "consistency": {"all_invariants_hold": ok}}, 0 if ok else 2
 
 
-def _clear_denominators(x) -> tuple[list[int], int]:
-    """Integer numerators u and their common denominator den, x = u / den."""
-    den = math.lcm(*(v.denominator for v in x))
-    return [v.numerator * (den // v.denominator) for v in x], den
-
-
 def _inverts_columns(n: int, rows, scale) -> bool:
     """Whether the engine sends every column of Lambda(n) = diag(scale)^{-1}
     rows to its unit vector; column j is read over lcm(scale)."""
@@ -259,10 +254,10 @@ def _inverts_columns(n: int, rows, scale) -> bool:
     return True
 
 
-def _maps_to(rows, scale, x, c) -> bool:
-    """Whether Lambda x == c for Lambda = diag(scale)^{-1} rows, in integers:
-    with x = u / den, whether rows . u == den * scale * c."""
-    u, den = _clear_denominators(x)
+def _maps_to(n: int, rows, scale, x, c) -> bool:
+    """Whether Lambda(n) x == c for Lambda(n) = diag(scale)^{-1} rows, in
+    integers: with x = u / den, whether rows . u == den * scale * c."""
+    u, den = _integer_vector(n, x)
     return all(
         sum(a * v for a, v in zip(row, u)) == den * s * w for row, s, w in zip(rows, scale, c)
     )
@@ -275,14 +270,15 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
     failures: list[str] = []
     counts = {"levels": 0, "data": 0, "checks": 0}
 
-    def check(flag: bool, label: str) -> None:
+    def check(flag: bool, label: str, *args) -> None:
+        """Count one check; only a failing one formats its label with args."""
         counts["checks"] += 1
         if not flag:
-            failures.append(label)
+            failures.append(label.format(*args))
 
     for n in range(1, max_n + 1):
         counts["levels"] += 1
-        check(len(enumerate_cusps(n)) == cusp_count(n), f"cusp count at {n}")
+        check(len(enumerate_cusps(n)) == cusp_count(n), "cusp count at {}", n)
         for p in primes_upto(7):
             if n * p > 400:
                 continue
@@ -294,16 +290,16 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
                 afibers[a] = afibers.get(a, 0) + alpha_ram(c, p)
                 bfibers[b] = bfibers.get(b, 0) + beta_ram(c, p)
             for c in enumerate_cusps(n):
-                check(afibers.get(c) == deg, f"alpha fiber degree at N={n}, p={p}")
-                check(bfibers.get(c) == deg, f"beta fiber degree at N={n}, p={p}")
+                check(afibers.get(c) == deg, "alpha fiber degree at N={}, p={}", n, p)
+                check(bfibers.get(c) == deg, "beta fiber degree at N={}, p={}", n, p)
         rows, scale = _lambda_integer(n)
-        check(_inverts_columns(n, rows, scale), f"Lambda inverse at {n}")
+        check(_inverts_columns(n, rows, scale), "Lambda inverse at {}", n)
         divs = divisors_of(n)
         rhs = tuple((-1) ** i * (i + 1) for i in range(len(divs)))
         u, den = apply_lambda_inverse(n, rhs)
         check(
             solve_lambda(n, rhs) == tuple(Fraction(x, den) for x in u),
-            f"solver agreement at {n}",
+            "solver agreement at {}", n,
         )
         for p in prime_divisors(n):
             for d in divs:
@@ -313,45 +309,45 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
                     continue
                 check(
                     hecke_delta(RationalCuspDivisor.from_dict(n, {d: 1}), p) == expected,
-                    f"case table at N={n}, p={p}, d={d}",
+                    "case table at N={}, p={}, d={}", n, p, d,
                 )
         for datum in enumerate_data(n):
             counts["data"] += 1
             div = build_c_divisor(datum)
             order = class_order(n, div)
             try:
-                check(closed_form_order(datum) == order, f"order of {datum}")
+                check(closed_form_order(datum) == order, "order of {}", datum)
             except NotCovered:
                 pass
             squarefree_m = math.gcd(datum.m, datum.d_part) == 1
             if squarefree_m:
                 check(
-                    _maps_to(rows, scale, r_vector(datum), div.as_vector()),
-                    f"exponent vector of {datum}",
+                    _maps_to(n, rows, scale, r_vector(datum), div.as_vector()),
+                    "exponent vector of {}", datum,
                 )
             for p in [q for q in divisors_of(n) if is_prime(q)]:
                 image = hecke_delta(div, p)
                 eps = epsilon(datum, p)
                 if squarefree_m:
-                    check(image == eps * div, f"divisor eigenvalue of {datum} at {p}")
+                    check(image == eps * div, "divisor eigenvalue of {} at {}", datum, p)
                 else:
                     check(
                         is_principal(n, image - eps * div),
-                        f"class eigenvalue of {datum} at {p}",
+                        "class eigenvalue of {} at {}", datum, p,
                     )
             table = residue_table(datum)
             at_inf, at_ml = residue_closed(datum)
-            check(table.weighted_sum() == 0, f"residue sum of {datum}")
-            check(table.at_level(n) == at_inf, f"residue at infinity of {datum}")
+            check(table.weighted_sum() == 0, "residue sum of {}", datum)
+            check(table.at_level(n) == at_inf, "residue at infinity of {}", datum)
             check(
                 table.at_level(datum.m * datum.l_part) == at_ml,
-                f"residue at level ML of {datum}",
+                "residue at level ML of {}", datum,
             )
             check(
                 table.at_level(n) == -24 * build_qexp(datum, 4).a(0),
-                f"residue normalization of {datum}",
+                "residue normalization of {}", datum,
             )
-            check(eigen_check(datum, prec, qmax).passed, f"eigenform checks of {datum}")
+            check(eigen_check(datum, prec, qmax).passed, "eigenform checks of {}", datum)
     report = {
         "max_n": max_n,
         "levels": counts["levels"],

@@ -6,10 +6,9 @@ positive integer in its class coprime to d.  A reduced fraction a/c is the
 cusp (a*c/d : d) with d = gcd(c, N), so both coverings act on the pair in
 closed form: z -> z directly, z -> p*z through the fraction p*x/(p^i d).
 
-Cuspidal divisors come in two flavours: honest formal sums of cusps
-(CuspDivisor) and the Galois-stable level-indexed sums a_d * (P_d)
-(RationalCuspDivisor), where (P_d) collects every cusp of level d.  On the
-latter the coverings act level by level and no cusp is ever listed.
+Cuspidal divisors are the Galois-stable level-indexed sums a_d * (P_d)
+(RationalCuspDivisor), where (P_d) collects every cusp of level d.  On them
+the coverings act level by level and no cusp is ever listed.
 """
 
 from __future__ import annotations
@@ -22,22 +21,17 @@ from .arith import Record, divisors_of, euler_phi, is_prime, valuation
 __all__ = [
     "ConsistencyError",
     "Cusp",
-    "CuspDivisor",
     "RationalCuspDivisor",
     "make_cusp",
     "enumerate_cusps",
     "cusp_count",
     "normalize_fraction",
-    "p_divisor",
     "alpha_image",
     "beta_image",
     "alpha_ram",
     "beta_ram",
     "covering_degree",
-    "pullback",
-    "pushforward",
     "alpha_pullback",
-    "beta_pullback",
     "beta_pushforward",
 ]
 
@@ -108,63 +102,6 @@ def normalize_fraction(a: int, c: int, n: int) -> Cusp:
     return make_cusp(n, d, a * (c // d))
 
 
-class CuspDivisor(Record):
-    """Formal integer combination of cusps of one X0(n): (cusp, coefficient) pairs."""
-
-    __slots__ = ("n", "coeffs")
-
-    @staticmethod
-    def from_dict(n: int, mapping: dict[Cusp, int]) -> "CuspDivisor":
-        items = []
-        for c, v in mapping.items():
-            if c.n != n:
-                raise ValueError(f"cusp of X0({c.n}) in a divisor of X0({n})")
-            if v:
-                items.append((c, v))
-        items.sort(key=lambda t: (t[0].d, t[0].x))
-        return CuspDivisor(n, tuple(items))
-
-    def degree(self) -> int:
-        return sum(v for _, v in self.coeffs)
-
-    def _merge(self, other: "CuspDivisor", sign: int) -> "CuspDivisor":
-        if self.n != other.n:
-            raise ValueError("divisors live on different curves")
-        out = {c: v for c, v in self.coeffs}
-        for c, v in other.coeffs:
-            out[c] = out.get(c, 0) + sign * v
-        return CuspDivisor.from_dict(self.n, out)
-
-    def __add__(self, other: "CuspDivisor") -> "CuspDivisor":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "CuspDivisor") -> "CuspDivisor":
-        return self._merge(other, -1)
-
-    def __rmul__(self, k: int) -> "CuspDivisor":
-        return CuspDivisor.from_dict(self.n, {c: k * v for c, v in self.coeffs})
-
-    def __neg__(self) -> "CuspDivisor":
-        return (-1) * self
-
-    def aggregate(self) -> "RationalCuspDivisor":
-        """Rewrite in the (P_d) basis; fails loudly if some level is not uniform."""
-        values: dict[int, int] = {}
-        per_level: dict[int, dict[Cusp, int]] = {}
-        for c, v in self.coeffs:
-            per_level.setdefault(c.d, {})[c] = v
-        for d, bucket in per_level.items():
-            level_cusps = [c for c in enumerate_cusps(self.n) if c.d == d]
-            seen = {bucket.get(c, 0) for c in level_cusps}
-            if len(seen) != 1:
-                raise ConsistencyError(
-                    f"divisor is not Galois-rational: level {d} of X0({self.n}) "
-                    f"carries coefficients {sorted(seen)}"
-                )
-            values[d] = seen.pop()
-        return RationalCuspDivisor.from_dict(self.n, values)
-
-
 class RationalCuspDivisor(Record):
     """Integer combination sum_d a_d * (P_d) of the Galois-stable level sums,
     as (level, coefficient) pairs."""
@@ -189,12 +126,6 @@ class RationalCuspDivisor(Record):
         coeffs = dict(self.coeffs)
         return tuple(coeffs.get(d, 0) for d in divisors_of(self.n))
 
-    def expand(self) -> CuspDivisor:
-        """The underlying cusp divisor: every cusp of level d gets a_d."""
-        coeffs = dict(self.coeffs)
-        out = {c: coeffs[c.d] for c in enumerate_cusps(self.n) if c.d in coeffs}
-        return CuspDivisor.from_dict(self.n, out)
-
     def _merge(self, other: "RationalCuspDivisor", sign: int) -> "RationalCuspDivisor":
         if self.n != other.n:
             raise ValueError("divisors live on different curves")
@@ -214,13 +145,6 @@ class RationalCuspDivisor(Record):
 
     def __neg__(self) -> "RationalCuspDivisor":
         return (-1) * self
-
-
-def p_divisor(d: int, n: int) -> RationalCuspDivisor:
-    """The divisor (P_d): the sum of all cusps of level d, of degree phi(gcd(d, n/d))."""
-    if n % d:
-        raise ValueError(f"{d} does not divide {n}")
-    return RationalCuspDivisor.from_dict(n, {d: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -271,31 +195,6 @@ def covering_degree(n: int, p: int) -> int:
     return p + 1 if n % p else p
 
 
-_MAPS = {"alpha": (alpha_image, alpha_ram), "beta": (beta_image, beta_ram)}
-
-
-def pullback(kind: str, c: Cusp, p: int) -> CuspDivisor:
-    """Fiber of a cusp under the chosen covering, weighted by ramification."""
-    image, ram = _MAPS[kind]
-    entries = {}
-    for cc in enumerate_cusps(c.n * p):
-        if image(cc, p) == c:
-            entries[cc] = ram(cc, p)
-    return CuspDivisor.from_dict(c.n * p, entries)
-
-
-def pushforward(kind: str, div: CuspDivisor, p: int) -> CuspDivisor:
-    """Apply the image map coefficient-wise, X0(Np) down to X0(N)."""
-    image, _ = _MAPS[kind]
-    if div.n % p:
-        raise ValueError(f"divisor of X0({div.n}) cannot descend along p={p}")
-    out: dict[Cusp, int] = {}
-    for c, v in div.coeffs:
-        img = image(c, p)
-        out[img] = out.get(img, 0) + v
-    return CuspDivisor.from_dict(div.n // p, out)
-
-
 # ---------------------------------------------------------------------------
 # The same maps on the (P_d) basis.  Image level and ramification depend only
 # on the level of a cusp, so pullbacks are purely combinatorial.  The image
@@ -305,9 +204,9 @@ def pushforward(kind: str, div: CuspDivisor, p: int) -> CuspDivisor:
 
 
 @lru_cache(maxsize=None)
-def _level_tables(n: int, p: int) -> dict[int, tuple[int, int, int, int, int]]:
-    """Per level e | n*p: (alpha level, alpha ram, beta level, beta ram,
-    beta pushforward multiplicity m with beta_*(P_e) = m * (P_f))."""
+def _level_tables(n: int, p: int) -> dict[int, tuple[int, int, int, int]]:
+    """Per level e | n*p: (alpha level, alpha ram, beta level f, beta
+    pushforward multiplicity m with beta_*(P_e) = m * (P_f))."""
     r = valuation(n, p)
     top = n * p
     out = {}
@@ -321,7 +220,7 @@ def _level_tables(n: int, p: int) -> dict[int, tuple[int, int, int, int, int]]:
             raise ConsistencyError(
                 f"pushforward of (P_{e}) from X0({top}) is not a multiple of (P_{bl})"
             )
-        out[e] = (al, p if 2 * i <= r else 1, bl, p if 2 * i >= r + 2 else 1, m)
+        out[e] = (al, p if 2 * i <= r else 1, bl, m)
     return out
 
 
@@ -331,21 +230,8 @@ def alpha_pullback(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
         raise ValueError(f"{p} is not prime")
     coeffs = dict(div.coeffs)
     out = {}
-    for e, (al, ar, _, _, _) in _level_tables(div.n, p).items():
+    for e, (al, ar, _, _) in _level_tables(div.n, p).items():
         v = ar * coeffs.get(al, 0)
-        if v:
-            out[e] = v
-    return RationalCuspDivisor.from_dict(div.n * p, out)
-
-
-def beta_pullback(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
-    """Pullback through z -> p*z on (P_d) sums."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    coeffs = dict(div.coeffs)
-    out = {}
-    for e, (_, _, bl, br, _) in _level_tables(div.n, p).items():
-        v = br * coeffs.get(bl, 0)
         if v:
             out[e] = v
     return RationalCuspDivisor.from_dict(div.n * p, out)
@@ -361,6 +247,6 @@ def beta_pushforward(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     tab = _level_tables(n, p)
     out: dict[int, int] = {}
     for e, v in div.coeffs:
-        _, _, f, _, m = tab[e]
+        _, _, f, m = tab[e]
         out[f] = out.get(f, 0) + m * v
     return RationalCuspDivisor.from_dict(n, out)

@@ -33,7 +33,6 @@ __all__ = [
     "base_epp",
     "build_qexp",
     "hecke_on_qexp",
-    "level_map",
     "eigen_check",
     "EigenReport",
     "residue_table",
@@ -58,30 +57,6 @@ class QExpansion(Record):
 
     def a(self, k: int) -> Fraction | int:
         return self.coeffs[k]
-
-    def truncate(self, prec: int) -> "QExpansion":
-        if prec > self.prec:
-            raise ValueError(f"cannot extend precision {self.prec} to {prec}")
-        return QExpansion(self.n, prec, self.coeffs[: prec + 1])
-
-    def _combine(self, other: "QExpansion", sign: int) -> "QExpansion":
-        if self.n != other.n:
-            raise ValueError("series live at different levels")
-        prec = min(self.prec, other.prec)
-        return QExpansion(
-            self.n, prec,
-            tuple(a + sign * b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self._combine(other, -1)
-
-    def __rmul__(self, k) -> "QExpansion":
-        s = k if isinstance(k, int) else Fraction(k)
-        return QExpansion(self.n, self.prec, tuple(s * a for a in self.coeffs))
 
 
 def _euler_step(
@@ -140,18 +115,6 @@ def hecke_on_qexp(f: QExpansion, q: int) -> QExpansion:
             for k in range(prec + 1)
         )
     return QExpansion(f.n, prec, coeffs)
-
-
-def level_map(kind: str, f: QExpansion, p: int) -> QExpansion:
-    """The level-raising maps on forms: plus sends f(z) to f(z) - p f(pz),
-    minus to f(z) - f(pz), plain leaves the expansion unchanged."""
-    if kind in ("plus", "minus"):
-        coeffs = _euler_step(f.coeffs, p, p if kind == "plus" else 1)
-    elif kind == "plain":
-        coeffs = f.coeffs
-    else:
-        raise ValueError(f"unknown map kind {kind!r}")
-    return QExpansion(f.n * p, f.prec, coeffs)
 
 
 class EigenFact(Record):

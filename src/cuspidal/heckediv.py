@@ -9,16 +9,9 @@ degree-0 rational cuspidal divisor whose class these operators annihilate.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .arith import Record, divisors_of, euler_phi, is_prime, omega, parts, prime_divisors, valuation
-from .cusps import (
-    ConsistencyError,
-    RationalCuspDivisor,
-    alpha_pullback,
-    beta_pullback,
-    beta_pushforward,
-)
+from .cusps import ConsistencyError, RationalCuspDivisor, alpha_pullback, beta_pushforward
 
 __all__ = [
     "NotCovered",
@@ -27,7 +20,6 @@ __all__ = [
     "build_c_divisor",
     "hecke_delta",
     "hecke_delta_closed",
-    "deg_map",
 ]
 
 
@@ -80,7 +72,6 @@ def epsilon(datum: EisensteinDatum, p: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
 def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
     """The degree-0 divisor attached to a datum.
 
@@ -141,17 +132,3 @@ def hecke_delta_closed(d: int, p: int, n: int) -> RationalCuspDivisor:
             return RationalCuspDivisor.from_dict(n, {d0: p - 1, d: 1})
         return RationalCuspDivisor.from_dict(n, {d0: p * (p - 1)})
     raise NotCovered(f"level {d} with val_{p} = {i}: use hecke_delta")
-
-
-def deg_map(kind: str, div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
-    """The three pullback combinations raising level from N to Np on divisors:
-    plus = alpha* - beta*, minus = p*alpha* - beta*, plain = alpha*."""
-    a = alpha_pullback(div, p)
-    if kind == "plain":
-        return a
-    b = beta_pullback(div, p)
-    if kind == "plus":
-        return a - b
-    if kind == "minus":
-        return p * a - b
-    raise ValueError(f"unknown map kind {kind!r}")

@@ -1,0 +1,152 @@
+"""Reference code the tests compare the package against; no command runs it.
+
+Cusp divisors here are plain {Cusp: int} dicts on one X0(n).  The coverings
+act on them cusp by cusp: a pullback enumerates the cusps of X0(np), maps
+each one down and weights it by its ramification index, and `aggregate`
+reads a Galois-stable dict back as a sum a_d * (P_d), failing loudly when a
+level is not uniform.  The level-raising maps on divisors and on
+q-expansions, and the kernel orders they predict, live here too.
+"""
+
+from cuspidal.arith import divisors_of, is_prime, parts, valuation
+from cuspidal.classlattice import class_order
+from cuspidal.cusps import (
+    ConsistencyError,
+    RationalCuspDivisor,
+    alpha_image,
+    alpha_pullback,
+    alpha_ram,
+    beta_image,
+    beta_ram,
+    enumerate_cusps,
+)
+from cuspidal.eisq import QExpansion
+from cuspidal.heckediv import build_c_divisor
+
+MAPS = {"alpha": (alpha_image, alpha_ram), "beta": (beta_image, beta_ram)}
+
+
+def p_divisor(d: int, n: int) -> RationalCuspDivisor:
+    """(P_d): the sum of all cusps of level d on X0(n)."""
+    return RationalCuspDivisor.from_dict(n, {d: 1})
+
+
+def expand(div: RationalCuspDivisor) -> dict:
+    """The cusp divisor of a (P_d) sum: every cusp of level d gets a_d."""
+    coeffs = dict(div.coeffs)
+    return {c: coeffs[c.d] for c in enumerate_cusps(div.n) if c.d in coeffs}
+
+
+def aggregate(n: int, div: dict) -> RationalCuspDivisor:
+    """A cusp divisor of X0(n) in the (P_d) basis; every level must be uniform."""
+    by_level: dict[int, set[int]] = {d: set() for d in divisors_of(n)}
+    for c in enumerate_cusps(n):
+        by_level[c.d].add(div.get(c, 0))
+    for d, seen in by_level.items():
+        if len(seen) != 1:
+            raise ConsistencyError(
+                f"divisor is not Galois-rational: level {d} of X0({n}) "
+                f"carries coefficients {sorted(seen)}"
+            )
+    return RationalCuspDivisor.from_dict(n, {d: seen.pop() for d, seen in by_level.items()})
+
+
+def pullback(kind: str, div: dict, n: int, p: int) -> dict:
+    """Pullback of a cusp divisor of X0(n) to X0(np): each cusp of X0(np)
+    takes the coefficient of its image, times its ramification index."""
+    image, ram = MAPS[kind]
+    out = {}
+    for c in enumerate_cusps(n * p):
+        v = div.get(image(c, p), 0)
+        if v:
+            out[c] = v * ram(c, p)
+    return out
+
+
+def pushforward(kind: str, div: dict, p: int) -> dict:
+    """Pushforward of a cusp divisor of X0(np) to X0(n), cusp by cusp."""
+    image, _ = MAPS[kind]
+    out: dict = {}
+    for c, v in div.items():
+        img = image(c, p)
+        out[img] = out.get(img, 0) + v
+    return out
+
+
+def beta_pullback(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
+    """Pullback through z -> p*z on (P_d) sums, by levels: a cusp of level
+    e = p^i d0 on X0(np) lies over level p^(i-1) d0 (d0 when i = 0), with
+    ramification p iff 2i >= val_p(n) + 2."""
+    r = valuation(div.n, p)
+    coeffs = dict(div.coeffs)
+    out = {}
+    for e in divisors_of(div.n * p):
+        i = valuation(e, p)
+        below = e // p if i else e
+        out[e] = (p if 2 * i >= r + 2 else 1) * coeffs.get(below, 0)
+    return RationalCuspDivisor.from_dict(div.n * p, out)
+
+
+def deg_map(kind: str, div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
+    """The three pullback combinations raising level from N to Np on divisors:
+    plus = alpha* - beta*, minus = p*alpha* - beta*, plain = alpha*."""
+    a = alpha_pullback(div, p)
+    if kind == "plain":
+        return a
+    b = beta_pullback(div, p)
+    if kind == "plus":
+        return a - b
+    if kind == "minus":
+        return p * a - b
+    raise ValueError(f"unknown map kind {kind!r}")
+
+
+def level_map(kind: str, f: QExpansion, p: int) -> QExpansion:
+    """The level-raising maps on forms: plus sends f(z) to f(z) - p f(pz),
+    minus to f(z) - f(pz), plain leaves the expansion unchanged."""
+    k = {"plus": p, "minus": 1, "plain": 0}[kind]
+    coeffs = tuple(a - k * f.coeffs[j // p] if j % p == 0 else a for j, a in enumerate(f.coeffs))
+    return QExpansion(f.n * p, f.prec, coeffs)
+
+
+def _kernel_prediction(kind: str, datum) -> int:
+    m, n = datum.m, datum.n
+    special = is_prime(m) and m % 8 == 1
+    if kind == "minus":
+        return 2 if special and n in (m, 2 * m) else 1
+    if kind == "plus":
+        return 2 if special and n == 2 * m else 1
+    return 1
+
+
+def kernel_intersection_order(kind: str, datum, p: int) -> int:
+    """Order of ker(level-raising map) meet the cyclic group of the datum's class.
+
+    Computed as order(C) / order(image class); cross-checked against the
+    2-versus-1 prediction and raising on any mismatch.
+    """
+    if datum.d_part != 1:
+        raise ValueError("kernel intersections are stated for d_part = 1 data")
+    n, m = datum.n, datum.m
+    sf, sq, _ = parts(n)
+    compatible = {
+        "minus": m % p == 0,
+        "plus": (sf % p == 0) and (m % p != 0),
+        "plain": sq % p == 0,
+    }
+    if kind not in compatible:
+        raise ValueError(f"unknown map kind {kind!r}")
+    if not compatible[kind]:
+        raise ValueError(f"map {kind!r} is not compatible with p={p} for {datum}")
+    div = build_c_divisor(datum)
+    n1 = class_order(n, div)
+    n2 = class_order(n * p, deg_map(kind, div, p))
+    if n1 % n2:
+        raise ConsistencyError(f"image order {n2} does not divide source order {n1}")
+    k = n1 // n2
+    expected = _kernel_prediction(kind, datum)
+    if k != expected:
+        raise ConsistencyError(
+            f"kernel intersection for {kind} at {datum}, p={p}: got {k}, predicted {expected}"
+        )
+    return k

@@ -20,24 +20,22 @@ from cuspidal.classlattice import (
     class_order,
     closed_form_order,
     is_principal,
-    kernel_intersection_order,
     lambda_inverse,
     lambda_matrix,
     mat_vec,
     r_vector,
     solve_lambda,
 )
-from cuspidal.cusps import p_divisor
 from cuspidal.eisq import build_qexp, eigen_check, residue_closed, residue_table
 from cuspidal.heckediv import (
     EisensteinDatum,
     NotCovered,
     build_c_divisor,
-    deg_map,
     epsilon,
     hecke_delta,
     hecke_delta_closed,
 )
+from reference import deg_map, kernel_intersection_order, p_divisor
 
 MAX_N = 150
 

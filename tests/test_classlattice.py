@@ -24,7 +24,6 @@ from cuspidal.classlattice import (
     class_order,
     closed_form_order,
     is_principal,
-    kernel_intersection_order,
     lambda_inverse,
     lambda_matrix,
     mat_vec,
@@ -34,6 +33,7 @@ from cuspidal.classlattice import (
 from cuspidal.classifier import enumerate_data
 from cuspidal.cusps import RationalCuspDivisor
 from cuspidal.heckediv import EisensteinDatum, NotCovered, build_c_divisor
+from reference import kernel_intersection_order
 
 # Levels whose interior tridiagonal rows (prime exponent >= 2) carry weight.
 HIGH_POWER_LEVELS = (2**12, 3**8, 5**5 * 7**2, 2**4 * 3**3 * 5**2 * 7)

@@ -8,13 +8,11 @@ from cuspidal.arith import divisors_of, euler_phi, valuation
 from cuspidal.cusps import (
     ConsistencyError,
     Cusp,
-    CuspDivisor,
     RationalCuspDivisor,
     alpha_image,
     alpha_pullback,
     alpha_ram,
     beta_image,
-    beta_pullback,
     beta_pushforward,
     beta_ram,
     covering_degree,
@@ -22,10 +20,8 @@ from cuspidal.cusps import (
     enumerate_cusps,
     make_cusp,
     normalize_fraction,
-    p_divisor,
-    pullback,
-    pushforward,
 )
+from reference import aggregate, beta_pullback, expand, p_divisor, pullback, pushforward
 
 # Levels with high prime powers, where the beta pushforward multiplicities
 # of the interior levels exceed 1.
@@ -165,8 +161,8 @@ def test_ramification_prime_square():
 
 
 def test_pullback_degrees():
-    assert pullback("alpha", make_cusp(11, 1, 1), 2).degree() == 3
-    assert pullback("alpha", make_cusp(9, 1, 1), 3).degree() == 3
+    assert sum(pullback("alpha", {make_cusp(11, 1, 1): 1}, 11, 2).values()) == 3
+    assert sum(pullback("alpha", {make_cusp(9, 1, 1): 1}, 9, 3).values()) == 3
 
 
 def _fiber_sums(n, p):
@@ -206,17 +202,17 @@ def test_fibers_partition_cusps():
     n, p = 12, 2
     seen = []
     for c in enumerate_cusps(n):
-        seen.extend(cc for cc, _ in pullback("alpha", c, p).coeffs)
+        seen.extend(pullback("alpha", {c: 1}, n, p))
     assert sorted(seen, key=lambda c: (c.d, c.x)) == sorted(
         enumerate_cusps(n * p), key=lambda c: (c.d, c.x)
     )
 
 
 def test_expansion_of_p_divisor():
-    div = p_divisor(3, 9).expand()
-    assert div.degree() == euler_phi(3)
-    assert all(v == 1 for _, v in div.coeffs)
-    assert {c.d for c, _ in div.coeffs} == {3}
+    div = expand(p_divisor(3, 9))
+    assert sum(div.values()) == euler_phi(3)
+    assert all(v == 1 for v in div.values())
+    assert {c.d for c in div} == {3}
 
 
 def test_rational_level_ops_match_cusp_level():
@@ -224,17 +220,11 @@ def test_rational_level_ops_match_cusp_level():
         for d in divisors_of(n):
             div = p_divisor(d, n)
             fast = alpha_pullback(div, p)
-            slow = CuspDivisor.from_dict(n * p, {})
-            for c, v in div.expand().coeffs:
-                slow = slow + v * pullback("alpha", c, p)
-            assert fast == slow.aggregate()
+            assert fast == aggregate(n * p, pullback("alpha", expand(div), n, p))
             fast_b = beta_pullback(div, p)
-            slow_b = CuspDivisor.from_dict(n * p, {})
-            for c, v in div.expand().coeffs:
-                slow_b = slow_b + v * pullback("beta", c, p)
-            assert fast_b == slow_b.aggregate()
+            assert fast_b == aggregate(n * p, pullback("beta", expand(div), n, p))
             pushed = beta_pushforward(fast, p)
-            assert pushed == pushforward("beta", fast.expand(), p).aggregate()
+            assert pushed == aggregate(n, pushforward("beta", expand(fast), p))
 
 
 def test_pushforward_composition_is_hecke_like():
@@ -341,7 +331,8 @@ def test_beta_pushforward_matches_cusp_images(n, p, values, rnd):
     # push a random multi-level divisor of X0(np) down through every cusp image
     levels = divisors_of(n * p)
     div = RationalCuspDivisor.from_dict(n * p, {rnd.choice(levels): v for v in values})
-    slow = CuspDivisor.from_dict(n, {})
-    for c, v in div.expand().coeffs:
-        slow = slow + CuspDivisor.from_dict(n, {_scan_beta_image(c, p): v})
-    assert beta_pushforward(div, p) == slow.aggregate()
+    slow: dict[Cusp, int] = {}
+    for c, v in expand(div).items():
+        img = _scan_beta_image(c, p)
+        slow[img] = slow.get(img, 0) + v
+    assert beta_pushforward(div, p) == aggregate(n, slow)

@@ -3,17 +3,17 @@ import math
 import pytest
 
 from cuspidal.arith import divisors_of, parts, prime_divisors
-from cuspidal.cusps import RationalCuspDivisor, covering_degree, p_divisor, pullback, pushforward
+from cuspidal.cusps import RationalCuspDivisor, covering_degree
 from cuspidal.classlattice import is_principal
 from cuspidal.heckediv import (
     EisensteinDatum,
     NotCovered,
     build_c_divisor,
-    deg_map,
     epsilon,
     hecke_delta,
     hecke_delta_closed,
 )
+from reference import aggregate, deg_map, expand, p_divisor, pullback, pushforward
 
 
 def _valid_data(n):
@@ -113,12 +113,8 @@ def test_hecke_delta_naive_composition():
     for n, p in ((11, 11), (9, 3), (12, 2), (45, 3)):
         for d in divisors_of(n):
             div = p_divisor(d, n)
-            expanded = div.expand()
-            pulled = None
-            for c, v in expanded.coeffs:
-                piece = v * pullback("alpha", c, p)
-                pulled = piece if pulled is None else pulled + piece
-            naive = pushforward("beta", pulled, p).aggregate()
+            pulled = pullback("alpha", expand(div), n, p)
+            naive = aggregate(n, pushforward("beta", pulled, p))
             assert naive == hecke_delta(div, p)
 
 

@@ -44,12 +44,6 @@ class Cusp:
 
 
 @dataclass(frozen=True)
-class CuspDivisor:
-    n: int
-    coeffs: tuple
-
-
-@dataclass(frozen=True)
 class RationalCuspDivisor:
     n: int
     coeffs: tuple
@@ -119,7 +113,6 @@ class EisensteinPrime:
 FREE = [
     (Factored, arith.Factored),
     (Cusp, cusps.Cusp),
-    (CuspDivisor, cusps.CuspDivisor),
     (RationalCuspDivisor, cusps.RationalCuspDivisor),
     (EigenFact, eisq.EigenFact),
     (EigenReport, eisq.EigenReport),
@@ -223,7 +216,6 @@ def test_validation_texts():
 
 
 def test_records_of_different_classes_never_meet():
-    assert cusps.CuspDivisor(6, ()) != cusps.RationalCuspDivisor(6, ())
     assert eisq.ResidueTable(6, ()) != cusps.RationalCuspDivisor(6, ())
     assert cusps.Cusp(6, 2, 1) != (6, 2, 1)
     assert heckediv.EisensteinDatum(12, 3) != (12, 3, 1)
