@@ -62,8 +62,11 @@ class QExpansion(Record):
 def _euler_step(
     coeffs: tuple[Fraction | int, ...], q: int, k: int
 ) -> tuple[Fraction | int, ...]:
-    """Coefficients of f(z) - k f(qz) to the same precision: a_j - k a_{j/q}."""
-    return tuple(a - k * coeffs[j // q] if j % q == 0 else a for j, a in enumerate(coeffs))
+    """Coefficients of f(z) - k f(qz) to the same precision: a_j - k a_{j/q}
+    at the multiples j of q, a_j elsewhere."""
+    out = list(coeffs)
+    out[::q] = [a - k * b for a, b in zip(coeffs[::q], coeffs)]
+    return tuple(out)
 
 
 def base_epp(p: int, prec: int) -> QExpansion:

@@ -1,19 +1,32 @@
-"""The names the benchmark's tracer looks up in the package still exist.
+"""The benchmark's names and bytes still hold for the package.
 
 bench/layers.py wraps every function in each traced module's `__all__`,
 reports the functions of FUNCTION_METRICS by name and reads `cache_info()`
 from the caches of HIT_RATIOS.  A name dropped from the package shows up
 there only as a KeyError under `bench/run.py --trace 1`, so this test reads
 the tracer's tables and checks them against the package.
+
+bench/pool.json pins the SHA-256 of every request's stdout, and a request
+whose bytes move counts as failed; one `series` request per stratum is
+replayed here in-process, so a change to the JSON rendering or the series
+fails tier-1 before it fails the benchmark.
 """
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import pytest
 
-LAYERS_PATH = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+from cuspidal.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LAYERS_PATH = BENCH / "layers.py"
+POOL_PATH = BENCH / "pool.json"
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +64,17 @@ def test_hit_ratio_functions_keep_their_cache(layers):
         fn = getattr(module, name)
         assert hasattr(fn, "cache_info") and hasattr(fn, "cache_clear"), key
         assert fn.__module__ == module.__name__, key
+
+
+def test_series_pool_bytes():
+    with open(POOL_PATH) as fh:
+        strata = json.load(fh)["workloads"]["series"]
+    mismatched = []
+    for stratum in strata:
+        request = stratum[0]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(request["argv"]))
+        if code != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest() != request["sha256"]:
+            mismatched.append(request["argv"])
+    assert len(strata) == 40 and mismatched == []

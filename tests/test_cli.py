@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal import cli
+from cuspidal import classlattice, cli, eisq
 from cuspidal.arith import divisors_of
 from cuspidal.classifier import enumerate_data
 from cuspidal.cli import main, to_json
@@ -52,6 +52,34 @@ def test_order_not_covered_closed(capsys):
     parsed = json.loads(out)
     assert parsed["outputs"]["closed"] is None
     assert parsed["consistency"]["engine_closed_match"] is None
+
+
+_ESCAPES = st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d4b3'))
+_JSON_TEXT = st.one_of(st.text(), _ESCAPES)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**256),
+    st.integers(min_value=-(2**256), max_value=-(2**64)),
+    st.floats(),
+    _JSON_TEXT,
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, kids, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_JSON_TREES)
+def test_to_json_matches_json_dumps(tree):
+    assert to_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
 def test_determinism(capsys):
@@ -142,6 +170,18 @@ def test_classify_rejects_non_prime_ell(capsys, ell):
     assert err == f"cuspidal: error: {ell} is not prime\n"
 
 
+@pytest.mark.parametrize("prec", ["100001", "3000000", str(10**12)])
+def test_precision_above_the_budget_exits_one(capsys, monkeypatch, prec):
+    def refused(*args):
+        raise AssertionError("qexp started the series")
+
+    monkeypatch.setattr(cli, "build_qexp", refused)
+    code, out, err = _run(capsys, "qexp", "6", "--M", "2", "--prec", prec)
+    assert code == 1
+    assert out == ""
+    assert err == f"cuspidal: error: --prec {prec} exceeds the budget 100000\n"
+
+
 def test_negative_precision_exits_one(capsys):
     code, out, err = _run(capsys, "qexp", "6", "--M", "2", "--prec", "-1")
     assert code == 1
@@ -202,6 +242,37 @@ def test_sweep_reports_a_broken_exponent_vector(capsys, monkeypatch):
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     assert code == 2
     assert json.loads(out)["consistency"]["all_invariants_hold"] is False
+
+
+def test_sweep_reports_broken_residues(capsys, monkeypatch):
+    monkeypatch.setattr(eisq, "_local_residues", _one_entry_off(eisq._local_residues))
+    code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
+    assert code == 2
+    parsed = json.loads(out)
+    assert parsed["consistency"]["all_invariants_hold"] is False
+    assert parsed["outputs"]["failures"] == [
+        f"residue sum of {datum}" for n in range(1, 13) for datum in enumerate_data(n)
+    ]
+
+
+def test_sweep_reports_broken_local_exponents(capsys, monkeypatch):
+    real = classlattice._local_exponents
+
+    def one_entry_off(*args):
+        entries, scale = real(*args)
+        return [entries[0] + 1, *entries[1:]], scale
+
+    monkeypatch.setattr(classlattice, "_local_exponents", one_entry_off)
+    code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
+    assert code == 2
+    parsed = json.loads(out)
+    assert parsed["consistency"]["all_invariants_hold"] is False
+    assert parsed["outputs"]["failures"] == [
+        f"exponent vector of {datum}"
+        for n in range(1, 13)
+        for datum in enumerate_data(n)
+        if math.gcd(datum.m, datum.d_part) == 1
+    ]
 
 
 def test_sweep_reports_a_broken_solver(capsys, monkeypatch):
@@ -387,7 +458,9 @@ def _argv(draw):
         if command == "order":
             argv += ["--method", draw(st.sampled_from(("closed", "lattice", "both")))]
         if command == "qexp":
-            argv += ["--prec", str(draw(st.integers(min_value=-2, max_value=200)))]
+            over_budget = st.sampled_from((100001, 3000000, 10**12))
+            prec = draw(st.one_of(st.integers(min_value=-2, max_value=200), over_budget))
+            argv += ["--prec", str(prec)]
     elif command == "hecke":
         term = st.tuples(some_divisor, st.integers(min_value=-5, max_value=5)).map(
             lambda t: f"{t[0]}:{t[1]}"

@@ -243,3 +243,26 @@ def test_integer_series_match_fraction_reference(n, pick, prec, q, kind):
     h = level_map(kind, f, q)
     assert h.coeffs == level_map(kind, ref, q).coeffs and _integral_beyond_a0(h)
     assert base_epp(q, prec).coeffs == _fraction_base_epp(q, prec).coeffs
+
+
+def _enumerated_euler_step(coeffs, q, k):
+    """Reference: the generator body that scanned every coefficient."""
+    return tuple(a - k * coeffs[j // q] if j % q == 0 else a for j, a in enumerate(coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    plain=st.booleans(),
+    a0=st.fractions(max_denominator=48),
+    rest=st.one_of(
+        st.lists(st.integers(), max_size=12),
+        st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=200),
+    ),
+)
+def test_euler_step_matches_enumerated_reference(q, plain, a0, rest):
+    k = 1 if plain else q
+    coeffs = (a0, *rest)  # prec = len(rest), from 0 past q
+    out = eisq._euler_step(coeffs, q, k)
+    assert out == _enumerated_euler_step(coeffs, q, k)
+    assert type(out[0]) is Fraction and all(type(a) is int for a in out[1:])
