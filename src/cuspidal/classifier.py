@@ -9,12 +9,11 @@ emitted pairs (ell, datum) name distinct ideals.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .arith import Record, divisors_of, is_prime, parts, prime_divisors
-from .classlattice import class_order, closed_form_order
+from .classlattice import _closed_order, class_order
 from .cusps import ConsistencyError
-from .heckediv import EisensteinDatum, NotCovered, build_c_divisor
+from .heckediv import EisensteinDatum, build_c_divisor
 
 __all__ = [
     "EisensteinPrime",
@@ -55,15 +54,11 @@ def normalize_datum(datum: EisensteinDatum, ell: int) -> EisensteinDatum:
     return EisensteinDatum(datum.n, m, datum.d_part)
 
 
-@lru_cache(maxsize=None)
 def index_n(datum: EisensteinDatum) -> int:
     """Order of the datum's divisor class; the closed form, when covered,
     must agree with the engine."""
     order = class_order(datum.n, build_c_divisor(datum))
-    try:
-        closed = closed_form_order(datum)
-    except NotCovered:
-        closed = None
+    closed = _closed_order(datum)
     if closed is not None and closed != order:
         raise ConsistencyError(
             f"closed-form order {closed} != engine order {order} for {datum}"
@@ -114,15 +109,17 @@ def rational_eisenstein_primes(n: int, ell: int | None = None) -> tuple[Eisenste
     """
     if ell is not None and not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
+    # normalize_datum keeps D and enlarges m only within sf*D, so every
+    # normalized datum is again one of the level's data.
+    orders = {datum: index_n(datum) for datum in enumerate_data(n)}
     found: dict[tuple[int, int, int], EisensteinPrime] = {}
-    for datum in enumerate_data(n):
-        order = index_n(datum)
+    for datum, order in orders.items():
         for p in prime_divisors(order):
             if ell is not None and p != ell:
                 continue
             nd = normalize_datum(datum, p)
             key = (p, nd.m, nd.d_part)
-            norm_order = index_n(nd)
+            norm_order = orders[nd]
             idx = norm_order if norm_order % p == 0 else order
             prev = found.get(key)
             if prev is not None:

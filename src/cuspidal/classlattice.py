@@ -29,8 +29,8 @@ from .arith import (
     prime_divisors,
     valuation,
 )
-from .cusps import ConsistencyError, RationalCuspDivisor
-from .heckediv import EisensteinDatum, NotCovered, build_c_divisor, epsilon
+from .cusps import RationalCuspDivisor
+from .heckediv import EisensteinDatum, NotCovered, epsilon
 
 __all__ = [
     "lambda_matrix",
@@ -199,17 +199,13 @@ def _exponent_data(datum: EisensteinDatum) -> Fraction:
 
 def r_vector(datum: EisensteinDatum) -> Vector:
     """Lambda(N)^{-1} applied to the datum's divisor, for m coprime to the
-    square support.
-
-    Computed two ways, which must agree exactly: the closed entries, whose
-    value at delta is 24 times the product over q^r || N of the local entry
-    at val_q(delta) over the local scale, and the prime-by-prime engine on
-    the datum's divisor.
+    square support: the closed entries, whose value at delta is 24 times the
+    product over q^r || N of the local entry at val_q(delta) over the local
+    scale.  `sweep` checks Lambda(N) r = C against the datum's divisor.
     """
     n = datum.n
     if math.gcd(datum.m, parts(n)[1]) != 1:
         raise ValueError("closed entries need m coprime to the square support")
-
     closed = {1: Fraction(24)}
     for q, r in factor(n).factors:
         entries, scale = _local_exponents(q, r, epsilon(datum, q))
@@ -218,13 +214,7 @@ def r_vector(datum: EisensteinDatum) -> Vector:
             for d, x in closed.items()
             for a, v in enumerate(entries)
         }
-    closed_vec = tuple(closed[d] for d in divisors_of(n))
-
-    c, _ = _integer_vector(n, build_c_divisor(datum))
-    u, den = apply_lambda_inverse(n, c)
-    if closed_vec != tuple(Fraction(x, den) for x in u):
-        raise ConsistencyError(f"exponent-vector paths disagree for {datum}")
-    return closed_vec
+    return tuple(closed[d] for d in divisors_of(n))
 
 
 def class_order(n: int, a) -> int:
@@ -279,3 +269,11 @@ def closed_form_order(datum: EisensteinDatum) -> int:
         raise NotCovered(f"no closed form for {datum}: L = 1 at non-squarefree level {n2}")
     h = 2 if (is_prime(m) and m % 8 == 1 and n2 in (m, 2 * m)) else 1
     return numerator_of(_exponent_data(reduced) * h)
+
+
+def _closed_order(datum: EisensteinDatum) -> int | None:
+    """closed_form_order, or None where no closed form covers the datum."""
+    try:
+        return closed_form_order(datum)
+    except NotCovered:
+        return None

@@ -17,6 +17,7 @@ from cuspidal.arith import (
 )
 from cuspidal.classifier import enumerate_data, rational_eisenstein_primes
 from cuspidal.classlattice import (
+    apply_lambda_inverse,
     class_order,
     closed_form_order,
     is_principal,
@@ -110,8 +111,10 @@ def test_criterion_05_r_vector_triple_agreement():
                 if m * (sq // d) == 1:
                     continue
                 datum = EisensteinDatum(n, m, d)
-                r = r_vector(datum)  # closed entries checked against the engine
+                r = r_vector(datum)
                 c = build_c_divisor(datum)
+                u, den = apply_lambda_inverse(n, c.as_vector())
+                assert r == tuple(Fraction(x, den) for x in u), datum
                 assert mat_vec(lambda_matrix(n), r) == tuple(
                     Fraction(x) for x in c.as_vector()
                 ), datum

@@ -7,9 +7,10 @@ there only as a KeyError under `bench/run.py --trace 1`, so this test reads
 the tracer's tables and checks them against the package.
 
 bench/pool.json pins the SHA-256 of every request's stdout, and a request
-whose bytes move counts as failed; one `series` request per stratum is
-replayed here in-process, so a change to the JSON rendering or the series
-fails tier-1 before it fails the benchmark.
+whose bytes move counts as failed; one `series` and one `sweep` request per
+stratum are replayed here in-process, so a change to the JSON rendering,
+the series or the sweep's checks fails tier-1 before it fails the
+benchmark.
 """
 
 import contextlib
@@ -66,9 +67,12 @@ def test_hit_ratio_functions_keep_their_cache(layers):
         assert fn.__module__ == module.__name__, key
 
 
-def test_series_pool_bytes():
+def _replay_first_of_each_stratum(workload: str) -> tuple[int, list]:
+    """Run the first request of each stratum of a pool workload through
+    `main`; the stratum count and the argv of every request whose exit code
+    or stdout SHA-256 differs from the pool."""
     with open(POOL_PATH) as fh:
-        strata = json.load(fh)["workloads"]["series"]
+        strata = json.load(fh)["workloads"][workload]
     mismatched = []
     for stratum in strata:
         request = stratum[0]
@@ -77,4 +81,12 @@ def test_series_pool_bytes():
             code = main(list(request["argv"]))
         if code != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest() != request["sha256"]:
             mismatched.append(request["argv"])
-    assert len(strata) == 40 and mismatched == []
+    return len(strata), mismatched
+
+
+def test_series_pool_bytes():
+    assert _replay_first_of_each_stratum("series") == (40, [])
+
+
+def test_sweep_pool_bytes():
+    assert _replay_first_of_each_stratum("sweep") == (3, [])

@@ -1,3 +1,4 @@
+from cuspidal.arith import primes_upto
 from cuspidal.classifier import (
     enumerate_data,
     index_n,
@@ -86,6 +87,16 @@ def test_every_emission_divisible():
             sf, _, _ = parts(n)
             quotient = sf * entry.datum.d_part // entry.datum.m
             assert all(q % entry.ell != 1 for q in prime_divisors(quotient))
+
+
+def test_normalized_data_stay_among_the_level_data():
+    # rational_eisenstein_primes reads the normalized datum's order from the
+    # orders of enumerate_data(n)
+    for n in range(1, 301):
+        data = set(enumerate_data(n))
+        for datum in data:
+            for ell in primes_upto(13):
+                assert normalize_datum(datum, ell) in data, (datum, ell)
 
 
 def test_hypothesis_flags():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal import classlattice, cli, eisq
-from cuspidal.arith import divisors_of
+from cuspidal.arith import divisors_of, prime_divisors
 from cuspidal.classifier import enumerate_data
 from cuspidal.cli import main, to_json
 
@@ -250,9 +250,26 @@ def test_sweep_reports_broken_residues(capsys, monkeypatch):
     assert code == 2
     parsed = json.loads(out)
     assert parsed["consistency"]["all_invariants_hold"] is False
-    assert parsed["outputs"]["failures"] == [
-        f"residue sum of {datum}" for n in range(1, 13) for datum in enumerate_data(n)
-    ]
+    # The patch moves the local factor at q^0, so every weighted sum breaks,
+    # and the residue at level ML moves where ML misses a prime of N.
+    expected = []
+    for n in range(1, 13):
+        for datum in enumerate_data(n):
+            expected.append(f"residue sum of {datum}")
+            if any(datum.m * datum.l_part % q for q in prime_divisors(n)):
+                expected.append(f"residue at level ML of {datum}")
+    assert len(expected) == 29
+    assert parsed["outputs"]["failures"] == expected
+
+
+def test_residues_reports_a_nonzero_weighted_sum(capsys, monkeypatch):
+    monkeypatch.setattr(eisq, "_local_residues", _one_entry_off(eisq._local_residues))
+    code, out, err = _run(capsys, "residues", "12", "--M", "3", "--format", "json")
+    assert code == 2
+    assert err == ""
+    consistency = json.loads(out)["consistency"]
+    assert consistency["weighted_sum_zero"] is False
+    assert consistency["closed_matches_level_ml"] is True
 
 
 def test_sweep_reports_broken_local_exponents(capsys, monkeypatch):
@@ -302,6 +319,13 @@ def test_sweep_reports_a_broken_solver(capsys, monkeypatch):
             ("hecke", "12", "--p", "2", "--divisor", "4"),
             "--divisor term '4' is not level:coefficient",
         ),
+        (("cusps", "0"), "level 0 is not a positive integer"),
+        (("lambda", "0", "--inverse"), "level 0 is not a positive integer"),
+        (("cdivisor", "-2", "--M", "2"), "level -2 is not a positive integer"),
+        (("order", "0", "--M", "1"), "level 0 is not a positive integer"),
+        (("residues", "-5", "--M", "5"), "level -5 is not a positive integer"),
+        (("qexp", "0", "--M", "1"), "level 0 is not a positive integer"),
+        (("classify", "-12"), "level -12 is not a positive integer"),
     ],
 )
 def test_hecke_invalid_input_names_the_input(capsys, argv, message):
