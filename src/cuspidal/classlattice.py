@@ -30,7 +30,7 @@ from .arith import (
     valuation,
 )
 from .cusps import RationalCuspDivisor
-from .heckediv import EisensteinDatum, NotCovered, epsilon
+from .heckediv import EisensteinDatum, NotCovered, epsilon, over_primes
 
 __all__ = [
     "lambda_matrix",
@@ -199,22 +199,16 @@ def _exponent_data(datum: EisensteinDatum) -> Fraction:
 
 def r_vector(datum: EisensteinDatum) -> Vector:
     """Lambda(N)^{-1} applied to the datum's divisor, for m coprime to the
-    square support: the closed entries, whose value at delta is 24 times the
-    product over q^r || N of the local entry at val_q(delta) over the local
-    scale.  `sweep` checks Lambda(N) r = C against the datum's divisor.
+    square support: the closed entries, whose value at delta is the product
+    over q^r || N of the local entry at val_q(delta), over _exponent_data.
+    `sweep` checks Lambda(N) r = C against the datum's divisor.
     """
     n = datum.n
     if math.gcd(datum.m, parts(n)[1]) != 1:
         raise ValueError("closed entries need m coprime to the square support")
-    closed = {1: Fraction(24)}
-    for q, r in factor(n).factors:
-        entries, scale = _local_exponents(q, r, epsilon(datum, q))
-        closed = {
-            d * q**a: x * Fraction(v, scale)
-            for d, x in closed.items()
-            for a, v in enumerate(entries)
-        }
-    return tuple(closed[d] for d in divisors_of(n))
+    closed = over_primes(datum, lambda q, r, eps: _local_exponents(q, r, eps)[0])
+    scale = _exponent_data(datum)
+    return tuple(closed[d] / scale for d in divisors_of(n))
 
 
 def class_order(n: int, a) -> int:

@@ -8,7 +8,8 @@ closed form: z -> z directly, z -> p*z through the fraction p*x/(p^i d).
 
 Cuspidal divisors are the Galois-stable level-indexed sums a_d * (P_d)
 (RationalCuspDivisor), where (P_d) collects every cusp of level d.  On them
-the coverings act level by level and no cusp is ever listed.
+the coverings move each level along its p-chain by one table per
+(p, val_p(N)), and no cusp is ever listed.
 """
 
 from __future__ import annotations
@@ -197,43 +198,44 @@ def covering_degree(n: int, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # The same maps on the (P_d) basis.  Image level and ramification depend only
-# on the level of a cusp, so pullbacks are purely combinatorial.  The image
-# z -> p*z maps the cusps of level e onto those of its beta level f, each hit
-# equally often by Galois equivariance, so beta_*(P_e) = m * (P_f) with m the
-# ratio of the two cusp counts; an inexact ratio fails loudly.
+# on the p-part p^i of a level, so both maps act along the chain p^0, ...,
+# p^(r+1) of X0(Np) over p^0, ..., p^r of X0(N), r = val_p(N), and leave the
+# prime-to-p part d0 alone.  The image z -> p*z maps the cusps of level p^i d0
+# onto those of its beta level, each hit equally often by Galois equivariance,
+# so beta_*(P_e) = m * (P_f) with m the ratio of the two cusp counts; the
+# factor phi(gcd(d0, N/d0)) cancels, and an inexact ratio fails loudly.
 
 
-@lru_cache(maxsize=None)
-def _level_tables(n: int, p: int) -> dict[int, tuple[int, int, int, int]]:
-    """Per level e | n*p: (alpha level, alpha ram, beta level f, beta
-    pushforward multiplicity m with beta_*(P_e) = m * (P_f))."""
-    r = valuation(n, p)
-    top = n * p
-    out = {}
-    for e in divisors_of(top):
-        i = valuation(e, p)
-        d0 = e // p**i
-        al = p ** min(i, r) * d0
-        bl = p ** (i - 1) * d0 if i >= 1 else d0
-        m, rem = divmod(euler_phi(math.gcd(e, top // e)), euler_phi(math.gcd(bl, n // bl)))
+@lru_cache(maxsize=256)
+def _chain_maps(p: int, r: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Row i for the level p^i d0 of X0(Np), r = val_p(N): (alpha exponent,
+    alpha ramification, beta exponent b, beta multiplicity m) with
+    alpha(p^i d0) = p^min(i, r) d0 and beta_*(P_(p^i d0)) = m * (P_(p^b d0))."""
+    rows = []
+    for i in range(r + 2):
+        b = max(i - 1, 0)
+        m, rem = divmod(euler_phi(p ** min(i, r + 1 - i)), euler_phi(p ** min(b, r - b)))
         if rem:
             raise ConsistencyError(
-                f"pushforward of (P_{e}) from X0({top}) is not a multiple of (P_{bl})"
+                f"pushforward of level p^{i} along p={p}, r={r} is not a multiple of level p^{b}"
             )
-        out[e] = (al, p if 2 * i <= r else 1, bl, m)
-    return out
+        rows.append((min(i, r), p if 2 * i <= r else 1, b, m))
+    return tuple(rows)
 
 
 def alpha_pullback(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
-    """Pullback through z -> z with ramification multiplicities, on (P_d) sums."""
+    """Pullback through z -> z with ramification multiplicities, on (P_d) sums:
+    (P_(p^j d0)) lifts to level p^j d0, and to p^(r+1) d0 as well when j = r."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    coeffs = dict(div.coeffs)
+    r = valuation(div.n, p)
+    rows = _chain_maps(p, r)
     out = {}
-    for e, (al, ar, _, _) in _level_tables(div.n, p).items():
-        v = ar * coeffs.get(al, 0)
-        if v:
-            out[e] = v
+    for d, v in div.coeffs:
+        j = valuation(d, p)
+        out[d] = rows[j][1] * v
+        if j == r:
+            out[d * p] = rows[r + 1][1] * v
     return RationalCuspDivisor.from_dict(div.n * p, out)
 
 
@@ -244,9 +246,11 @@ def beta_pushforward(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     if div.n % p:
         raise ValueError(f"divisor of X0({div.n}) cannot descend along p={p}")
     n = div.n // p
-    tab = _level_tables(n, p)
+    rows = _chain_maps(p, valuation(n, p))
     out: dict[int, int] = {}
     for e, v in div.coeffs:
-        _, _, f, m = tab[e]
+        i = valuation(e, p)
+        _, _, b, m = rows[i]
+        f = e // p ** (i - b)
         out[f] = out.get(f, 0) + m * v
     return RationalCuspDivisor.from_dict(n, out)

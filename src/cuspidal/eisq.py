@@ -18,7 +18,6 @@ from fractions import Fraction
 from .arith import (
     Record,
     euler_phi,
-    factor,
     is_prime,
     omega,
     parts,
@@ -26,7 +25,7 @@ from .arith import (
     primes_upto,
     valuation,
 )
-from .heckediv import EisensteinDatum, epsilon
+from .heckediv import EisensteinDatum, epsilon, over_primes
 
 __all__ = [
     "QExpansion",
@@ -205,11 +204,8 @@ def residue_table(datum: EisensteinDatum) -> ResidueTable:
     level d is the product over q^r || n of the local factor at val_q(d),
     chosen by epsilon(datum, q).  The weighted residue sum over all cusps
     vanishes; `residues` and `sweep` check it."""
-    table: dict[int, Fraction] = {1: Fraction(1)}
-    for q, r in factor(datum.n).factors:
-        local = _local_residues(q, r, epsilon(datum, q))
-        table = {d * q**a: x * prev for d, prev in table.items() for a, x in enumerate(local)}
-    return ResidueTable(datum.n, tuple(sorted(table.items())))
+    table = over_primes(datum, _local_residues)
+    return ResidueTable(datum.n, tuple(sorted((d, Fraction(x)) for d, x in table.items())))
 
 
 def residue_closed(datum: EisensteinDatum) -> tuple[Fraction, Fraction]:

@@ -3,20 +3,21 @@
 A datum (N, M, D) fixes the eigenvalue of the level-p Hecke operator at
 every prime p | N: 1 on the primes of M, p on the primes of sf(N)*D / M,
 and 0 on the primes of the square support outside D.  Each datum carries a
-degree-0 rational cuspidal divisor whose class these operators annihilate.
+degree-0 rational cuspidal divisor whose class these operators annihilate,
+a tensor product of one local vector per prime power, like the exponent
+vector and the residues; `over_primes` builds all three.
 """
 
 from __future__ import annotations
 
-import math
-
-from .arith import Record, divisors_of, euler_phi, is_prime, omega, parts, prime_divisors, valuation
-from .cusps import ConsistencyError, RationalCuspDivisor, alpha_pullback, beta_pushforward
+from .arith import Record, factor, is_prime, parts, valuation
+from .cusps import ConsistencyError, RationalCuspDivisor, _chain_maps, alpha_pullback, beta_pushforward
 
 __all__ = [
     "NotCovered",
     "EisensteinDatum",
     "epsilon",
+    "over_primes",
     "build_c_divisor",
     "hecke_delta",
     "hecke_delta_closed",
@@ -72,31 +73,34 @@ def epsilon(datum: EisensteinDatum, p: int) -> int:
     return 0
 
 
-def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
-    """The degree-0 divisor attached to a datum.
+def over_primes(datum: EisensteinDatum, local) -> dict:
+    """The tensor product over q^r || n of the local vectors local(q, r, eps)
+    over q^0, ..., q^r, eps = epsilon(datum, q): {d: prod_q local[val_q(d)]}."""
+    out = {1: 1}
+    for q, r in factor(datum.n).factors:
+        vec = local(q, r, epsilon(datum, q))
+        out = {d * q**a: x * v for d, x in out.items() for a, v in enumerate(vec)}
+    return out
 
-    For m coprime to the square support it is the explicit combination
-    sum over e | m*L of (-1)^omega(e) * phi(L/(e, L)) * (P_e); when a prime
-    p divides both m and the square support, the divisor is pulled back from
-    level n/p^(r-1) through a chain of z -> z coverings.
-    """
-    n, m, dp = datum.n, datum.m, datum.d_part
-    _, sq, _ = parts(n)
-    a = math.gcd(m, sq)
-    if a == 1:
-        big_l = sq // dp
-        coeffs = {
-            e: (-1) ** omega(e) * euler_phi(big_l // math.gcd(e, big_l))
-            for e in divisors_of(m * big_l)
-        }
-        div = RationalCuspDivisor.from_dict(n, coeffs)
-    else:
-        p = prime_divisors(a)[0]
-        r = valuation(n, p)
-        child = EisensteinDatum(n // p ** (r - 1), m, dp // p)
-        div = build_c_divisor(child)
-        for _ in range(r - 1):
-            div = alpha_pullback(div, p)
+
+def _local_divisor(q: int, r: int, eps: int) -> list[int]:
+    """The datum's divisor at q^r || n over the levels q^0, ..., q^r: (P_1)
+    where eps = q, (q - 1)(P_1) - (P_q) where eps = 0, and (P_1) - (P_q)
+    pulled back along z -> z from X0(q) where eps = 1."""
+    if eps == q:
+        return [1] + [0] * r
+    if eps == 0:
+        return [q - 1, -1] + [0] * (r - 1)
+    vec = [1, -1]
+    for j in range(1, r):
+        vec = [ram * vec[a] for a, ram, _, _ in _chain_maps(q, j)]
+    return vec
+
+
+def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
+    """The degree-0 divisor attached to a datum: the tensor product of the
+    local divisors at each q^r || n, chosen by epsilon(datum, q)."""
+    div = RationalCuspDivisor.from_dict(datum.n, over_primes(datum, _local_divisor))
     if div.degree() != 0:
         raise ConsistencyError(f"divisor built for {datum} has degree {div.degree()}")
     return div
@@ -105,9 +109,9 @@ def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
 def hecke_delta(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     """The level-p Hecke correspondence on divisors: pull back along z -> z
     with ramification multiplicities, then push forward along z -> p*z, which
-    sends each (P_e) to m * (P_f).  Both steps work on levels and list no
-    cusp; the pushforward table raises ConsistencyError if the cusp count of
-    level e is not a multiple of that of f."""
+    sends each (P_e) to m * (P_f).  Both steps walk the divisor's levels along
+    their p-chains and list no cusp; the chain table raises ConsistencyError
+    if the cusp count of level e is not a multiple of that of f."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return beta_pushforward(alpha_pullback(div, p), p)

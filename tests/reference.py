@@ -5,10 +5,14 @@ act on them cusp by cusp: a pullback enumerates the cusps of X0(np), maps
 each one down and weights it by its ramification index, and `aggregate`
 reads a Galois-stable dict back as a sum a_d * (P_d), failing loudly when a
 level is not uniform.  The level-raising maps on divisors and on
-q-expansions, and the kernel orders they predict, live here too.
+q-expansions, and the kernel orders they predict, live here too, and so
+does the recursive builder of a datum's divisor that the tensor product of
+`heckediv.build_c_divisor` replaced.
 """
 
-from cuspidal.arith import divisors_of, is_prime, parts, valuation
+import math
+
+from cuspidal.arith import divisors_of, euler_phi, is_prime, omega, parts, prime_divisors, valuation
 from cuspidal.classlattice import class_order
 from cuspidal.cusps import (
     ConsistencyError,
@@ -21,7 +25,7 @@ from cuspidal.cusps import (
     enumerate_cusps,
 )
 from cuspidal.eisq import QExpansion
-from cuspidal.heckediv import build_c_divisor
+from cuspidal.heckediv import EisensteinDatum, build_c_divisor
 
 MAPS = {"alpha": (alpha_image, alpha_ram), "beta": (beta_image, beta_ram)}
 
@@ -71,6 +75,32 @@ def pushforward(kind: str, div: dict, p: int) -> dict:
         img = image(c, p)
         out[img] = out.get(img, 0) + v
     return out
+
+
+def recursive_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
+    """The datum's divisor without the tensor product.
+
+    For m coprime to the square support it is the explicit combination
+    sum over e | m*L of (-1)^omega(e) * phi(L/(e, L)) * (P_e); when a prime
+    p divides both m and the square support, the divisor is pulled back from
+    level n/p^(r-1) through a chain of z -> z coverings.
+    """
+    n, m, dp = datum.n, datum.m, datum.d_part
+    _, sq, _ = parts(n)
+    a = math.gcd(m, sq)
+    if a == 1:
+        big_l = sq // dp
+        coeffs = {
+            e: (-1) ** omega(e) * euler_phi(big_l // math.gcd(e, big_l))
+            for e in divisors_of(m * big_l)
+        }
+        return RationalCuspDivisor.from_dict(n, coeffs)
+    p = prime_divisors(a)[0]
+    r = valuation(n, p)
+    div = recursive_c_divisor(EisensteinDatum(n // p ** (r - 1), m, dp // p))
+    for _ in range(r - 1):
+        div = alpha_pullback(div, p)
+    return div
 
 
 def beta_pullback(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:

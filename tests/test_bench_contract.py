@@ -7,10 +7,14 @@ there only as a KeyError under `bench/run.py --trace 1`, so this test reads
 the tracer's tables and checks them against the package.
 
 bench/pool.json pins the SHA-256 of every request's stdout, and a request
-whose bytes move counts as failed; one `series` and one `sweep` request per
-stratum are replayed here in-process, so a change to the JSON rendering,
-the series or the sweep's checks fails tier-1 before it fails the
-benchmark.
+whose bytes move counts as failed; the first request of every stratum of
+each workload is replayed here in-process, so a change to the JSON
+rendering, the series, the divisors, the coverings or the sweep's checks
+fails tier-1 before it fails the benchmark.
+
+Every package cache but `factor`, `divisors_of` and `enumerate_cusps` has a
+finite `maxsize`; a new unbounded cache fails here (ROADMAP item 8 bounds or
+deletes the last three).
 """
 
 import contextlib
@@ -19,10 +23,12 @@ import importlib
 import importlib.util
 import io
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import cuspidal
 from cuspidal.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -90,3 +96,23 @@ def test_series_pool_bytes():
 
 def test_sweep_pool_bytes():
     assert _replay_first_of_each_stratum("sweep") == (3, [])
+
+
+def test_classify_smooth_pool_bytes():
+    assert _replay_first_of_each_stratum("classify_smooth") == (32, [])
+
+
+def test_hecke_deep_pool_bytes():
+    assert _replay_first_of_each_stratum("hecke_deep") == (87, [])
+
+
+def test_only_the_arithmetic_and_cusp_list_caches_are_unbounded():
+    unbounded, bounded = set(), set()
+    for info in pkgutil.iter_modules(cuspidal.__path__):
+        module = importlib.import_module(f"cuspidal.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                maxsize = fn.cache_parameters()["maxsize"]
+                (unbounded if maxsize is None else bounded).add(f"{info.name}.{name}")
+    assert unbounded == {"arith.factor", "arith.divisors_of", "cusps.enumerate_cusps"}
+    assert bounded, "no bounded cache found: the walk missed the package"

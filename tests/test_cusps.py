@@ -21,6 +21,7 @@ from cuspidal.cusps import (
     make_cusp,
     normalize_fraction,
 )
+from cuspidal.heckediv import hecke_delta
 from reference import aggregate, beta_pullback, expand, p_divisor, pullback, pushforward
 
 # Levels with high prime powers, where the beta pushforward multiplicities
@@ -336,3 +337,36 @@ def test_beta_pushforward_matches_cusp_images(n, p, values, rnd):
         img = _scan_beta_image(c, p)
         slow[img] = slow.get(img, 0) + v
     assert beta_pushforward(div, p) == aggregate(n, slow)
+
+
+@st.composite
+def _deep_divisors(draw):
+    """(div, p): a random multi-level divisor of X0(n), n a high-power level
+    times p^2 unless p^2 already divides it, with at least one level d of
+    val_p(d) >= 2, where the alpha ramification and the beta multiplicities
+    of the p-chain are not those of val_p(d) <= 1."""
+    p = draw(st.sampled_from(HECKE_PRIMES))
+    n = draw(st.sampled_from(HIGH_POWER_LEVELS))
+    if n % (p * p):
+        n *= p * p
+    levels = divisors_of(n)
+    terms = st.tuples(st.sampled_from(levels), st.integers(min_value=-9, max_value=9))
+    coeffs = dict(draw(st.lists(terms, max_size=5)))
+    deep = draw(st.sampled_from([d for d in levels if valuation(d, p) >= 2]))
+    coeffs[deep] = draw(st.integers(min_value=1, max_value=9))
+    return RationalCuspDivisor.from_dict(n, coeffs), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(_deep_divisors())
+def test_alpha_pullback_matches_cusp_images_at_deep_levels(case):
+    div, p = case
+    assert alpha_pullback(div, p) == aggregate(div.n * p, pullback("alpha", expand(div), div.n, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_deep_divisors())
+def test_hecke_delta_matches_naive_composition_at_deep_levels(case):
+    div, p = case
+    pulled = pullback("alpha", expand(div), div.n, p)
+    assert hecke_delta(div, p) == aggregate(div.n, pushforward("beta", pulled, p))

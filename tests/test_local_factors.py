@@ -1,9 +1,10 @@
 """Differential tests of the per-prime local factors against a case split.
 
-The series, the residues, the closed exponent vector and the exponent scale
-are products over q^r || N of one local factor chosen by epsilon(datum, q).
-The references below classify each prime by a five-way split on
-(r == 1, q | M, q | D) instead, and must agree exactly on random data that
+The series, the residues, the closed exponent vector, the exponent scale and
+the datum's divisor are products over q^r || N of one local factor chosen by
+epsilon(datum, q).  The references below classify each prime by a five-way
+split on (r == 1, q | M, q | D) instead, or build the divisor by a closed
+sum and a pullback recursion, and must agree exactly on random data that
 cover every eigenvalue at r = 1 and at r >= 2, high prime powers, and a base
 prime in M and in L.
 """
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from cuspidal.arith import divisors_of, factor, parts, prime_divisors, valuation
 from cuspidal.classlattice import _exponent_data, r_vector
 from cuspidal.eisq import QExpansion, base_epp, build_qexp, residue_table
-from cuspidal.heckediv import EisensteinDatum, epsilon
+from cuspidal.heckediv import EisensteinDatum, build_c_divisor, epsilon
+from reference import recursive_c_divisor
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -196,3 +198,32 @@ def test_exponent_data_matches_case_split(datum):
 @given(datum=data().filter(_squarefree_m))
 def test_r_vector_matches_case_split(datum):
     assert r_vector(datum) == _split_closed_r_vector(datum), datum
+
+
+# Data with a prime q | gcd(M, square support) at r >= 3, where the recursive
+# builder pulls (P_1) - (P_q) back through a chain of z -> z coverings: two
+# such primes at once, one beside a prime of L, and one beside eigenvalue q
+# at r >= 2.
+PULLBACK_CHAIN_EXAMPLES = (
+    EisensteinDatum(3**5 * 5**3 * 7, 15, 15),
+    EisensteinDatum(2**4 * 3**3 * 5**2, 6, 6),
+    EisensteinDatum(2**5 * 3**4 * 5**3, 2, 30),
+)
+
+
+def test_pullback_chain_examples_cover_high_powers():
+    for datum in PULLBACK_CHAIN_EXAMPLES:
+        sq = parts(datum.n)[1]
+        assert any(
+            valuation(datum.n, q) >= 3 for q in prime_divisors(datum.m) if sq % q == 0
+        ), datum
+
+
+@settings(max_examples=80, deadline=None)
+@_with_examples()
+@example(datum=PULLBACK_CHAIN_EXAMPLES[0])
+@example(datum=PULLBACK_CHAIN_EXAMPLES[1])
+@example(datum=PULLBACK_CHAIN_EXAMPLES[2])
+@given(datum=data())
+def test_build_c_divisor_matches_recursive_builder(datum):
+    assert build_c_divisor(datum) == recursive_c_divisor(datum), datum
