@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 
 from .arith import Record, divisors_of, is_prime, parts, prime_divisors
-from .classlattice import _closed_order, class_order
+from .classlattice import _closed_order, _datum_order
 from .cusps import ConsistencyError
-from .heckediv import EisensteinDatum, build_c_divisor
+from .heckediv import EisensteinDatum
 
 __all__ = [
     "EisensteinPrime",
@@ -55,13 +55,13 @@ def normalize_datum(datum: EisensteinDatum, ell: int) -> EisensteinDatum:
 
 
 def index_n(datum: EisensteinDatum) -> int:
-    """Order of the datum's divisor class; the closed form, when covered,
-    must agree with the engine."""
-    order = class_order(datum.n, build_c_divisor(datum))
+    """Order of the datum's divisor class, from the local factors at each
+    q^r || n; the closed form, when covered, must agree with them."""
+    order = _datum_order(datum)
     closed = _closed_order(datum)
     if closed is not None and closed != order:
         raise ConsistencyError(
-            f"closed-form order {closed} != engine order {order} for {datum}"
+            f"closed-form order {closed} != local order {order} for {datum}"
         )
     return order
 

@@ -11,6 +11,12 @@ T_q an integer tridiagonal (r+1) x (r+1) block.  The engine applies it one
 prime at a time, in integers over one common denominator, and reads every
 eta-quotient condition as a gcd against that denominator.  The dense inverse
 of `cuspidal lambda --inverse` is the engine's columns.
+
+A datum's divisor is itself a tensor product of local vectors, so its
+Lambda(N)^{-1} image is too, and every sum the eta-quotient conditions read
+is a product of local sums.  The local orders run the engine once at each
+prime power q^r || N and combine those sums, in O(omega(N)) per datum; the
+engine stays the definition for arbitrary divisors.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import (
     divisors_of,
@@ -29,8 +36,8 @@ from .arith import (
     prime_divisors,
     valuation,
 )
-from .cusps import RationalCuspDivisor
-from .heckediv import EisensteinDatum, NotCovered, epsilon, over_primes
+from .cusps import ConsistencyError, RationalCuspDivisor
+from .heckediv import EisensteinDatum, NotCovered, _local_divisor, epsilon, over_primes
 
 __all__ = [
     "lambda_matrix",
@@ -211,6 +218,18 @@ def r_vector(datum: EisensteinDatum) -> Vector:
     return tuple(closed[d] / scale for d in divisors_of(n))
 
 
+def _eta_order(den: int, g: int, s1: int, s2: int, parities) -> int:
+    """Least k with k u / den an eta quotient, for a weight-0 integer vector u
+    over den: integral entries (gcd g), Sum d u_d = s1 and Sum (N/d) u_d = s2
+    both 0 mod 24, and Sum val_p(d) u_d even for each parity sum at p | N."""
+    k = den // math.gcd(den, g)
+    k = math.lcm(k, 24 * den // math.gcd(24 * den, s1))
+    k = math.lcm(k, 24 * den // math.gcd(24 * den, s2))
+    for v in parities:
+        k = math.lcm(k, 2 * den // math.gcd(2 * den, v))
+    return k
+
+
 def class_order(n: int, a) -> int:
     """Order of the class of a degree-0 divisor sum a_d (P_d) on X0(n).
 
@@ -227,15 +246,55 @@ def class_order(n: int, a) -> int:
     u, den = apply_lambda_inverse(n, nums, den)
     if sum(u) != 0:
         raise ValueError("exponent vector has nonzero weight; no multiple is principal")
-    k = den // math.gcd(den, *u)
     s1 = sum(x * d for x, d in zip(u, divs))
-    k = math.lcm(k, 24 * den // math.gcd(24 * den, s1))
     s2 = sum(x * (n // d) for x, d in zip(u, divs))
-    k = math.lcm(k, 24 * den // math.gcd(24 * den, s2))
-    for p in prime_divisors(n):
-        v = sum(x * valuation(d, p) for x, d in zip(u, divs))
-        k = math.lcm(k, 2 * den // math.gcd(2 * den, v))
-    return k
+    parities = [sum(x * valuation(d, p) for x, d in zip(u, divs)) for p in prime_divisors(n)]
+    return _eta_order(den, math.gcd(*u), s1, s2, parities)
+
+
+@lru_cache(maxsize=256)
+def _local_order_sums(q: int, r: int, eps: int) -> tuple[int, int, int, int, int, int, int]:
+    """The local factors at q^r || N of a datum's class order: the degree of
+    the local divisor c, the denominator of Lambda(q^r)^{-1} c = 24 v / den,
+    and gcd(v), Sum q^a v_a, Sum q^(r-a) v_a, Sum v_a and Sum a v_a."""
+    c = _local_divisor(q, r, eps)
+    u, den = apply_lambda_inverse(q**r, c)
+    v = [x // 24 for x in u]
+    return (
+        sum(euler_phi(q ** min(a, r - a)) * x for a, x in enumerate(c)),
+        den,
+        math.gcd(*v),
+        sum(q**a * x for a, x in enumerate(v)),
+        sum(q ** (r - a) * x for a, x in enumerate(v)),
+        sum(v),
+        sum(a * x for a, x in enumerate(v)),
+    )
+
+
+def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
+    """The arguments of _eta_order for the datum's divisor, from the local
+    factors alone.  The divisor is the tensor product of the local c, so
+    Lambda(N)^{-1} of it is 24 (tensor of the v) over the product of the
+    local denominators, and each sum class_order reads is 24 times a product
+    of local sums: at p, the parity sum takes Sum a v_a at p and Sum v_a
+    at every other prime."""
+    degrees, dens, gcds, firsts, lasts, weights, moments = zip(
+        *(_local_order_sums(q, r, epsilon(datum, q)) for q, r in factor(datum.n).factors)
+    )
+    if all(degrees):
+        raise ConsistencyError(f"divisor built for {datum} has degree {math.prod(degrees)}")
+    if all(weights):
+        raise ValueError("exponent vector has nonzero weight; no multiple is principal")
+    parities = [
+        24 * moment * math.prod(weights[:i] + weights[i + 1 :]) for i, moment in enumerate(moments)
+    ]
+    g, s1, s2 = (24 * math.prod(col) for col in (gcds, firsts, lasts))
+    return math.prod(dens), g, s1, s2, parities
+
+
+def _datum_order(datum: EisensteinDatum) -> int:
+    """class_order of the datum's divisor, in O(omega(N)) operations."""
+    return _eta_order(*_datum_sums(datum))
 
 
 def is_principal(n: int, a) -> bool:

@@ -384,7 +384,7 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
                     _maps_to(n, rows, scale, r_vector(datum), div.as_vector()),
                     "exponent vector of {}", datum,
                 )
-            for p in [q for q in divisors_of(n) if is_prime(q)]:
+            for p in prime_divisors(n):
                 image = hecke_delta(div, p)
                 eps = epsilon(datum, p)
                 if squarefree_m:

@@ -64,12 +64,10 @@ def epsilon(datum: EisensteinDatum, p: int) -> int:
     """
     if datum.n % p:
         raise ValueError(f"{p} does not divide {datum.n}")
-    sf, sq, _ = parts(datum.n)
     if datum.m % p == 0:
         return 1
-    if (sf * datum.d_part // datum.m) % p == 0:
+    if datum.n % (p * p) or datum.d_part % p == 0:  # p divides sf(n) * D / m
         return p
-    assert (sq // datum.d_part) % p == 0
     return 0
 
 

@@ -1,3 +1,6 @@
+import pytest
+
+from cuspidal import classifier, classlattice
 from cuspidal.arith import primes_upto
 from cuspidal.classifier import (
     enumerate_data,
@@ -5,6 +8,7 @@ from cuspidal.classifier import (
     normalize_datum,
     rational_eisenstein_primes,
 )
+from cuspidal.cusps import ConsistencyError
 from cuspidal.heckediv import EisensteinDatum
 
 
@@ -134,3 +138,28 @@ def test_squarefree_indexes_match_formula():
             while odd_got % 2 == 0:
                 odd_got //= 2
             assert odd_got == expected_odd, datum
+
+
+def test_classify_never_builds_the_whole_level_divisor(monkeypatch):
+    expected = {n: rational_eisenstein_primes(n) for n in (27720, 720720)}
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("classify reached the whole-level divisor or engine")
+
+    for module in (classifier, classlattice):
+        for name in ("build_c_divisor", "class_order"):
+            monkeypatch.setattr(module, name, unavailable, raising=False)
+    classlattice._local_order_sums.cache_clear()
+    for n, primes in expected.items():
+        assert rational_eisenstein_primes(n) == primes
+
+
+def test_index_n_rejects_a_divisor_of_nonzero_degree(monkeypatch):
+    # (P_1) at every prime: each local degree is 1, so the product is too
+    monkeypatch.setattr(classlattice, "_local_divisor", lambda q, r, eps: [1] + [0] * r)
+    classlattice._local_order_sums.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="has degree 1"):
+            index_n(EisensteinDatum(33, 3, 1))
+    finally:
+        classlattice._local_order_sums.cache_clear()

@@ -456,6 +456,24 @@ def test_golden_bytes(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "n, sha256",
+    [
+        (720720, "d2526888f7348084a9ac3f59710078a199ee7cc2f68f43d2c43f598bfe854cba"),
+        (9699690, "f4a7f03d674d9eb1cd68f1222e0e3594b109f13fc09e5fad2777705295b24a9c"),
+        (15315300, "94398856ccc73aa1698840a0c082ae7c638c3bbaec094452623fa3720b68d0c5"),
+        (223092870, "418b51a5f3e9d90ba1d5c810c10cee5d7d335f3e0157ae10faae335dd8989eaa"),
+    ],
+)
+def test_classify_bytes_at_wide_levels(capsys, n, sha256):
+    # tau(N) = 240, 256, 432 and 512.  Taken from the whole-level engine,
+    # class_order on each datum's built divisor; the local orders must
+    # reproduce its bytes.
+    code, out, _ = _run(capsys, "classify", str(n), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 _SUBCOMMANDS = (
     "cusps", "lambda", "cdivisor", "order", "residues", "qexp", "hecke", "classify", "sweep"
 )

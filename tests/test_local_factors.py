@@ -1,21 +1,30 @@
 """Differential tests of the per-prime local factors against a case split.
 
-The series, the residues, the closed exponent vector, the exponent scale and
-the datum's divisor are products over q^r || N of one local factor chosen by
-epsilon(datum, q).  The references below classify each prime by a five-way
-split on (r == 1, q | M, q | D) instead, or build the divisor by a closed
-sum and a pullback recursion, and must agree exactly on random data that
-cover every eigenvalue at r = 1 and at r >= 2, high prime powers, and a base
-prime in M and in L.
+The series, the residues, the closed exponent vector, the exponent scale,
+the datum's divisor and its class order are products over q^r || N of one
+local factor chosen by epsilon(datum, q).  The references below classify
+each prime by a five-way split on (r == 1, q | M, q | D) instead, build the
+divisor by a closed sum and a pullback recursion, or run the whole-level
+class-order engine on the built divisor, and must agree exactly on random
+data that cover every eigenvalue at r = 1 and at r >= 2, high prime powers,
+and a base prime in M and in L.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspidal.arith import divisors_of, factor, parts, prime_divisors, valuation
-from cuspidal.classlattice import _exponent_data, r_vector
+from cuspidal.classlattice import (
+    _datum_order,
+    _datum_sums,
+    _exponent_data,
+    apply_lambda_inverse,
+    class_order,
+    r_vector,
+)
 from cuspidal.eisq import QExpansion, base_epp, build_qexp, residue_table
 from cuspidal.heckediv import EisensteinDatum, build_c_divisor, epsilon
 from reference import recursive_c_divisor
@@ -227,3 +236,44 @@ def test_pullback_chain_examples_cover_high_powers():
 @given(datum=data())
 def test_build_c_divisor_matches_recursive_builder(datum):
     assert build_c_divisor(datum) == recursive_c_divisor(datum), datum
+
+
+# Data outside the closed form (NotCovered: L = 1 at a non-squarefree
+# reduced level), where index_n has no closed value to check the local orders
+# against, and data at high prime powers besides the 2^10 of EXAMPLES.
+ORDER_EXAMPLES = (
+    EisensteinDatum(12, 3, 2),
+    EisensteinDatum(50, 2, 5),
+    EisensteinDatum(36, 3, 6),
+    EisensteinDatum(3**6, 1, 1),
+    EisensteinDatum(5**4 * 7**2, 7, 35),
+    EisensteinDatum(2**13 * 3**5, 2, 6),
+    EisensteinDatum(2**13 * 3**5, 3, 3),
+)
+
+
+def _with_order_examples(test):
+    for datum in PULLBACK_CHAIN_EXAMPLES + ORDER_EXAMPLES:
+        test = example(datum=datum)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@_with_examples()
+@_with_order_examples
+@given(datum=data())
+def test_datum_order_matches_the_whole_level_engine(datum):
+    n = datum.n
+    divs = divisors_of(n)
+    u, den = apply_lambda_inverse(n, build_c_divisor(datum).as_vector())
+    whole_level_sums = (
+        den,
+        math.gcd(*u),
+        sum(x * d for x, d in zip(u, divs)),
+        sum(x * (n // d) for x, d in zip(u, divs)),
+        [sum(x * valuation(d, p) for x, d in zip(u, divs)) for p in prime_divisors(n)],
+    )
+    # Every datum's Sum d u_d and Sum (N/d) u_d are multiples of 24 den, so
+    # the order alone cannot see a wrong local factor in them; the sums can.
+    assert _datum_sums(datum) == whole_level_sums, datum
+    assert _datum_order(datum) == class_order(n, build_c_divisor(datum)), datum
