@@ -99,12 +99,14 @@ def factor(n: int) -> Factored:
     return Factored(n, tuple(fs))
 
 
+@lru_cache(maxsize=1024)
 def parts(n: int | Factored) -> tuple[int, int, int]:
     """Split n into (squarefree part, square support, radical).
 
     The squarefree part multiplies the primes of valuation exactly 1, the
     square support the primes of valuation >= 2 (each once), and the radical
-    every prime divisor; radical = squarefree * square support.
+    every prime divisor; radical = squarefree * square support.  The last
+    1024 splits are kept: every datum asks for its level's split.
     """
     f = n if isinstance(n, Factored) else factor(n)
     sf = math.prod(p for p, e in f.factors if e == 1)

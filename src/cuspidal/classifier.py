@@ -71,23 +71,25 @@ def _hypothesis_ok(ell: int, datum: EisensteinDatum) -> bool:
 
     Odd ell: ell^2 must not divide 4n.  ell = 2: 4 must not divide n and some
     presentation (m', d_part) of the same ideal must have (sf*D)/m' odd > 1.
+    The presentations are m' = 2^v e with 2^v the 2-part of M and e | M odd,
+    and (sf*D)/m' is odd exactly when M and sf*D have the same 2-part.  Of
+    the 2^omega(M odd) choices of e, (sf*D)/m' = 1 rules out e = M odd when
+    M = sf*D, and m' * (sq/D) = 1 rules out e = 1 when M is odd and D = sq.
     """
-    n = datum.n
+    n, m = datum.n, datum.m
     if ell != 2:
         return n % (ell * ell) != 0
     if n % 4 == 0:
         return False
     sf, sq, _ = parts(n)
     sfd = sf * datum.d_part
-    for m2 in divisors_of(datum.m):
-        if (datum.m // m2) % 2 == 0:
-            continue
-        if m2 * (sq // datum.d_part) == 1:
-            continue
-        t = sfd // m2
-        if t > 1 and t % 2 == 1:
-            return True
-    return False
+    if (sfd // m) % 2 == 0:
+        return False
+    odd_m = m // math.gcd(m, 2)
+    ruled_out = {odd_m} if m == sfd else set()
+    if m == odd_m and sq == datum.d_part:
+        ruled_out.add(1)
+    return 2 ** sum(odd_m % p == 0 for p in prime_divisors(n)) > len(ruled_out)
 
 
 def _new_candidate(ell: int, datum: EisensteinDatum) -> bool:

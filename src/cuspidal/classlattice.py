@@ -9,8 +9,10 @@ weight zero, and even valuation of the associated product of levels.
 Lambda(N)^{-1} = 24 * (tensor over q^r || N of T_q / (q^r (q^2 - 1))), with
 T_q an integer tridiagonal (r+1) x (r+1) block.  The engine applies it one
 prime at a time, in integers over one common denominator, and reads every
-eta-quotient condition as a gcd against that denominator.  The dense inverse
-of `cuspidal lambda --inverse` is the engine's columns.
+eta-quotient condition as a gcd against that denominator.  Both read one
+bounded table per level: the positions of the divisor chains along each
+prime, the degree weights, the codivisors and the valuation rows.  The dense
+inverse of `cuspidal lambda --inverse` is the engine's columns.
 
 A datum's divisor is itself a tensor product of local vectors, so its
 Lambda(N)^{-1} image is too, and every sum the eta-quotient conditions read
@@ -25,8 +27,10 @@ import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .arith import (
+    Record,
     divisors_of,
     euler_phi,
     factor,
@@ -87,6 +91,43 @@ def _block_denominator(q: int, r: int) -> int:
     return q**r * (q * q - 1)
 
 
+@lru_cache(maxsize=256)
+def _block_triples(q: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The tridiagonal of T_q at q^r as (diag, below, above): T_q[j][j] for
+    j = 0, ..., r, and T_q[j+1][j] and T_q[j][j+1] for j = 0, ..., r - 1."""
+    return (
+        tuple(_block_entry(q, r, j, j) for j in range(1, r + 2)),
+        tuple(_block_entry(q, r, j, j - 1) for j in range(2, r + 2)),
+        tuple(_block_entry(q, r, j, j + 1) for j in range(1, r + 1)),
+    )
+
+
+class _LevelTable(Record):
+    """What the engine and class_order read at level n, over the ascending
+    divisors d of n: for each q^r || n the position chains of d, d q, ...,
+    d q^r (q not dividing d), the degree weights phi(gcd(d, n/d)), the
+    codivisors n/d, and the rows val_p(d) for each p | n."""
+
+    __slots__ = ("divs", "chains", "weights", "codivs", "valuations")
+
+
+@lru_cache(maxsize=64)
+def _level_table(n: int) -> _LevelTable:
+    divs = divisors_of(n)
+    at = {d: i for i, d in enumerate(divs)}
+    factors = factor(n).factors
+    return _LevelTable(
+        divs,
+        tuple(
+            tuple(tuple(at[d * q**j] for j in range(r + 1)) for d in divs if d % q)
+            for q, r in factors
+        ),
+        tuple(euler_phi(math.gcd(d, n // d)) for d in divs),
+        tuple(n // d for d in divs),
+        tuple(tuple(valuation(d, q) for d in divs) for q, _ in factors),
+    )
+
+
 def apply_lambda_inverse(
     n: int, a: Sequence[int], den: int = 1
 ) -> tuple[tuple[int, ...], int]:
@@ -94,30 +135,34 @@ def apply_lambda_inverse(
     divisors of n, as (u, den') with Lambda(n)^{-1} (a / den) = u / den'.
 
     One tridiagonal pass per prime q^r || n runs along the chains
-    d, d q, ..., d q^r (q not dividing d), in integer arithmetic.
+    d, d q, ..., d q^r (q not dividing d), in integer arithmetic, on the
+    positions of the level's table (`_level_table`, at most 64 levels held)
+    with T_q's tridiagonal from `_block_triples` (at most 256 (q, r) held).
     """
-    divs = divisors_of(n)
-    if len(a) != len(divs):
-        raise ValueError(f"vector length {len(a)} != number of divisors {len(divs)}")
-    x = dict(zip(divs, a))
-    for q, r in factor(n).factors:
+    table = _level_table(n)
+    if len(a) != len(table.divs):
+        raise ValueError(f"vector length {len(a)} != number of divisors {len(table.divs)}")
+    x = list(a)
+    for (q, r), chains in zip(factor(n).factors, table.chains):
         den *= _block_denominator(q, r)
-        diag = [_block_entry(q, r, j, j) for j in range(1, r + 2)]
-        below = [_block_entry(q, r, j, j - 1) for j in range(2, r + 2)]
-        above = [_block_entry(q, r, j, j + 1) for j in range(1, r + 1)]
-        for d in divs:
-            if d % q == 0:
-                continue
-            chain = [d * q**j for j in range(r + 1)]
-            old = [x[e] for e in chain]
-            for j, e in enumerate(chain):
+        diag, below, above = _block_triples(q, r)
+        if r == 1:  # the common case: 2 x 2 blocks on pairs (d, d q)
+            (d0, d1), (lo,), (hi,) = diag, below, above
+            for i, k in chains:
+                v, w = x[i], x[k]
+                x[i] = d0 * v + hi * w
+                x[k] = lo * v + d1 * w
+            continue
+        for chain in chains:
+            old = [x[i] for i in chain]
+            for j, i in enumerate(chain):
                 v = diag[j] * old[j]
                 if j:
                     v += below[j - 1] * old[j - 1]
                 if j < r:
                     v += above[j] * old[j + 1]
-                x[e] = v
-    return tuple(24 * x[d] for d in divs), den
+                x[i] = v
+    return tuple(24 * v for v in x), den
 
 
 def lambda_inverse(n: int) -> Matrix:
@@ -239,16 +284,16 @@ def class_order(n: int, a) -> int:
     condition's integer sum.
     """
     nums, den = _integer_vector(n, a)
-    divs = divisors_of(n)
-    degree = sum(x * euler_phi(math.gcd(d, n // d)) for x, d in zip(nums, divs))
+    table = _level_table(n)
+    degree = sum(map(mul, nums, table.weights))
     if degree != 0:
         raise ValueError(f"divisor has degree {Fraction(degree, den)}, expected 0")
     u, den = apply_lambda_inverse(n, nums, den)
     if sum(u) != 0:
         raise ValueError("exponent vector has nonzero weight; no multiple is principal")
-    s1 = sum(x * d for x, d in zip(u, divs))
-    s2 = sum(x * (n // d) for x, d in zip(u, divs))
-    parities = [sum(x * valuation(d, p) for x, d in zip(u, divs)) for p in prime_divisors(n)]
+    s1 = sum(map(mul, u, table.divs))
+    s2 = sum(map(mul, u, table.codivs))
+    parities = [sum(map(mul, u, row)) for row in table.valuations]
     return _eta_order(den, math.gcd(*u), s1, s2, parities)
 
 

@@ -109,6 +109,10 @@ class RationalCuspDivisor(Record):
 
     __slots__ = ("n", "coeffs")
 
+    def __init__(self, n: int, coeffs: tuple[tuple[int, int], ...]) -> None:  # as in Cusp
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)
+
     @staticmethod
     def from_dict(n: int, mapping: dict[int, int]) -> "RationalCuspDivisor":
         items = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import (
     Record,
@@ -69,9 +70,12 @@ def _euler_step(
     return tuple(out)
 
 
+@lru_cache(maxsize=128)
 def base_epp(p: int, prec: int) -> QExpansion:
     """The weight-2 Eisenstein series at prime level p normalized to
-    (p-1)/24 + sum_{n>=1} (sum of divisors of n coprime to p) q^n."""
+    (p-1)/24 + sum_{n>=1} (sum of divisors of n coprime to p) q^n.
+    Immutable, so the last 128 (p, prec) are kept: `sweep` asks for the same
+    few at every datum."""
     if prec < 0:
         raise ValueError("precision must be non-negative")
     if not is_prime(p):

@@ -7,13 +7,31 @@ reads a Galois-stable dict back as a sum a_d * (P_d), failing loudly when a
 level is not uniform.  The level-raising maps on divisors and on
 q-expansions, and the kernel orders they predict, live here too, and so
 does the recursive builder of a datum's divisor that the tensor product of
-`heckediv.build_c_divisor` replaced.
+`heckediv.build_c_divisor` replaced.  So do the whole-level Lambda(N)^{-1}
+engine that walked a dict keyed by divisor, with the class order on it, and
+the ell = 2 hypothesis test that tried every presentation of a datum.
 """
 
 import math
+from fractions import Fraction
 
-from cuspidal.arith import divisors_of, euler_phi, is_prime, omega, parts, prime_divisors, valuation
-from cuspidal.classlattice import class_order
+from cuspidal.arith import (
+    divisors_of,
+    euler_phi,
+    factor,
+    is_prime,
+    omega,
+    parts,
+    prime_divisors,
+    valuation,
+)
+from cuspidal.classlattice import (
+    _block_denominator,
+    _block_entry,
+    _eta_order,
+    _integer_vector,
+    class_order,
+)
 from cuspidal.cusps import (
     ConsistencyError,
     RationalCuspDivisor,
@@ -180,3 +198,71 @@ def kernel_intersection_order(kind: str, datum, p: int) -> int:
             f"kernel intersection for {kind} at {datum}, p={p}: got {k}, predicted {expected}"
         )
     return k
+
+
+def dict_apply_lambda_inverse(n: int, a, den: int = 1) -> tuple[tuple[int, ...], int]:
+    """Lambda(n)^{-1} (a / den) as (u, den'), one tridiagonal pass per prime
+    q^r || n along the chains d, d q, ..., d q^r of a dict keyed by divisor,
+    every chain and block entry rebuilt on each call."""
+    divs = divisors_of(n)
+    if len(a) != len(divs):
+        raise ValueError(f"vector length {len(a)} != number of divisors {len(divs)}")
+    x = dict(zip(divs, a))
+    for q, r in factor(n).factors:
+        den *= _block_denominator(q, r)
+        diag = [_block_entry(q, r, j, j) for j in range(1, r + 2)]
+        below = [_block_entry(q, r, j, j - 1) for j in range(2, r + 2)]
+        above = [_block_entry(q, r, j, j + 1) for j in range(1, r + 1)]
+        for d in divs:
+            if d % q == 0:
+                continue
+            chain = [d * q**j for j in range(r + 1)]
+            old = [x[e] for e in chain]
+            for j, e in enumerate(chain):
+                v = diag[j] * old[j]
+                if j:
+                    v += below[j - 1] * old[j - 1]
+                if j < r:
+                    v += above[j] * old[j + 1]
+                x[e] = v
+    return tuple(24 * x[d] for d in divs), den
+
+
+def dict_class_order(n: int, a) -> int:
+    """class_order on dict_apply_lambda_inverse, with phi(gcd(d, n/d)) and
+    val_p(d) taken afresh for every entry."""
+    nums, den = _integer_vector(n, a)
+    divs = divisors_of(n)
+    degree = sum(x * euler_phi(math.gcd(d, n // d)) for x, d in zip(nums, divs))
+    if degree != 0:
+        raise ValueError(f"divisor has degree {Fraction(degree, den)}, expected 0")
+    u, den = dict_apply_lambda_inverse(n, nums, den)
+    if sum(u) != 0:
+        raise ValueError("exponent vector has nonzero weight; no multiple is principal")
+    s1 = sum(x * d for x, d in zip(u, divs))
+    s2 = sum(x * (n // d) for x, d in zip(u, divs))
+    parities = [sum(x * valuation(d, p) for x, d in zip(u, divs)) for p in prime_divisors(n)]
+    return _eta_order(den, math.gcd(*u), s1, s2, parities)
+
+
+def hypothesis_ok_by_presentations(ell: int, datum: EisensteinDatum) -> bool:
+    """The classification theorem's hypotheses, trying every presentation
+    (m', d_part) of the datum's ideal for ell = 2: odd ell needs ell^2 not
+    dividing 4n; ell = 2 needs 4 not dividing n and some m' | M with M/m'
+    odd, m' * (sq/D) != 1 and (sf*D)/m' odd > 1."""
+    n = datum.n
+    if ell != 2:
+        return n % (ell * ell) != 0
+    if n % 4 == 0:
+        return False
+    sf, sq, _ = parts(n)
+    sfd = sf * datum.d_part
+    for m2 in divisors_of(datum.m):
+        if (datum.m // m2) % 2 == 0:
+            continue
+        if m2 * (sq // datum.d_part) == 1:
+            continue
+        t = sfd // m2
+        if t > 1 and t % 2 == 1:
+            return True
+    return False

@@ -13,8 +13,8 @@ rendering, the series, the divisors, the coverings or the sweep's checks
 fails tier-1 before it fails the benchmark.
 
 Every package cache but `factor`, `divisors_of` and `enumerate_cusps` has a
-finite `maxsize`; a new unbounded cache fails here (ROADMAP item 8 bounds or
-deletes the last three).
+finite `maxsize` of at most 1024; a new unbounded or larger cache fails here
+(ROADMAP item 8 bounds or deletes the last three).
 """
 
 import contextlib
@@ -107,12 +107,16 @@ def test_hecke_deep_pool_bytes():
 
 
 def test_only_the_arithmetic_and_cusp_list_caches_are_unbounded():
-    unbounded, bounded = set(), set()
+    unbounded, bounded = set(), {}
     for info in pkgutil.iter_modules(cuspidal.__path__):
         module = importlib.import_module(f"cuspidal.{info.name}")
         for name, fn in vars(module).items():
             if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
                 maxsize = fn.cache_parameters()["maxsize"]
-                (unbounded if maxsize is None else bounded).add(f"{info.name}.{name}")
+                if maxsize is None:
+                    unbounded.add(f"{info.name}.{name}")
+                else:
+                    bounded[f"{info.name}.{name}"] = maxsize
     assert unbounded == {"arith.factor", "arith.divisors_of", "cusps.enumerate_cusps"}
     assert bounded, "no bounded cache found: the walk missed the package"
+    assert {key: size for key, size in bounded.items() if size > 1024} == {}

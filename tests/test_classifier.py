@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from cuspidal import classifier, classlattice
 from cuspidal.arith import primes_upto
 from cuspidal.classifier import (
+    _hypothesis_ok,
     enumerate_data,
     index_n,
     normalize_datum,
@@ -10,6 +13,7 @@ from cuspidal.classifier import (
 )
 from cuspidal.cusps import ConsistencyError
 from cuspidal.heckediv import EisensteinDatum
+from reference import hypothesis_ok_by_presentations
 
 
 def _keys(primes):
@@ -114,6 +118,18 @@ def test_hypothesis_flags():
     # prime level 17: the only presentation has quotient 1
     primes17 = rational_eisenstein_primes(17, ell=2)
     assert len(primes17) == 1 and not primes17[0].hypothesis_ok
+
+
+def test_hypothesis_ok_matches_every_presentation():
+    # Every datum at N < 3000, and the 4095 data at 2*3*...*37, where the
+    # presentations of a datum number up to 2^11.
+    seen = set()
+    for n in (*range(1, 3000), math.prod(primes_upto(37))):
+        for datum in enumerate_data(n):
+            ok = _hypothesis_ok(2, datum)
+            assert ok == hypothesis_ok_by_presentations(2, datum), datum
+            seen.add(ok)
+    assert seen == {True, False}
 
 
 def test_squarefree_indexes_match_formula():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from typing import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspidal.arith import (
@@ -33,7 +33,7 @@ from cuspidal.classlattice import (
 from cuspidal.classifier import enumerate_data
 from cuspidal.cusps import RationalCuspDivisor
 from cuspidal.heckediv import EisensteinDatum, NotCovered, build_c_divisor
-from reference import kernel_intersection_order
+from reference import dict_apply_lambda_inverse, dict_class_order, kernel_intersection_order
 
 # Levels whose interior tridiagonal rows (prime exponent >= 2) carry weight.
 HIGH_POWER_LEVELS = (2**12, 3**8, 5**5 * 7**2, 2**4 * 3**3 * 5**2 * 7)
@@ -454,3 +454,42 @@ def test_solve_lambda_is_independent_of_the_engine(monkeypatch):
     for name in ("apply_lambda_inverse", "_block_entry", "_block_denominator"):
         monkeypatch.setattr(classlattice, name, unavailable)
     assert solve_lambda(360, list(range(24))) == expected
+
+
+# Wide levels for the table-driven engine: deep prime powers, two deep
+# primes together, and the highly composite levels of `classify`.
+TABLE_LEVELS = (2**12, 3**8, 2**13 * 3**5, 27720, 720720)
+
+
+def _with_table_levels(test):
+    for n in TABLE_LEVELS:
+        test = example(n=n, seed=n)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4999), seed=st.integers(min_value=0))
+@_with_table_levels
+def test_engine_matches_the_dict_walk_engine(n, seed):
+    rng = random.Random(seed)
+    a = [rng.randint(-10**9, 10**9) for _ in divisors_of(n)]
+    den = rng.randint(1, 10**6)
+    assert apply_lambda_inverse(n, a, den) == dict_apply_lambda_inverse(n, a, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4999), seed=st.integers(min_value=0))
+@_with_table_levels
+def test_class_order_matches_the_dict_walk_order(n, seed):
+    rng = random.Random(seed)
+    divs = divisors_of(n)
+    support = rng.sample(divs, rng.randint(1, len(divs)))
+    coeffs = {d: Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for d in support}
+    # (P_1) is one cusp, so moving the degree onto level 1 leaves degree 0.
+    coeffs[1] = coeffs.get(1, 0) - sum(
+        v * euler_phi(math.gcd(d, n // d)) for d, v in coeffs.items()
+    )
+    assert class_order(n, coeffs) == dict_class_order(n, coeffs)
+    div = RationalCuspDivisor.from_dict(n, {d: v.numerator for d, v in coeffs.items() if d != 1})
+    div = div - RationalCuspDivisor.from_dict(n, {1: div.degree()})
+    assert class_order(n, div) == dict_class_order(n, div)

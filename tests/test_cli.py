@@ -221,6 +221,28 @@ def test_sweep_reports_a_broken_engine(capsys, monkeypatch):
     assert json.loads(out)["consistency"]["all_invariants_hold"] is False
 
 
+def test_sweep_reports_a_perturbed_block_triple(capsys, monkeypatch):
+    real = classlattice._block_triples
+
+    def perturbed(q, r):
+        diag, below, above = real(q, r)
+        if (q, r) != (2, 1):
+            return diag, below, above
+        # T_2[0][0] up by one and T_2[1][0] down by one: the column sums, and
+        # with them the weight of every exponent vector, stay as they were.
+        return (diag[0] + 1, *diag[1:]), (below[0] - 1, *below[1:]), above
+
+    monkeypatch.setattr(classlattice, "_block_triples", perturbed)
+    code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
+    assert code == 2
+    parsed = json.loads(out)
+    assert parsed["consistency"]["all_invariants_hold"] is False
+    failures = parsed["outputs"]["failures"]
+    assert [f for f in failures if f.startswith("Lambda inverse at ")] == [
+        f"Lambda inverse at {n}" for n in (2, 6, 10)
+    ]
+
+
 def _one_entry_off(real):
     def patched(*args):
         x = real(*args)
