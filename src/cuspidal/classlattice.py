@@ -146,13 +146,6 @@ def apply_lambda_inverse(
     for (q, r), chains in zip(factor(n).factors, table.chains):
         den *= _block_denominator(q, r)
         diag, below, above = _block_triples(q, r)
-        if r == 1:  # the common case: 2 x 2 blocks on pairs (d, d q)
-            (d0, d1), (lo,), (hi,) = diag, below, above
-            for i, k in chains:
-                v, w = x[i], x[k]
-                x[i] = d0 * v + hi * w
-                x[k] = lo * v + d1 * w
-            continue
         for chain in chains:
             old = [x[i] for i in chain]
             for j, i in enumerate(chain):

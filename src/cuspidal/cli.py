@@ -220,15 +220,16 @@ def cmd_order(args) -> tuple[dict, int]:
     return {"outputs": outputs, "consistency": consistency}, code
 
 
-def _residue_checks(datum: EisensteinDatum, table, at_inf, at_ml) -> dict[str, bool]:
+def _residue_checks(datum: EisensteinDatum, table, at_inf, at_ml, f) -> dict[str, bool]:
     """The four residue invariants of a datum's table against its closed
-    values at infinity and at level ML, keyed as `residues` reports them."""
+    values at infinity and at level ML and against the constant term of its
+    series f (at any precision), keyed as `residues` reports them."""
     n, ml = datum.n, datum.m * datum.l_part
     return {
         "weighted_sum_zero": table.weighted_sum() == 0,
         "closed_matches_infinity": table.at_level(n) == at_inf,
         "closed_matches_level_ml": table.at_level(ml) == at_ml,
-        "normalization_link": table.at_level(n) == -24 * build_qexp(datum, 4).a(0),
+        "normalization_link": table.at_level(n) == -24 * f.a(0),
     }
 
 
@@ -242,7 +243,7 @@ def cmd_residues(args) -> tuple[dict, int]:
         "closed_at_level_ml": _rat(at_ml),
         "level_ml": datum.m * datum.l_part,
     }
-    consistency = _residue_checks(datum, table, at_inf, at_ml)
+    consistency = _residue_checks(datum, table, at_inf, at_ml, build_qexp(datum, 4))
     code = 0 if all(consistency.values()) else 2
     return {"outputs": outputs, "consistency": consistency}, code
 
@@ -394,10 +395,11 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
                         is_principal(n, image - eps * div),
                         "class eigenvalue of {} at {}", datum, p,
                     )
-            residues = _residue_checks(datum, residue_table(datum), *residue_closed(datum))
+            f = build_qexp(datum, prec)
+            residues = _residue_checks(datum, residue_table(datum), *residue_closed(datum), f)
             for key, label in _RESIDUE_LABELS.items():
                 check(residues[key], label, datum)
-            check(eigen_check(datum, prec, qmax).passed, "eigenform checks of {}", datum)
+            check(eigen_check(datum, prec, qmax, f).passed, "eigenform checks of {}", datum)
     report = {
         "max_n": max_n,
         "levels": counts["levels"],

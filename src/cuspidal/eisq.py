@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .arith import (
     Record,
@@ -70,12 +69,9 @@ def _euler_step(
     return tuple(out)
 
 
-@lru_cache(maxsize=128)
 def base_epp(p: int, prec: int) -> QExpansion:
     """The weight-2 Eisenstein series at prime level p normalized to
-    (p-1)/24 + sum_{n>=1} (sum of divisors of n coprime to p) q^n.
-    Immutable, so the last 128 (p, prec) are kept: `sweep` asks for the same
-    few at every datum."""
+    (p-1)/24 + sum_{n>=1} (sum of divisors of n coprime to p) q^n."""
     if prec < 0:
         raise ValueError("precision must be non-negative")
     if not is_prime(p):
@@ -144,12 +140,16 @@ class EigenReport(Record):
         return all(c.ok for c in self.checks)
 
 
-def eigen_check(datum: EisensteinDatum, prec: int = 60, qmax: int = 13) -> EigenReport:
+def eigen_check(
+    datum: EisensteinDatum, prec: int = 60, qmax: int = 13, f: QExpansion | None = None
+) -> EigenReport:
     """Verify the eigenvalue pattern on the series: q+1 for primes q off the
-    level (q <= qmax), and the datum's eigenvalue at every prime of the level."""
+    level (q <= qmax), and the datum's eigenvalue at every prime of the level.
+    `f` is the datum's series at `prec` when the caller has already built it."""
     if prec < 2 * qmax:
         raise ValueError("need prec >= 2 * qmax for a meaningful check")
-    f = build_qexp(datum, prec)
+    if f is None:
+        f = build_qexp(datum, prec)
     checks = []
     for q in primes_upto(qmax):
         if datum.n % q == 0:

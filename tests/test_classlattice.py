@@ -480,6 +480,10 @@ def test_engine_matches_the_dict_walk_engine(n, seed):
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(min_value=1, max_value=4999), seed=st.integers(min_value=0))
 @_with_table_levels
+# Small levels, where Sum d u_d and Sum (N/d) u_d rule out different orders:
+# random levels below 5000 rarely land there.
+@example(n=4, seed=5)
+@example(n=9, seed=0)
 def test_class_order_matches_the_dict_walk_order(n, seed):
     rng = random.Random(seed)
     divs = divisors_of(n)

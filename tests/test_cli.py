@@ -243,6 +243,22 @@ def test_sweep_reports_a_perturbed_block_triple(capsys, monkeypatch):
     ]
 
 
+def test_sweep_reads_the_normalization_off_the_checked_series(capsys, monkeypatch):
+    real = cli.build_qexp
+
+    def shifted(datum, prec):
+        f = real(datum, prec)
+        return eisq.QExpansion(f.n, f.prec, (f.a(0) + 1, *f.coeffs[1:]))
+
+    monkeypatch.setattr(cli, "build_qexp", shifted)
+    code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
+    assert code == 2
+    parsed = json.loads(out)
+    failures = parsed["outputs"]["failures"]
+    normalization = [f for f in failures if f.startswith("residue normalization of ")]
+    assert len(normalization) == parsed["outputs"]["data"]
+
+
 def _one_entry_off(real):
     def patched(*args):
         x = real(*args)

@@ -120,6 +120,13 @@ def test_eigen_check_sweep_small():
             assert eigen_check(datum, 30, 7).passed, datum
 
 
+def test_eigen_check_on_a_series_already_built():
+    for n in (9, 45, 60):
+        for datum in _valid_data(n):
+            f = build_qexp(datum, 30)
+            assert eigen_check(datum, 30, 7, f) == eigen_check(datum, 30, 7), datum
+
+
 def test_residue_tables():
     assert residue_table(EisensteinDatum(3, 3, 1)).res == (
         (1, Fraction(2)),
