@@ -100,7 +100,7 @@ def factor(n: int) -> Factored:
 
 
 @lru_cache(maxsize=1024)
-def parts(n: int | Factored) -> tuple[int, int, int]:
+def parts(n: int) -> tuple[int, int, int]:
     """Split n into (squarefree part, square support, radical).
 
     The squarefree part multiplies the primes of valuation exactly 1, the
@@ -108,9 +108,9 @@ def parts(n: int | Factored) -> tuple[int, int, int]:
     every prime divisor; radical = squarefree * square support.  The last
     1024 splits are kept: every datum asks for its level's split.
     """
-    f = n if isinstance(n, Factored) else factor(n)
-    sf = math.prod(p for p, e in f.factors if e == 1)
-    sq = math.prod(p for p, e in f.factors if e >= 2)
+    factors = factor(n).factors
+    sf = math.prod(p for p, e in factors if e == 1)
+    sq = math.prod(p for p, e in factors if e >= 2)
     return sf, sq, sf * sq
 
 

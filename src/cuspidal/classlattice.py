@@ -10,9 +10,9 @@ Lambda(N)^{-1} = 24 * (tensor over q^r || N of T_q / (q^r (q^2 - 1))), with
 T_q an integer tridiagonal (r+1) x (r+1) block.  The engine applies it one
 prime at a time, in integers over one common denominator, and reads every
 eta-quotient condition as a gcd against that denominator.  Both read one
-bounded table per level: the positions of the divisor chains along each
-prime, the degree weights, the codivisors and the valuation rows.  The dense
-inverse of `cuspidal lambda --inverse` is the engine's columns.
+bounded table per level: each block T_q with the positions of the divisor
+chains along q, the degree weights, the codivisors and the valuation rows.
+The dense inverse of `cuspidal lambda --inverse` is the engine's columns.
 
 A datum's divisor is itself a tensor product of local vectors, so its
 Lambda(N)^{-1} image is too, and every sum the eta-quotient conditions read
@@ -74,41 +74,29 @@ def lambda_matrix(n: int) -> Matrix:
     return tuple(tuple(Fraction(x, s) for x in row) for row, s in zip(rows, scale))
 
 
-def _block_entry(q: int, r: int, m: int, k: int) -> int:
-    """Entry (m, k), 1-based, of the integer block T_q at q^r, where
-    Lambda(q^r)^{-1} = 24 * T_q / (q^r (q^2 - 1)).  Zero off the tridiagonal."""
-    g = q ** min(k - 1, r + 1 - k)
-    if m == k:
-        kappa = q * q if m in (1, r + 1) else q * q + 1
-    elif abs(m - k) == 1:
-        kappa = -q
-    else:
-        kappa = 0
-    return g * kappa
-
-
-def _block_denominator(q: int, r: int) -> int:
-    return q**r * (q * q - 1)
-
-
-@lru_cache(maxsize=256)
-def _block_triples(q: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The tridiagonal of T_q at q^r as (diag, below, above): T_q[j][j] for
-    j = 0, ..., r, and T_q[j+1][j] and T_q[j][j+1] for j = 0, ..., r - 1."""
+def _block(q: int, r: int, at: Mapping[int, int]) -> tuple:
+    """T_q at q^r || n as (den, diag, below, above, chains), where Lambda(q^r)^{-1}
+    = 24 * T_q / den, den = q^r (q^2 - 1).  Column j of T_q carries q^min(j, r - j);
+    its diagonal entry is q^2 at both ends and q^2 + 1 inside, its off-diagonal
+    entries -q: below[j] = T_q[j+1][j], above[j] = T_q[j][j+1].  The chains are
+    the positions in `at` of d, d q, ..., d q^r for each d of `at` prime to q."""
+    g = [q ** min(j, r - j) for j in range(r + 1)]
     return (
-        tuple(_block_entry(q, r, j, j) for j in range(1, r + 2)),
-        tuple(_block_entry(q, r, j, j - 1) for j in range(2, r + 2)),
-        tuple(_block_entry(q, r, j, j + 1) for j in range(1, r + 1)),
+        q**r * (q * q - 1),
+        tuple(x * (q * q if j in (0, r) else q * q + 1) for j, x in enumerate(g)),
+        tuple(-q * x for x in g[:-1]),
+        tuple(-q * x for x in g[1:]),
+        tuple(tuple(at[d * q**j] for j in range(r + 1)) for d in at if d % q),
     )
 
 
 class _LevelTable(Record):
     """What the engine and class_order read at level n, over the ascending
-    divisors d of n: for each q^r || n the position chains of d, d q, ...,
-    d q^r (q not dividing d), the degree weights phi(gcd(d, n/d)), the
+    divisors d of n: for each q^r || n the tridiagonal block of T_q with its
+    position chains (`_block`), the degree weights phi(gcd(d, n/d)), the
     codivisors n/d, and the rows val_p(d) for each p | n."""
 
-    __slots__ = ("divs", "chains", "weights", "codivs", "valuations")
+    __slots__ = ("divs", "blocks", "weights", "codivs", "valuations")
 
 
 @lru_cache(maxsize=64)
@@ -118,10 +106,7 @@ def _level_table(n: int) -> _LevelTable:
     factors = factor(n).factors
     return _LevelTable(
         divs,
-        tuple(
-            tuple(tuple(at[d * q**j] for j in range(r + 1)) for d in divs if d % q)
-            for q, r in factors
-        ),
+        tuple(_block(q, r, at) for q, r in factors),
         tuple(euler_phi(math.gcd(d, n // d)) for d in divs),
         tuple(n // d for d in divs),
         tuple(tuple(valuation(d, q) for d in divs) for q, _ in factors),
@@ -134,18 +119,16 @@ def apply_lambda_inverse(
     """Lambda(n)^{-1} (a / den) for an integer vector a over the ascending
     divisors of n, as (u, den') with Lambda(n)^{-1} (a / den) = u / den'.
 
-    One tridiagonal pass per prime q^r || n runs along the chains
-    d, d q, ..., d q^r (q not dividing d), in integer arithmetic, on the
-    positions of the level's table (`_level_table`, at most 64 levels held)
-    with T_q's tridiagonal from `_block_triples` (at most 256 (q, r) held).
+    One pass per block T_q of the level's table (`_level_table`, at most 64
+    levels held) runs along its chains d, d q, ..., d q^r, in integers.
     """
     table = _level_table(n)
     if len(a) != len(table.divs):
         raise ValueError(f"vector length {len(a)} != number of divisors {len(table.divs)}")
     x = list(a)
-    for (q, r), chains in zip(factor(n).factors, table.chains):
-        den *= _block_denominator(q, r)
-        diag, below, above = _block_triples(q, r)
+    for block_den, diag, below, above, chains in table.blocks:
+        den *= block_den
+        r = len(above)
         for chain in chains:
             old = [x[i] for i in chain]
             for j, i in enumerate(chain):

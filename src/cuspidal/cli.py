@@ -63,6 +63,8 @@ __all__ = ["main", "run_sweep", "to_json"]
 # The largest `qexp --prec` served; the series costs O(prec log prec) time
 # and its report O(prec) memory.
 _PREC_BUDGET = 100_000
+# The precision and the largest Hecke prime of `sweep`'s eigenform checks.
+_SWEEP_PREC, _SWEEP_QMAX = 24, 5
 
 
 def to_json(obj) -> str:
@@ -325,7 +327,7 @@ _RESIDUE_LABELS = {
 }
 
 
-def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
+def run_sweep(max_n: int) -> tuple[dict, bool]:
     """Run the cross-module invariant suite for every level up to max_n."""
     if max_n < 1:
         raise ValueError(f"sweep bound {max_n} is not a positive integer")
@@ -395,11 +397,12 @@ def run_sweep(max_n: int, prec: int = 24, qmax: int = 5) -> tuple[dict, bool]:
                         is_principal(n, image - eps * div),
                         "class eigenvalue of {} at {}", datum, p,
                     )
-            f = build_qexp(datum, prec)
+            f = build_qexp(datum, _SWEEP_PREC)
             residues = _residue_checks(datum, residue_table(datum), *residue_closed(datum), f)
             for key, label in _RESIDUE_LABELS.items():
                 check(residues[key], label, datum)
-            check(eigen_check(datum, prec, qmax, f).passed, "eigenform checks of {}", datum)
+            eigen = eigen_check(datum, _SWEEP_PREC, _SWEEP_QMAX, f)
+            check(eigen.passed, "eigenform checks of {}", datum)
     report = {
         "max_n": max_n,
         "levels": counts["levels"],

@@ -109,9 +109,8 @@ def hecke_delta(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     with ramification multiplicities, then push forward along z -> p*z, which
     sends each (P_e) to m * (P_f).  Both steps walk the divisor's levels along
     their p-chains and list no cusp; the chain table raises ConsistencyError
-    if the cusp count of level e is not a multiple of that of f."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    if the cusp count of level e is not a multiple of that of f, and
+    alpha_pullback raises ValueError if p is not prime."""
     return beta_pushforward(alpha_pullback(div, p), p)
 
 

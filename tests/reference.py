@@ -7,9 +7,11 @@ reads a Galois-stable dict back as a sum a_d * (P_d), failing loudly when a
 level is not uniform.  The level-raising maps on divisors and on
 q-expansions, and the kernel orders they predict, live here too, and so
 does the recursive builder of a datum's divisor that the tensor product of
-`heckediv.build_c_divisor` replaced.  So do the whole-level Lambda(N)^{-1}
-engine that walked a dict keyed by divisor, with the class order on it, and
-the ell = 2 hypothesis test that tried every presentation of a datum.
+`heckediv.build_c_divisor` replaced.  So do the general entry formula of the
+tridiagonal block T_q of Lambda(q^r)^{-1}, the whole-level Lambda(N)^{-1}
+engine that walked a dict keyed by divisor, rebuilding T_q from that
+formula, with the class order on it, and the ell = 2 hypothesis test that
+tried every presentation of a datum.
 """
 
 import math
@@ -25,13 +27,7 @@ from cuspidal.arith import (
     prime_divisors,
     valuation,
 )
-from cuspidal.classlattice import (
-    _block_denominator,
-    _block_entry,
-    _eta_order,
-    _integer_vector,
-    class_order,
-)
+from cuspidal.classlattice import _eta_order, _integer_vector, class_order
 from cuspidal.cusps import (
     ConsistencyError,
     RationalCuspDivisor,
@@ -200,6 +196,24 @@ def kernel_intersection_order(kind: str, datum, p: int) -> int:
     return k
 
 
+def block_entry(q: int, r: int, m: int, k: int) -> int:
+    """Entry (m, k), 1-based, of the integer block T_q at q^r, where
+    Lambda(q^r)^{-1} = 24 * T_q / block_denominator(q, r).  Zero off the
+    tridiagonal."""
+    g = q ** min(k - 1, r + 1 - k)
+    if m == k:
+        kappa = q * q if m in (1, r + 1) else q * q + 1
+    elif abs(m - k) == 1:
+        kappa = -q
+    else:
+        kappa = 0
+    return g * kappa
+
+
+def block_denominator(q: int, r: int) -> int:
+    return q**r * (q * q - 1)
+
+
 def dict_apply_lambda_inverse(n: int, a, den: int = 1) -> tuple[tuple[int, ...], int]:
     """Lambda(n)^{-1} (a / den) as (u, den'), one tridiagonal pass per prime
     q^r || n along the chains d, d q, ..., d q^r of a dict keyed by divisor,
@@ -209,10 +223,10 @@ def dict_apply_lambda_inverse(n: int, a, den: int = 1) -> tuple[tuple[int, ...],
         raise ValueError(f"vector length {len(a)} != number of divisors {len(divs)}")
     x = dict(zip(divs, a))
     for q, r in factor(n).factors:
-        den *= _block_denominator(q, r)
-        diag = [_block_entry(q, r, j, j) for j in range(1, r + 2)]
-        below = [_block_entry(q, r, j, j - 1) for j in range(2, r + 2)]
-        above = [_block_entry(q, r, j, j + 1) for j in range(1, r + 1)]
+        den *= block_denominator(q, r)
+        diag = [block_entry(q, r, j, j) for j in range(1, r + 2)]
+        below = [block_entry(q, r, j, j - 1) for j in range(2, r + 2)]
+        above = [block_entry(q, r, j, j + 1) for j in range(1, r + 1)]
         for d in divs:
             if d % q == 0:
                 continue

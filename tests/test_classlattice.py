@@ -18,8 +18,6 @@ from cuspidal.arith import (
 )
 from cuspidal import classlattice
 from cuspidal.classlattice import (
-    _block_denominator,
-    _block_entry,
     apply_lambda_inverse,
     class_order,
     closed_form_order,
@@ -33,7 +31,13 @@ from cuspidal.classlattice import (
 from cuspidal.classifier import enumerate_data
 from cuspidal.cusps import RationalCuspDivisor
 from cuspidal.heckediv import EisensteinDatum, NotCovered, build_c_divisor
-from reference import dict_apply_lambda_inverse, dict_class_order, kernel_intersection_order
+from reference import (
+    block_denominator,
+    block_entry,
+    dict_apply_lambda_inverse,
+    dict_class_order,
+    kernel_intersection_order,
+)
 
 # Levels whose interior tridiagonal rows (prime exponent >= 2) carry weight.
 HIGH_POWER_LEVELS = (2**12, 3**8, 5**5 * 7**2, 2**4 * 3**3 * 5**2 * 7)
@@ -47,9 +51,9 @@ def _kronecker_lambda_inverse(n):
     divs = [1]
     for q, r in factor(n).factors:
         w = len(divs)
-        den = _block_denominator(q, r)
+        den = block_denominator(q, r)
         blocks = [
-            [Fraction(_block_entry(q, r, m, k), den) for k in range(1, r + 2)]
+            [Fraction(block_entry(q, r, m, k), den) for k in range(1, r + 2)]
             for m in range(1, r + 2)
         ]
         size = w * (r + 1)
@@ -125,7 +129,12 @@ def _identity(size):
     )
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 9, 12, 36, 60, 90, 128, 144, 150])
+# Deep prime powers and a mixed level check the level table's blocks against
+# Lambda(n) itself, interior rows included.
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, 8, 9, 12, 36, 60, 90, 128, 144, 150, 2**10, 3**6, 5**4, 7**3, 2**5 * 3**3],
+)
 def test_lambda_inverse_is_inverse(n):
     size = len(divisors_of(n))
     assert _mat_mul(lambda_matrix(n), lambda_inverse(n)) == _identity(size)
@@ -451,7 +460,7 @@ def test_solve_lambda_is_independent_of_the_engine(monkeypatch):
         raise AssertionError("solve_lambda reached the prime-local engine")
 
     expected = _fraction_solve_lambda(360, list(range(24)))
-    for name in ("apply_lambda_inverse", "_block_entry", "_block_denominator"):
+    for name in ("apply_lambda_inverse", "_level_table", "_block"):
         monkeypatch.setattr(classlattice, name, unavailable)
     assert solve_lambda(360, list(range(24))) == expected
 

@@ -158,7 +158,11 @@ def test_hecke(capsys):
 
 def test_invalid_input_exits_one(capsys):
     assert _run(capsys, "order", "11", "--M", "7")[0] == 1
-    assert _run(capsys, "hecke", "11", "--p", "4", "--divisor", "1:1")[0] == 1
+    assert _run(capsys, "hecke", "11", "--p", "4", "--divisor", "1:1") == (
+        1,
+        "",
+        "cuspidal: error: 4 is not prime\n",
+    )
     assert _run(capsys, "cusps", "not-a-number")[0] == 1
 
 
@@ -222,18 +226,24 @@ def test_sweep_reports_a_broken_engine(capsys, monkeypatch):
 
 
 def test_sweep_reports_a_perturbed_block_triple(capsys, monkeypatch):
-    real = classlattice._block_triples
+    real = classlattice._block
 
-    def perturbed(q, r):
-        diag, below, above = real(q, r)
+    def perturbed(q, r, at):
+        den, diag, below, above, chains = real(q, r, at)
         if (q, r) != (2, 1):
-            return diag, below, above
+            return den, diag, below, above, chains
         # T_2[0][0] up by one and T_2[1][0] down by one: the column sums, and
         # with them the weight of every exponent vector, stay as they were.
-        return (diag[0] + 1, *diag[1:]), (below[0] - 1, *below[1:]), above
+        return den, (diag[0] + 1, *diag[1:]), (below[0] - 1, *below[1:]), above, chains
 
-    monkeypatch.setattr(classlattice, "_block_triples", perturbed)
-    code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
+    monkeypatch.setattr(classlattice, "_block", perturbed)
+    # The level tables hold their blocks: build them afresh with the perturbed
+    # block, and drop them again so that no later test reads one.
+    classlattice._level_table.cache_clear()
+    try:
+        code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
+    finally:
+        classlattice._level_table.cache_clear()
     assert code == 2
     parsed = json.loads(out)
     assert parsed["consistency"]["all_invariants_hold"] is False

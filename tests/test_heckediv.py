@@ -88,6 +88,13 @@ def test_hecke_delta_examples():
     assert hecke_delta(p_divisor(3, 9), 3) == RationalCuspDivisor.from_dict(9, {1: 6})
 
 
+def test_hecke_delta_rejects_a_composite_p():
+    # The pullback checks p before any chain table is read.
+    for n in (11, 12):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            hecke_delta(p_divisor(1, n), 4)
+
+
 def test_hecke_delta_closed_examples():
     assert hecke_delta_closed(1, 11, 11) == RationalCuspDivisor.from_dict(11, {1: 11})
     assert hecke_delta_closed(1, 3, 9) == RationalCuspDivisor.from_dict(9, {1: 3})
