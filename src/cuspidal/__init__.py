@@ -11,7 +11,7 @@ from .classifier import rational_eisenstein_primes
 from .classlattice import class_order, closed_form_order, r_vector
 from .cusps import ConsistencyError, RationalCuspDivisor
 from .eisq import build_qexp, residue_table
-from .heckediv import EisensteinDatum, NotCovered, build_c_divisor, epsilon, hecke_delta
+from .heckediv import EisensteinDatum, build_c_divisor, epsilon, hecke_delta
 
 __all__ = [
     "EisensteinDatum",
@@ -26,5 +26,4 @@ __all__ = [
     "residue_table",
     "rational_eisenstein_primes",
     "ConsistencyError",
-    "NotCovered",
 ]

@@ -13,7 +13,6 @@ from operator import attrgetter
 
 __all__ = [
     "Record",
-    "Factored",
     "factor",
     "parts",
     "euler_phi",
@@ -69,19 +68,10 @@ class Record:
         return type(self), self._key(self)
 
 
-class Factored(Record):
-    """A positive integer with its prime factorization, primes ascending."""
-
-    __slots__ = ("value", "factors")
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
 @lru_cache(maxsize=None)
-def factor(n: int) -> Factored:
-    """Factor a positive integer by trial division."""
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of a positive integer as (p, e) pairs, primes
+    ascending, by trial division."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: expected a positive integer")
     m, p = n, 2
@@ -96,7 +86,7 @@ def factor(n: int) -> Factored:
         p += 1 if p == 2 else 2
     if m > 1:
         fs.append((m, 1))
-    return Factored(n, tuple(fs))
+    return tuple(fs)
 
 
 @lru_cache(maxsize=1024)
@@ -108,7 +98,7 @@ def parts(n: int) -> tuple[int, int, int]:
     every prime divisor; radical = squarefree * square support.  The last
     1024 splits are kept: every datum asks for its level's split.
     """
-    factors = factor(n).factors
+    factors = factor(n)
     sf = math.prod(p for p, e in factors if e == 1)
     sq = math.prod(p for p, e in factors if e >= 2)
     return sf, sq, sf * sq
@@ -116,19 +106,19 @@ def parts(n: int) -> tuple[int, int, int]:
 
 def euler_phi(n: int) -> int:
     """Euler's totient."""
-    return math.prod(p ** (e - 1) * (p - 1) for p, e in factor(n).factors)
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factor(n))
 
 
 def omega(n: int) -> int:
     """Number of distinct prime divisors."""
-    return len(factor(n).factors)
+    return len(factor(n))
 
 
 @lru_cache(maxsize=None)
 def divisors_of(n: int) -> tuple[int, ...]:
     """All divisors of n, ascending."""
     divs = [1]
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return tuple(sorted(divs))
 
@@ -150,11 +140,11 @@ def numerator_of(r: Fraction | int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factor(n).factors == ((n, 1),)
+    return n >= 2 and factor(n) == ((n, 1),)
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
-    return factor(n).primes
+    return tuple(p for p, _ in factor(n))
 
 
 def primes_upto(limit: int) -> tuple[int, ...]:

@@ -1,9 +1,11 @@
 """Enumeration of eigenvalue data at a level and the rational Eisenstein primes.
 
 A prime ell is attached to a datum exactly when it divides the order of the
-datum's divisor class (the Eisenstein index).  Data are normalized per ell
-by absorbing into m every quotient prime congruent to 1 mod ell, so distinct
-emitted pairs (ell, datum) name distinct ideals.
+datum's divisor class (the Eisenstein index), read off the local factors at
+each prime power of the level.  No closed form runs here: `sweep` checks
+these orders against the closed form and the whole-level engine.  Data are
+normalized per ell by absorbing into m every quotient prime congruent to
+1 mod ell, so distinct emitted pairs (ell, datum) name distinct ideals.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 import math
 
 from .arith import Record, divisors_of, is_prime, parts, prime_divisors
-from .classlattice import _closed_order, _datum_order
-from .cusps import ConsistencyError
+from .classlattice import _datum_sums, _eta_order
 from .heckediv import EisensteinDatum
 
 __all__ = [
@@ -56,14 +57,9 @@ def normalize_datum(datum: EisensteinDatum, ell: int) -> EisensteinDatum:
 
 def index_n(datum: EisensteinDatum) -> int:
     """Order of the datum's divisor class, from the local factors at each
-    q^r || n; the closed form, when covered, must agree with them."""
-    order = _datum_order(datum)
-    closed = _closed_order(datum)
-    if closed is not None and closed != order:
-        raise ConsistencyError(
-            f"closed-form order {closed} != local order {order} for {datum}"
-        )
-    return order
+    q^r || n in O(omega(n)) operations: class_order of build_c_divisor(datum)
+    without building the divisor."""
+    return _eta_order(*_datum_sums(datum))
 
 
 def _hypothesis_ok(ell: int, datum: EisensteinDatum) -> bool:

@@ -16,9 +16,10 @@ The dense inverse of `cuspidal lambda --inverse` is the engine's columns.
 
 A datum's divisor is itself a tensor product of local vectors, so its
 Lambda(N)^{-1} image is too, and every sum the eta-quotient conditions read
-is a product of local sums.  The local orders run the engine once at each
-prime power q^r || N and combine those sums, in O(omega(N)) per datum; the
-engine stays the definition for arbitrary divisors.
+is a product of local sums.  `_datum_sums` runs the engine once at each
+prime power q^r || N and combines those sums, in O(omega(N)) per datum, and
+`classifier.index_n` reads the datum's class order off them; the engine
+stays the definition for arbitrary divisors.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .arith import (
     valuation,
 )
 from .cusps import ConsistencyError, RationalCuspDivisor
-from .heckediv import EisensteinDatum, NotCovered, _local_divisor, epsilon, over_primes
+from .heckediv import EisensteinDatum, _local_divisor, epsilon, over_primes
 
 __all__ = [
     "lambda_matrix",
@@ -103,7 +104,7 @@ class _LevelTable(Record):
 def _level_table(n: int) -> _LevelTable:
     divs = divisors_of(n)
     at = {d: i for i, d in enumerate(divs)}
-    factors = factor(n).factors
+    factors = factor(n)
     return _LevelTable(
         divs,
         tuple(_block(q, r, at) for q, r in factors),
@@ -221,22 +222,23 @@ def _local_exponents(q: int, r: int, eps: int) -> tuple[list[int], int]:
 def _exponent_data(datum: EisensteinDatum) -> Fraction:
     """The rational 1/24 * prod(p-1, p|M) * prod(p^2-1, p|rad/M) * (N/rad) / prod(p|L),
     the product of the local scales over 24."""
-    scales = (_local_exponents(q, r, epsilon(datum, q))[1] for q, r in factor(datum.n).factors)
+    scales = (_local_exponents(q, r, epsilon(datum, q))[1] for q, r in factor(datum.n))
     return Fraction(math.prod(scales), 24)
 
 
-def r_vector(datum: EisensteinDatum) -> Vector:
+def r_vector(datum: EisensteinDatum) -> tuple[tuple[int, ...], int]:
     """Lambda(N)^{-1} applied to the datum's divisor, for m coprime to the
-    square support: the closed entries, whose value at delta is the product
-    over q^r || N of the local entry at val_q(delta), over _exponent_data.
-    `sweep` checks Lambda(N) r = C against the datum's divisor.
+    square support, as (u, den) with r = u / den: the closed entries, whose
+    value at delta is the product over q^r || N of the local entry at
+    val_q(delta), over _exponent_data.  `sweep` checks Lambda(N) r = C
+    against the datum's divisor.
     """
     n = datum.n
     if math.gcd(datum.m, parts(n)[1]) != 1:
         raise ValueError("closed entries need m coprime to the square support")
     closed = over_primes(datum, lambda q, r, eps: _local_exponents(q, r, eps)[0])
     scale = _exponent_data(datum)
-    return tuple(closed[d] / scale for d in divisors_of(n))
+    return tuple(closed[d] * scale.denominator for d in divisors_of(n)), scale.numerator
 
 
 def _eta_order(den: int, g: int, s1: int, s2: int, parities) -> int:
@@ -300,7 +302,7 @@ def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
     of local sums: at p, the parity sum takes Sum a v_a at p and Sum v_a
     at every other prime."""
     degrees, dens, gcds, firsts, lasts, weights, moments = zip(
-        *(_local_order_sums(q, r, epsilon(datum, q)) for q, r in factor(datum.n).factors)
+        *(_local_order_sums(q, r, epsilon(datum, q)) for q, r in factor(datum.n))
     )
     if all(degrees):
         raise ConsistencyError(f"divisor built for {datum} has degree {math.prod(degrees)}")
@@ -313,21 +315,16 @@ def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
     return math.prod(dens), g, s1, s2, parities
 
 
-def _datum_order(datum: EisensteinDatum) -> int:
-    """class_order of the datum's divisor, in O(omega(N)) operations."""
-    return _eta_order(*_datum_sums(datum))
-
-
 def is_principal(n: int, a) -> bool:
     return class_order(n, a) == 1
 
 
-def closed_form_order(datum: EisensteinDatum) -> int:
-    """Closed-form order of the datum's divisor class, where available.
-
-    Raises NotCovered in the one excluded regime: after reducing the primes
-    shared by m and the square support, L = 1 while the reduced level is
-    still not squarefree.
+def closed_form_order(datum: EisensteinDatum) -> int | None:
+    """Closed-form order of the datum's divisor class, or None in the one
+    regime it does not cover: after reducing the primes shared by m and the
+    square support, L = 1 while the reduced level is still not squarefree.
+    An independent oracle against the local orders of `index_n` and the
+    engine's class_order, which `sweep` runs.
     """
     n, m, dp = datum.n, datum.m, datum.d_part
     _, sq, _ = parts(n)
@@ -340,14 +337,6 @@ def closed_form_order(datum: EisensteinDatum) -> int:
     reduced = EisensteinDatum(n2, m, d2)
     _, sq2, _ = parts(n2)
     if reduced.l_part == 1 and sq2 != 1:
-        raise NotCovered(f"no closed form for {datum}: L = 1 at non-squarefree level {n2}")
+        return None
     h = 2 if (is_prime(m) and m % 8 == 1 and n2 in (m, 2 * m)) else 1
     return numerator_of(_exponent_data(reduced) * h)
-
-
-def _closed_order(datum: EisensteinDatum) -> int | None:
-    """closed_form_order, or None where no closed form covers the datum."""
-    try:
-        return closed_form_order(datum)
-    except NotCovered:
-        return None

@@ -140,16 +140,12 @@ class EigenReport(Record):
         return all(c.ok for c in self.checks)
 
 
-def eigen_check(
-    datum: EisensteinDatum, prec: int = 60, qmax: int = 13, f: QExpansion | None = None
-) -> EigenReport:
-    """Verify the eigenvalue pattern on the series: q+1 for primes q off the
-    level (q <= qmax), and the datum's eigenvalue at every prime of the level.
-    `f` is the datum's series at `prec` when the caller has already built it."""
-    if prec < 2 * qmax:
-        raise ValueError("need prec >= 2 * qmax for a meaningful check")
-    if f is None:
-        f = build_qexp(datum, prec)
+def eigen_check(datum: EisensteinDatum, f: QExpansion, qmax: int) -> EigenReport:
+    """Verify the eigenvalue pattern on the datum's series f: q+1 for primes
+    q off the level (q <= qmax), and the datum's eigenvalue at every prime of
+    the level, each to the precision that f.prec leaves after the operator."""
+    if f.prec < 2 * qmax:
+        raise ValueError("need a series of precision >= 2 * qmax for a meaningful check")
     checks = []
     for q in primes_upto(qmax):
         if datum.n % q == 0:
@@ -157,7 +153,7 @@ def eigen_check(
         checks.append(_eigen_fact(f, q, q + 1, on_level=False))
     for p in prime_divisors(datum.n):
         checks.append(_eigen_fact(f, p, epsilon(datum, p), on_level=True))
-    return EigenReport(datum, prec, tuple(checks))
+    return EigenReport(datum, f.prec, tuple(checks))
 
 
 def _eigen_fact(f: QExpansion, q: int, eigenvalue: int, on_level: bool) -> EigenFact:

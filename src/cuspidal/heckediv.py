@@ -14,7 +14,6 @@ from .arith import Record, factor, is_prime, parts, valuation
 from .cusps import ConsistencyError, RationalCuspDivisor, _chain_maps, alpha_pullback, beta_pushforward
 
 __all__ = [
-    "NotCovered",
     "EisensteinDatum",
     "epsilon",
     "over_primes",
@@ -22,10 +21,6 @@ __all__ = [
     "hecke_delta",
     "hecke_delta_closed",
 ]
-
-
-class NotCovered(Exception):
-    """The requested closed form does not cover this configuration."""
 
 
 class EisensteinDatum(Record):
@@ -75,7 +70,7 @@ def over_primes(datum: EisensteinDatum, local) -> dict:
     """The tensor product over q^r || n of the local vectors local(q, r, eps)
     over q^0, ..., q^r, eps = epsilon(datum, q): {d: prod_q local[val_q(d)]}."""
     out = {1: 1}
-    for q, r in factor(datum.n).factors:
+    for q, r in factor(datum.n):
         vec = local(q, r, epsilon(datum, q))
         out = {d * q**a: x * v for d, x in out.items() for a, v in enumerate(vec)}
     return out
@@ -114,9 +109,10 @@ def hecke_delta(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     return beta_pushforward(alpha_pullback(div, p), p)
 
 
-def hecke_delta_closed(d: int, p: int, n: int) -> RationalCuspDivisor:
-    """Case-table value of the correspondence on (P_d), for levels d with
-    val_p(d) <= 1.  Serves as an independent oracle against hecke_delta."""
+def hecke_delta_closed(d: int, p: int, n: int) -> RationalCuspDivisor | None:
+    """Case-table value of the correspondence on (P_d) for levels d with
+    val_p(d) <= 1, and None for the levels the table does not cover.  An
+    independent oracle against hecke_delta, which `sweep` runs."""
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
     if not is_prime(p):
@@ -132,4 +128,4 @@ def hecke_delta_closed(d: int, p: int, n: int) -> RationalCuspDivisor:
         if r == 1:
             return RationalCuspDivisor.from_dict(n, {d0: p - 1, d: 1})
         return RationalCuspDivisor.from_dict(n, {d0: p * (p - 1)})
-    raise NotCovered(f"level {d} with val_{p} = {i}: use hecke_delta")
+    return None

@@ -222,7 +222,7 @@ def dict_apply_lambda_inverse(n: int, a, den: int = 1) -> tuple[tuple[int, ...],
     if len(a) != len(divs):
         raise ValueError(f"vector length {len(a)} != number of divisors {len(divs)}")
     x = dict(zip(divs, a))
-    for q, r in factor(n).factors:
+    for q, r in factor(n):
         den *= block_denominator(q, r)
         diag = [block_entry(q, r, j, j) for j in range(1, r + 2)]
         below = [block_entry(q, r, j, j - 1) for j in range(2, r + 2)]

@@ -30,7 +30,6 @@ from cuspidal.classlattice import (
 from cuspidal.eisq import build_qexp, eigen_check, residue_closed, residue_table
 from cuspidal.heckediv import (
     EisensteinDatum,
-    NotCovered,
     build_c_divisor,
     epsilon,
     hecke_delta,
@@ -75,9 +74,8 @@ def test_criterion_03_closed_form_vs_engine():
     covered = mismatches = 0
     for n in range(2, MAX_N + 1):
         for datum in enumerate_data(n):
-            try:
-                closed = closed_form_order(datum)
-            except NotCovered:
+            closed = closed_form_order(datum)
+            if closed is None:
                 continue
             covered += 1
             if class_order(n, build_c_divisor(datum)) != closed:
@@ -111,7 +109,8 @@ def test_criterion_05_r_vector_triple_agreement():
                 if m * (sq // d) == 1:
                     continue
                 datum = EisensteinDatum(n, m, d)
-                r = r_vector(datum)
+                r_num, r_den = r_vector(datum)
+                r = tuple(Fraction(x, r_den) for x in r_num)
                 c = build_c_divisor(datum)
                 u, den = apply_lambda_inverse(n, c.as_vector())
                 assert r == tuple(Fraction(x, den) for x in u), datum
@@ -128,9 +127,8 @@ def test_criterion_06_hecke_action():
     for n in range(2, MAX_N + 1):
         for p in prime_divisors(n):
             for d in divisors_of(n):
-                try:
-                    expected = hecke_delta_closed(d, p, n)
-                except NotCovered:
+                expected = hecke_delta_closed(d, p, n)
+                if expected is None:
                     continue
                 assert hecke_delta(p_divisor(d, n), p) == expected, (n, p, d)
                 table_checks += 1
@@ -169,7 +167,7 @@ def test_criterion_08_eigenform_suite():
     count = 0
     for n in range(2, 61):
         for datum in enumerate_data(n):
-            report = eigen_check(datum, prec=60, qmax=13)
+            report = eigen_check(datum, build_qexp(datum, 60), qmax=13)
             assert report.passed, (datum, report)
             count += 1
     _report(8, f"eigenform checks (T_q = q+1, U_p = eps) on {count} data, N <= 60")

@@ -56,6 +56,11 @@ def test_every_exported_name_resolves(layers):
         assert missing == [], layer
 
 
+def test_every_name_at_the_package_root_resolves():
+    missing = [name for name in cuspidal.__all__ if not hasattr(cuspidal, name)]
+    assert missing == []
+
+
 def test_function_metrics_name_exported_functions(layers):
     for key in layers.FUNCTION_METRICS:
         layer, name = key.split(".")

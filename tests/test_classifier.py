@@ -163,11 +163,23 @@ def test_classify_never_builds_the_whole_level_divisor(monkeypatch):
         raise AssertionError("classify reached the whole-level divisor or engine")
 
     for module in (classifier, classlattice):
-        for name in ("build_c_divisor", "class_order"):
+        for name in ("build_c_divisor", "class_order", "closed_form_order"):
             monkeypatch.setattr(module, name, unavailable, raising=False)
     classlattice._local_order_sums.cache_clear()
     for n, primes in expected.items():
         assert rational_eisenstein_primes(n) == primes
+
+
+@pytest.mark.parametrize("levels", [range(1, 1500), (720720, 9699690, 15315300, 223092870)])
+def test_index_n_matches_the_closed_form_wherever_it_applies(levels):
+    covered = 0
+    for n in levels:
+        for datum in enumerate_data(n):
+            closed = classlattice.closed_form_order(datum)
+            if closed is not None:
+                assert index_n(datum) == closed, datum
+                covered += 1
+    assert covered
 
 
 def test_index_n_rejects_a_divisor_of_nonzero_degree(monkeypatch):

@@ -278,7 +278,13 @@ def _one_entry_off(real):
 
 
 def test_sweep_reports_a_broken_exponent_vector(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "r_vector", _one_entry_off(cli.r_vector))
+    real = cli.r_vector
+
+    def one_entry_off(datum):
+        u, den = real(datum)
+        return (u[0] + 1, *u[1:]), den
+
+    monkeypatch.setattr(cli, "r_vector", one_entry_off)
     report, ok = cli.run_sweep(12)
     assert not ok
     assert report["failures"] == [
@@ -338,6 +344,27 @@ def test_sweep_reports_broken_local_exponents(capsys, monkeypatch):
         for datum in enumerate_data(n)
         if math.gcd(datum.m, datum.d_part) == 1
     ]
+
+
+def test_sweep_reports_a_broken_local_order(capsys, monkeypatch):
+    # classify reads the local orders alone; `sweep` is where they meet the
+    # closed form and the whole-level engine.
+    real = classlattice._local_order_sums
+
+    def perturbed(q, r, eps):
+        sums = real(q, r, eps)
+        return (sums[0], 5 * sums[1], *sums[2:]) if q == 3 else sums
+
+    monkeypatch.setattr(classlattice, "_local_order_sums", perturbed)
+    real.cache_clear()
+    try:
+        code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
+    finally:
+        real.cache_clear()
+    assert code == 2
+    failures = json.loads(out)["outputs"]["failures"]
+    assert failures and all(f.startswith("order of ") for f in failures)
+    assert "order of EisensteinDatum(n=3, m=3, d_part=1)" in failures
 
 
 def test_sweep_reports_a_broken_solver(capsys, monkeypatch):

@@ -100,31 +100,38 @@ def test_level_map_plain_keeps_coefficients():
     assert g.coeffs == f.coeffs and g.n == 21
 
 
+def _eigen_check(datum, prec, qmax):
+    return eigen_check(datum, build_qexp(datum, prec), qmax)
+
+
 def test_eigen_check_examples():
-    assert eigen_check(EisensteinDatum(11, 11, 1), 60, 13).passed
-    report = eigen_check(EisensteinDatum(9, 1, 1), 60, 13)
+    assert _eigen_check(EisensteinDatum(11, 11, 1), 60, 13).passed
+    report = _eigen_check(EisensteinDatum(9, 1, 1), 60, 13)
     assert report.passed
     (u3,) = [c for c in report.checks if c.on_level]
     assert u3.eigenvalue == 0
-    report45 = eigen_check(EisensteinDatum(45, 3, 3), 60, 13)
+    report45 = _eigen_check(EisensteinDatum(45, 3, 3), 60, 13)
     assert report45.passed
+    assert report45.prec == 60
     (u5,) = [c for c in report45.checks if c.on_level and c.prime == 5]
     assert u5.eigenvalue == 5
     with pytest.raises(ValueError):
-        eigen_check(EisensteinDatum(11, 11, 1), 10, 13)
+        _eigen_check(EisensteinDatum(11, 11, 1), 10, 13)
 
 
 def test_eigen_check_sweep_small():
     for n in range(2, 40):
         for datum in _valid_data(n):
-            assert eigen_check(datum, 30, 7).passed, datum
+            assert _eigen_check(datum, 30, 7).passed, datum
 
 
-def test_eigen_check_on_a_series_already_built():
-    for n in (9, 45, 60):
-        for datum in _valid_data(n):
-            f = build_qexp(datum, 30)
-            assert eigen_check(datum, 30, 7, f) == eigen_check(datum, 30, 7), datum
+@pytest.mark.parametrize("prec", [0, 4, 25])
+def test_eigen_check_rejects_a_series_shorter_than_twice_qmax(prec):
+    # The precision is the series' own: a short series cannot pass for a
+    # longer check (at prec 4, T_5, T_7, T_13 and U_11 would see k = 0 only).
+    datum = EisensteinDatum(11, 11, 1)
+    with pytest.raises(ValueError, match="2 \\* qmax"):
+        eigen_check(datum, build_qexp(datum, prec), 13)
 
 
 def test_residue_tables():

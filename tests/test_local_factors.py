@@ -17,8 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspidal.arith import divisors_of, factor, parts, prime_divisors, valuation
+from cuspidal.classifier import index_n
 from cuspidal.classlattice import (
-    _datum_order,
     _datum_sums,
     _exponent_data,
     apply_lambda_inverse,
@@ -43,7 +43,7 @@ def _split_build_qexp(datum, prec):
     coeffs = base_epp(base, prec).coeffs
     if valuation(n, base) >= 2 and m % base:
         coeffs = tuple(a - b for a, b in zip(coeffs, _dilate(coeffs, base)))
-    for q, r in factor(n).factors:
+    for q, r in factor(n):
         if q == base:
             continue
         dil = _dilate(coeffs, q)
@@ -65,7 +65,7 @@ def _split_residue_table(datum):
     """Reference: the residues through the five-way case split per prime."""
     n, m, dp = datum.n, datum.m, datum.d_part
     table = {1: Fraction(1)}
-    for q, r in factor(n).factors:
+    for q, r in factor(n):
         new = {}
         for d, prev in table.items():
             if r == 1 and m % q == 0:
@@ -144,7 +144,7 @@ def data(draw):
 
 def _squarefree_m(datum):
     """M is coprime to the square support: eigenvalue 1 only at r = 1."""
-    return all(epsilon(datum, q) != 1 or r == 1 for q, r in factor(datum.n).factors)
+    return all(epsilon(datum, q) != 1 or r == 1 for q, r in factor(datum.n))
 
 
 # 2520 = 2^3 * 3^2 * 5 * 7.  With (M, D) = (10, 6) the base prime 2 lies in
@@ -171,7 +171,7 @@ def _with_examples(keep=lambda datum: True):
 def test_examples_cover_every_local_type():
     types, base_eigenvalues = set(), set()
     for datum in EXAMPLES:
-        for q, r in factor(datum.n).factors:
+        for q, r in factor(datum.n):
             eps = epsilon(datum, q)
             types.add(("q" if eps == q else eps, r >= 2))
         base = min(q for q in prime_divisors(datum.n) if epsilon(datum, q) != q)
@@ -206,7 +206,8 @@ def test_exponent_data_matches_case_split(datum):
 @_with_examples(_squarefree_m)
 @given(datum=data().filter(_squarefree_m))
 def test_r_vector_matches_case_split(datum):
-    assert r_vector(datum) == _split_closed_r_vector(datum), datum
+    u, den = r_vector(datum)
+    assert tuple(Fraction(x, den) for x in u) == _split_closed_r_vector(datum), datum
 
 
 # Data with a prime q | gcd(M, square support) at r >= 3, where the recursive
@@ -238,9 +239,10 @@ def test_build_c_divisor_matches_recursive_builder(datum):
     assert build_c_divisor(datum) == recursive_c_divisor(datum), datum
 
 
-# Data outside the closed form (NotCovered: L = 1 at a non-squarefree
-# reduced level), where index_n has no closed value to check the local orders
-# against, and data at high prime powers besides the 2^10 of EXAMPLES.
+# Data outside the closed form (closed_form_order is None: L = 1 at a
+# non-squarefree reduced level), where `sweep` has no closed value to check
+# the local orders against, and data at high prime powers besides the 2^10
+# of EXAMPLES.
 ORDER_EXAMPLES = (
     EisensteinDatum(12, 3, 2),
     EisensteinDatum(50, 2, 5),
@@ -276,4 +278,4 @@ def test_datum_order_matches_the_whole_level_engine(datum):
     # Every datum's Sum d u_d and Sum (N/d) u_d are multiples of 24 den, so
     # the order alone cannot see a wrong local factor in them; the sums can.
     assert _datum_sums(datum) == whole_level_sums, datum
-    assert _datum_order(datum) == class_order(n, build_c_divisor(datum)), datum
+    assert index_n(datum) == class_order(n, build_c_divisor(datum)), datum

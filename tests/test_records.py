@@ -20,17 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal import arith, classifier, cusps, eisq, heckediv
+from cuspidal import classifier, cusps, eisq, heckediv
 from cuspidal.arith import parts
 
 
 # The oracles live at module level: a dataclass repr prints its __qualname__.
-
-
-@dataclass(frozen=True)
-class Factored:
-    value: int
-    factors: tuple
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,6 @@ class EisensteinPrime:
 
 # Records without validation: any hashable field values build them.
 FREE = [
-    (Factored, arith.Factored),
     (Cusp, cusps.Cusp),
     (RationalCuspDivisor, cusps.RationalCuspDivisor),
     (EigenFact, eisq.EigenFact),
