@@ -125,8 +125,8 @@ def divisors_of(n: int) -> tuple[int, ...]:
 
 def valuation(n: int, p: int) -> int:
     """Exponent of the prime p in n >= 1."""
-    if n < 1:
-        raise ValueError(f"valuation of {n} undefined; expected n >= 1")
+    if n < 1 or p < 2:
+        raise ValueError(f"valuation of {n} at {p} undefined; expected n >= 1, p >= 2")
     e = 0
     while n % p == 0:
         n //= p

@@ -14,12 +14,12 @@ bounded table per level: each block T_q with the positions of the divisor
 chains along q, the degree weights, the codivisors and the valuation rows.
 The dense inverse of `cuspidal lambda --inverse` is the engine's columns.
 
-A datum's divisor is itself a tensor product of local vectors, so its
-Lambda(N)^{-1} image is too, and every sum the eta-quotient conditions read
-is a product of local sums.  `_datum_sums` runs the engine once at each
-prime power q^r || N and combines those sums, in O(omega(N)) per datum, and
-`classifier.index_n` reads the datum's class order off them; the engine
-stays the definition for arbitrary divisors.
+A datum's divisor is a tensor product of local vectors, so its Lambda(N)^{-1}
+image is 24 times the tensor product of the closed local entries over their
+scales (`_local_exponents`): every sum the eta-quotient conditions read is a
+product of local sums over at most three nonzero entries per q^r || N, which
+`_datum_sums` combines for `classifier.index_n` in O(omega(N)) per datum.
+The engine stays the definition for arbitrary divisors.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .arith import (
     valuation,
 )
 from .cusps import ConsistencyError, RationalCuspDivisor
-from .heckediv import EisensteinDatum, _local_divisor, epsilon, over_primes
+from .heckediv import EisensteinDatum, epsilon, over_primes
 
 __all__ = [
     "lambda_matrix",
@@ -208,10 +208,11 @@ def _integer_vector(n: int, a) -> tuple[list[int], int]:
 
 
 def _local_exponents(q: int, r: int, eps: int) -> tuple[list[int], int]:
-    """Local eta-exponent entries over q^0, ..., q^r and local scale at
-    q^r || N, by the eigenvalue eps of the level-q operator."""
+    """Local eta-exponent entries e over q^0, ..., q^r and local scale s at
+    q^r || N, by the eigenvalue eps of the level-q operator: Lambda(q^r)^{-1}
+    of the local divisor is 24 e / s.  Only e_0, e_1 and e_2 can be nonzero."""
     if eps == 1:
-        entries, scale = [1, -1], q ** (r - 1) * (q - 1)
+        entries, scale = [1, -1], q - 1
     elif eps == q:
         entries, scale = [q, -1], q ** (r - 1) * (q * q - 1)
     else:
@@ -220,25 +221,20 @@ def _local_exponents(q: int, r: int, eps: int) -> tuple[list[int], int]:
 
 
 def _exponent_data(datum: EisensteinDatum) -> Fraction:
-    """The rational 1/24 * prod(p-1, p|M) * prod(p^2-1, p|rad/M) * (N/rad) / prod(p|L),
-    the product of the local scales over 24."""
+    """The rational 1/24 * prod(p-1, p|M) * prod(p^(r-1) (p^2-1), p^r || N, p
+    not in M) / prod(p|L), the product of the local scales over 24."""
     scales = (_local_exponents(q, r, epsilon(datum, q))[1] for q, r in factor(datum.n))
     return Fraction(math.prod(scales), 24)
 
 
 def r_vector(datum: EisensteinDatum) -> tuple[tuple[int, ...], int]:
-    """Lambda(N)^{-1} applied to the datum's divisor, for m coprime to the
-    square support, as (u, den) with r = u / den: the closed entries, whose
-    value at delta is the product over q^r || N of the local entry at
-    val_q(delta), over _exponent_data.  `sweep` checks Lambda(N) r = C
-    against the datum's divisor.
-    """
-    n = datum.n
-    if math.gcd(datum.m, parts(n)[1]) != 1:
-        raise ValueError("closed entries need m coprime to the square support")
+    """Lambda(N)^{-1} applied to the datum's divisor as (u, den) with
+    r = u / den: the closed entries, whose value at delta is the product over
+    q^r || N of the local entry at val_q(delta), over _exponent_data.  `sweep`
+    checks Lambda(N) r = C against the datum's divisor."""
     closed = over_primes(datum, lambda q, r, eps: _local_exponents(q, r, eps)[0])
     scale = _exponent_data(datum)
-    return tuple(closed[d] * scale.denominator for d in divisors_of(n)), scale.numerator
+    return tuple(closed[d] * scale.denominator for d in divisors_of(datum.n)), scale.numerator
 
 
 def _eta_order(den: int, g: int, s1: int, s2: int, parities) -> int:
@@ -275,44 +271,30 @@ def class_order(n: int, a) -> int:
     return _eta_order(den, math.gcd(*u), s1, s2, parities)
 
 
-@lru_cache(maxsize=256)
-def _local_order_sums(q: int, r: int, eps: int) -> tuple[int, int, int, int, int, int, int]:
-    """The local factors at q^r || N of a datum's class order: the degree of
-    the local divisor c, the denominator of Lambda(q^r)^{-1} c = 24 v / den,
-    and gcd(v), Sum q^a v_a, Sum q^(r-a) v_a, Sum v_a and Sum a v_a."""
-    c = _local_divisor(q, r, eps)
-    u, den = apply_lambda_inverse(q**r, c)
-    v = [x // 24 for x in u]
-    return (
-        sum(euler_phi(q ** min(a, r - a)) * x for a, x in enumerate(c)),
-        den,
-        math.gcd(*v),
-        sum(q**a * x for a, x in enumerate(v)),
-        sum(q ** (r - a) * x for a, x in enumerate(v)),
-        sum(v),
-        sum(a * x for a, x in enumerate(v)),
-    )
-
-
 def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
-    """The arguments of _eta_order for the datum's divisor, from the local
-    factors alone.  The divisor is the tensor product of the local c, so
-    Lambda(N)^{-1} of it is 24 (tensor of the v) over the product of the
-    local denominators, and each sum class_order reads is 24 times a product
-    of local sums: at p, the parity sum takes Sum a v_a at p and Sum v_a
-    at every other prime."""
-    degrees, dens, gcds, firsts, lasts, weights, moments = zip(
-        *(_local_order_sums(q, r, epsilon(datum, q)) for q, r in factor(datum.n))
-    )
-    if all(degrees):
-        raise ConsistencyError(f"divisor built for {datum} has degree {math.prod(degrees)}")
+    """The arguments of _eta_order for the datum's divisor, from the closed
+    local entries alone.  Lambda(N)^{-1} of the divisor is 24 (tensor of the
+    local entries e) over the product of the local scales, so each sum
+    class_order reads is 24 times a product of local sums over e_0, e_1 and
+    e_2: gcd(e), Sum q^a e_a, Sum q^(r-a) e_a, and for the parity sum at p,
+    Sum a e_a at p and Sum e_a at every other prime.  A nonzero weight at
+    every prime contradicts the datum's degree 0: ConsistencyError."""
+    den, g, s1, s2, weights, moments = 1, 24, 24, 24, [], []
+    for q, r in factor(datum.n):
+        entries, scale = _local_exponents(q, r, epsilon(datum, q))
+        e = entries[:3]
+        den *= scale
+        g *= math.gcd(*e)
+        s1 *= sum(q**a * x for a, x in enumerate(e))
+        s2 *= sum(q ** (r - a) * x for a, x in enumerate(e))
+        weights.append(sum(e))
+        moments.append(sum(a * x for a, x in enumerate(e)))
     if all(weights):
-        raise ValueError("exponent vector has nonzero weight; no multiple is principal")
+        raise ConsistencyError(f"local exponents of {datum} have nonzero weight at every prime")
     parities = [
         24 * moment * math.prod(weights[:i] + weights[i + 1 :]) for i, moment in enumerate(moments)
     ]
-    g, s1, s2 = (24 * math.prod(col) for col in (gcds, firsts, lasts))
-    return math.prod(dens), g, s1, s2, parities
+    return den, g, s1, s2, parities
 
 
 def is_principal(n: int, a) -> bool:

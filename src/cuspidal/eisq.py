@@ -3,8 +3,8 @@
 A datum fixes the eigenvalue eps = epsilon(datum, q) in {1, q, 0} of the
 level-q operator at every prime q | N, and both the series and its residues
 are products of one local factor per prime power q^r || N chosen by eps:
-the Euler factor (1 - X)^[eps != 1] (1 - qX)^[eps != q] on the series, a
-local residue vector over the levels q^0, ..., q^r on the residues.
+the Euler factor (1 - X)^[eps != 1] (1 - qX)^[eps != q] on the series, and
+on the residues the datum's local divisor over q^0, ..., q^r times a scalar.
 Truncations carry their precision, and operators shrink it explicitly.
 Nothing here checks itself: the weighted residue sum and the closed values
 are checks of `cuspidal residues` and `sweep`.
@@ -25,7 +25,7 @@ from .arith import (
     primes_upto,
     valuation,
 )
-from .heckediv import EisensteinDatum, epsilon, over_primes
+from .heckediv import EisensteinDatum, _local_divisor, epsilon, over_primes
 
 __all__ = [
     "QExpansion",
@@ -187,16 +187,12 @@ class ResidueTable(Record):
 
 
 def _local_residues(q: int, r: int, eps: int) -> list[Fraction | int]:
-    """Residue factors at the levels q^0, ..., q^r for q^r || n, by the
-    eigenvalue eps of the level-q operator."""
-    if eps == 1:
-        return [q ** (r - 1) * (q - 1)] + [
-            q ** max(r - 2 * a, 0) * (1 - q) for a in range(1, r + 1)
-        ]
-    u = Fraction(q) ** (r - 2) * (q * q - 1)
-    if eps == q:
-        return [u] + [0] * r
-    return [u * (q - 1) / q, -u / q] + [0] * (r - 1)
+    """Residue factors at the levels q^0, ..., q^r for q^r || n: the local
+    divisor times q - 1 where eps = 1, q^(r-2) (q^2 - 1) where eps = q, and
+    q^(r-3) (q^2 - 1) where eps = 0."""
+    scalar = q - 1 if eps == 1 else Fraction(q) ** (r - 2 if eps == q else r - 3) * (q * q - 1)
+    # zeros stay ints, so that over_primes multiplies them in integers
+    return [scalar * x if x else 0 for x in _local_divisor(q, r, eps)]
 
 
 def residue_table(datum: EisensteinDatum) -> ResidueTable:

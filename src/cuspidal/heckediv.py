@@ -3,15 +3,15 @@
 A datum (N, M, D) fixes the eigenvalue of the level-p Hecke operator at
 every prime p | N: 1 on the primes of M, p on the primes of sf(N)*D / M,
 and 0 on the primes of the square support outside D.  Each datum carries a
-degree-0 rational cuspidal divisor whose class these operators annihilate,
-a tensor product of one local vector per prime power, like the exponent
-vector and the residues; `over_primes` builds all three.
+degree-0 rational cuspidal divisor whose class these operators annihilate:
+one closed local vector per prime power, tensored by `over_primes`, which
+also builds its Lambda(N)^{-1} image and the residues.
 """
 
 from __future__ import annotations
 
 from .arith import Record, factor, is_prime, parts, valuation
-from .cusps import ConsistencyError, RationalCuspDivisor, _chain_maps, alpha_pullback, beta_pushforward
+from .cusps import ConsistencyError, RationalCuspDivisor, alpha_pullback, beta_pushforward
 
 __all__ = [
     "EisensteinDatum",
@@ -78,16 +78,14 @@ def over_primes(datum: EisensteinDatum, local) -> dict:
 
 def _local_divisor(q: int, r: int, eps: int) -> list[int]:
     """The datum's divisor at q^r || n over the levels q^0, ..., q^r: (P_1)
-    where eps = q, (q - 1)(P_1) - (P_q) where eps = 0, and (P_1) - (P_q)
-    pulled back along z -> z from X0(q) where eps = 1."""
+    where eps = q, (q - 1)(P_1) - (P_q) where eps = 0, and where eps = 1 the
+    pullback of (P_1) - (P_q) along z -> z from X0(q), q^(r-1)(P_1) minus
+    q^max(r - 2a, 0)(P_q^a) for a >= 1."""
     if eps == q:
         return [1] + [0] * r
     if eps == 0:
         return [q - 1, -1] + [0] * (r - 1)
-    vec = [1, -1]
-    for j in range(1, r):
-        vec = [ram * vec[a] for a, ram, _, _ in _chain_maps(q, j)]
-    return vec
+    return [q ** (r - 1)] + [-(q ** max(r - 2 * a, 0)) for a in range(1, r + 1)]
 
 
 def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:

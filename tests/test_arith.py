@@ -49,6 +49,13 @@ def test_basic_functions():
     assert numerator_of(3) == 3
 
 
+@pytest.mark.parametrize("n, p", [(0, 2), (-4, 2), (12, 1), (12, 0), (12, -3)])
+def test_valuation_rejects_bad_arguments(n, p):
+    # at p = 1 every n % p is 0, so an unguarded loop never ends
+    with pytest.raises(ValueError):
+        valuation(n, p)
+
+
 def test_primes_upto():
     assert primes_upto(13) == (2, 3, 5, 7, 11, 13)
     assert primes_upto(1) == ()

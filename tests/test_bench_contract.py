@@ -12,10 +12,11 @@ each workload is replayed here in-process, so a change to the JSON
 rendering, the series, the divisors, the coverings or the sweep's checks
 fails tier-1 before it fails the benchmark.
 
-The package's caches are pinned: `factor`, `divisors_of` and
+The package's six caches are pinned: `factor`, `divisors_of` and
 `enumerate_cusps` are unbounded (ROADMAP item 8 bounds or deletes them), and
-every other cache is listed with its `maxsize`, so adding, removing or
-resizing a cache is an edit here.
+the other three (`parts`, the chain maps and the per-level table) are listed
+with their `maxsize`.  A datum's class order reads the closed local entries
+and needs no cache; adding, removing or resizing a cache is an edit here.
 """
 
 import contextlib
@@ -128,5 +129,4 @@ def test_only_the_arithmetic_and_cusp_list_caches_are_unbounded():
         "arith.parts": 1024,
         "cusps._chain_maps": 256,
         "classlattice._level_table": 64,
-        "classlattice._local_order_sums": 256,
     }

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cuspidal import classifier, classlattice
+from cuspidal import classifier, classlattice, heckediv
 from cuspidal.arith import primes_upto
 from cuspidal.classifier import (
     _hypothesis_ok,
@@ -162,10 +162,17 @@ def test_classify_never_builds_the_whole_level_divisor(monkeypatch):
     def unavailable(*args, **kwargs):
         raise AssertionError("classify reached the whole-level divisor or engine")
 
-    for module in (classifier, classlattice):
-        for name in ("build_c_divisor", "class_order", "closed_form_order"):
+    names = (
+        "build_c_divisor",
+        "class_order",
+        "closed_form_order",
+        "apply_lambda_inverse",
+        "_level_table",
+        "_local_divisor",
+    )
+    for module in (classifier, classlattice, heckediv):
+        for name in names:
             monkeypatch.setattr(module, name, unavailable, raising=False)
-    classlattice._local_order_sums.cache_clear()
     for n, primes in expected.items():
         assert rational_eisenstein_primes(n) == primes
 
@@ -183,11 +190,10 @@ def test_index_n_matches_the_closed_form_wherever_it_applies(levels):
 
 
 def test_index_n_rejects_a_divisor_of_nonzero_degree(monkeypatch):
-    # (P_1) at every prime: each local degree is 1, so the product is too
-    monkeypatch.setattr(classlattice, "_local_divisor", lambda q, r, eps: [1] + [0] * r)
-    classlattice._local_order_sums.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match="has degree 1"):
-            index_n(EisensteinDatum(33, 3, 1))
-    finally:
-        classlattice._local_order_sums.cache_clear()
+    # (P_1) at every prime, whose local exponents are the eps = q entries:
+    # each local degree is 1 and each local weight q - 1, which no datum's
+    # divisor of degree 0 can have
+    real = classlattice._local_exponents
+    monkeypatch.setattr(classlattice, "_local_exponents", lambda q, r, eps: real(q, r, q))
+    with pytest.raises(ConsistencyError, match="nonzero weight at every prime"):
+        index_n(EisensteinDatum(33, 3, 1))

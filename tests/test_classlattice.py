@@ -166,16 +166,11 @@ def test_r_vector_examples():
     assert r_vector(EisensteinDatum(17, 17, 1)) == ((3, -3), 2)
 
 
-def test_r_vector_rejects_shared_primes():
-    with pytest.raises(ValueError):
-        r_vector(EisensteinDatum(9, 3, 3))
-
-
 def test_r_vector_solves_lambda():
     for n in (11, 9, 32, 33, 45, 50, 98):
         sf, sq, _ = parts(n)
         for d in divisors_of(sq):
-            for m in divisors_of(sf):
+            for m in divisors_of(sf * d):
                 if m * (sq // d) == 1:
                     continue
                 datum = EisensteinDatum(n, m, d)

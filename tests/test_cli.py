@@ -326,45 +326,84 @@ def test_residues_reports_a_nonzero_weighted_sum(capsys, monkeypatch):
     assert consistency["closed_matches_level_ml"] is True
 
 
-def test_sweep_reports_broken_local_exponents(capsys, monkeypatch):
+def _sweep_with_broken_local_exponents(capsys, monkeypatch, broken) -> list[str]:
     real = classlattice._local_exponents
 
-    def one_entry_off(*args):
+    def patched(*args):
         entries, scale = real(*args)
-        return [entries[0] + 1, *entries[1:]], scale
+        return broken(entries), scale
 
-    monkeypatch.setattr(classlattice, "_local_exponents", one_entry_off)
+    monkeypatch.setattr(classlattice, "_local_exponents", patched)
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     assert code == 2
     parsed = json.loads(out)
     assert parsed["consistency"]["all_invariants_hold"] is False
-    assert parsed["outputs"]["failures"] == [
-        f"exponent vector of {datum}"
-        for n in range(1, 13)
-        for datum in enumerate_data(n)
-        if math.gcd(datum.m, datum.d_part) == 1
-    ]
+    return parsed["outputs"]["failures"]
+
+
+def test_sweep_reports_broken_local_exponents(capsys, monkeypatch):
+    # +1 on e_0 makes every local weight nonzero, so `index_n` raises
+    # ConsistencyError at every datum and `sweep` records a failed order
+    # wherever the closed form applies.
+    failures = _sweep_with_broken_local_exponents(
+        capsys, monkeypatch, lambda e: [e[0] + 1, *e[1:]]
+    )
+    expected = []
+    for n in range(1, 13):
+        for datum in enumerate_data(n):
+            if classlattice.closed_form_order(datum) is not None:
+                expected.append(f"order of {datum}")
+            if math.gcd(datum.m, datum.d_part) == 1:
+                expected.append(f"exponent vector of {datum}")
+    assert len(expected) == 38
+    assert failures == expected
+
+
+def test_sweep_reports_a_unit_moved_between_local_exponents(capsys, monkeypatch):
+    # One unit moved from e_1 to e_0 keeps every local weight at 0, so the
+    # local orders of `index_n` read the broken table instead of refusing it.
+    failures = _sweep_with_broken_local_exponents(
+        capsys, monkeypatch, lambda e: [e[0] + 1, e[1] - 1, *e[2:]]
+    )
+    wrong_orders = {
+        (4, 1, 1), (6, 2, 1), (6, 3, 1), (8, 1, 1), (9, 1, 1),
+        (10, 2, 1), (10, 5, 1), (12, 1, 1), (12, 3, 1), (12, 2, 2),
+    }
+    expected = []
+    for n in range(1, 13):
+        for datum in enumerate_data(n):
+            if (datum.n, datum.m, datum.d_part) in wrong_orders:
+                expected.append(f"order of {datum}")
+            if math.gcd(datum.m, datum.d_part) == 1:
+                expected.append(f"exponent vector of {datum}")
+    assert len(expected) == 27
+    assert failures == expected
 
 
 def test_sweep_reports_a_broken_local_order(capsys, monkeypatch):
     # classify reads the local orders alone; `sweep` is where they meet the
-    # closed form and the whole-level engine.
-    real = classlattice._local_order_sums
+    # closed form and the whole-level engine.  A local scale 5 times too
+    # large at q = 3 moves every order and exponent vector there that
+    # `sweep` checks.
+    expected = []
+    for n in range(3, 13, 3):
+        for datum in enumerate_data(n):
+            if classlattice.closed_form_order(datum) is not None:
+                expected.append(f"order of {datum}")
+            if math.gcd(datum.m, datum.d_part) == 1:
+                expected.append(f"exponent vector of {datum}")
+    real = classlattice._local_exponents
 
     def perturbed(q, r, eps):
-        sums = real(q, r, eps)
-        return (sums[0], 5 * sums[1], *sums[2:]) if q == 3 else sums
+        entries, scale = real(q, r, eps)
+        return (entries, 5 * scale) if q == 3 else (entries, scale)
 
-    monkeypatch.setattr(classlattice, "_local_order_sums", perturbed)
-    real.cache_clear()
-    try:
-        code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
-    finally:
-        real.cache_clear()
+    monkeypatch.setattr(classlattice, "_local_exponents", perturbed)
+    code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     assert code == 2
     failures = json.loads(out)["outputs"]["failures"]
-    assert failures and all(f.startswith("order of ") for f in failures)
     assert "order of EisensteinDatum(n=3, m=3, d_part=1)" in failures
+    assert failures == expected
 
 
 def test_sweep_reports_a_broken_solver(capsys, monkeypatch):

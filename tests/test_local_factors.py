@@ -16,17 +16,19 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cuspidal.arith import divisors_of, factor, parts, prime_divisors, valuation
+from cuspidal.arith import divisors_of, factor, parts, prime_divisors, primes_upto, valuation
 from cuspidal.classifier import index_n
 from cuspidal.classlattice import (
     _datum_sums,
     _exponent_data,
+    _local_exponents,
     apply_lambda_inverse,
     class_order,
     r_vector,
 )
-from cuspidal.eisq import QExpansion, base_epp, build_qexp, residue_table
-from cuspidal.heckediv import EisensteinDatum, build_c_divisor, epsilon
+from cuspidal.cusps import RationalCuspDivisor, alpha_pullback
+from cuspidal.eisq import QExpansion, _local_residues, base_epp, build_qexp, residue_table
+from cuspidal.heckediv import EisensteinDatum, _local_divisor, build_c_divisor, epsilon
 from reference import recursive_c_divisor
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -93,12 +95,13 @@ def _split_residue_table(datum):
 
 
 def _split_exponent_data(datum):
-    """Reference: 1/24 * prod(p-1, p|M) * prod(p^2-1, p|rad/M) * (N/rad) / prod(p|L)."""
+    """Reference: 1/24 * prod(p-1, p|M) * prod(p^2-1, p|rad/M) * (N/rad) / prod(p|L),
+    with the primes of M taken out of N/rad."""
     n, m = datum.n, datum.m
     _, _, rad = parts(n)
     val = Fraction(1, 24) * (n // rad)
     for p in prime_divisors(m):
-        val *= p - 1
+        val *= Fraction(p - 1, p ** (valuation(n, p) - 1))
     for p in prime_divisors(rad // m):
         val *= p * p - 1
     for p in prime_divisors(datum.l_part):
@@ -115,8 +118,8 @@ def _split_closed_r_vector(datum):
     for delta in divisors_of(n):
         val = 1
         for p in prime_divisors(m):
-            val *= 1 if delta % p else -1
-        for p in prime_divisors((sf // m) * dp):
+            val *= (1, -1, 0)[min(valuation(delta, p), 2)]
+        for p in prime_divisors(sf * dp // m):
             e = valuation(delta, p)
             val *= p if e == 0 else (-1 if e == 1 else 0)
         for p in prime_divisors(sq // dp):
@@ -142,11 +145,6 @@ def data(draw):
     return EisensteinDatum(n, m, dp)
 
 
-def _squarefree_m(datum):
-    """M is coprime to the square support: eigenvalue 1 only at r = 1."""
-    return all(epsilon(datum, q) != 1 or r == 1 for q, r in factor(datum.n))
-
-
 # 2520 = 2^3 * 3^2 * 5 * 7.  With (M, D) = (10, 6) the base prime 2 lies in
 # M, with eigenvalue 1 at r = 3; with (5, 2) it is 3, in L and not the least
 # prime.  4725 = 3^3 * 5^2 * 7 with M = 7 has eigenvalue 0 off the base prime.
@@ -159,13 +157,10 @@ EXAMPLES = (
 )
 
 
-def _with_examples(keep=lambda datum: True):
-    def decorate(test):
-        for datum in filter(keep, EXAMPLES):
-            test = example(datum=datum)(test)
-        return test
-
-    return decorate
+def _with_examples(test):
+    for datum in EXAMPLES:
+        test = example(datum=datum)(test)
+    return test
 
 
 def test_examples_cover_every_local_type():
@@ -181,7 +176,7 @@ def test_examples_cover_every_local_type():
 
 
 @settings(max_examples=80, deadline=None)
-@_with_examples()
+@_with_examples
 @given(datum=data())
 def test_build_qexp_matches_case_split(datum):
     for prec in (0, 1, 97):
@@ -189,22 +184,22 @@ def test_build_qexp_matches_case_split(datum):
 
 
 @settings(max_examples=80, deadline=None)
-@_with_examples()
+@_with_examples
 @given(datum=data())
 def test_residue_table_matches_case_split(datum):
     assert residue_table(datum).res == _split_residue_table(datum), datum
 
 
 @settings(max_examples=80, deadline=None)
-@_with_examples()
+@_with_examples
 @given(datum=data())
 def test_exponent_data_matches_case_split(datum):
     assert _exponent_data(datum) == _split_exponent_data(datum), datum
 
 
 @settings(max_examples=60, deadline=None)
-@_with_examples(_squarefree_m)
-@given(datum=data().filter(_squarefree_m))
+@_with_examples
+@given(datum=data())
 def test_r_vector_matches_case_split(datum):
     u, den = r_vector(datum)
     assert tuple(Fraction(x, den) for x in u) == _split_closed_r_vector(datum), datum
@@ -230,7 +225,7 @@ def test_pullback_chain_examples_cover_high_powers():
 
 
 @settings(max_examples=80, deadline=None)
-@_with_examples()
+@_with_examples
 @example(datum=PULLBACK_CHAIN_EXAMPLES[0])
 @example(datum=PULLBACK_CHAIN_EXAMPLES[1])
 @example(datum=PULLBACK_CHAIN_EXAMPLES[2])
@@ -261,7 +256,7 @@ def _with_order_examples(test):
 
 
 @settings(max_examples=80, deadline=None)
-@_with_examples()
+@_with_examples
 @_with_order_examples
 @given(datum=data())
 def test_datum_order_matches_the_whole_level_engine(datum):
@@ -269,13 +264,48 @@ def test_datum_order_matches_the_whole_level_engine(datum):
     divs = divisors_of(n)
     u, den = apply_lambda_inverse(n, build_c_divisor(datum).as_vector())
     whole_level_sums = (
-        den,
         math.gcd(*u),
         sum(x * d for x, d in zip(u, divs)),
         sum(x * (n // d) for x, d in zip(u, divs)),
-        [sum(x * valuation(d, p) for x, d in zip(u, divs)) for p in prime_divisors(n)],
+        *(sum(x * valuation(d, p) for x, d in zip(u, divs)) for p in prime_divisors(n)),
     )
-    # Every datum's Sum d u_d and Sum (N/d) u_d are multiples of 24 den, so
-    # the order alone cannot see a wrong local factor in them; the sums can.
-    assert _datum_sums(datum) == whole_level_sums, datum
+    local_den, g, s1, s2, parities = _datum_sums(datum)
+    # _eta_order reads each sum only over den.  Every datum's Sum d u_d and
+    # Sum (N/d) u_d are multiples of 24 den, so the order alone cannot see a
+    # wrong local factor in them; the sums over den can.
+    assert [Fraction(x, local_den) for x in (g, s1, s2, *parities)] == [
+        Fraction(x, den) for x in whole_level_sums
+    ], datum
     assert index_n(datum) == class_order(n, build_c_divisor(datum)), datum
+
+
+# Every local type up to q = 23 and q^8: 9 primes, eigenvalues 1 and q at
+# r = 1 and also 0 at r >= 2.
+LOCAL_CASES = tuple(
+    (q, r, eps)
+    for q in primes_upto(23)
+    for r in range(1, 9)
+    for eps in ((1, q) if r == 1 else (1, q, 0))
+)
+
+
+def test_closed_local_table_matches_the_engine_and_the_pullback():
+    assert len(LOCAL_CASES) == 207
+    for q, r, eps in LOCAL_CASES:
+        c = _local_divisor(q, r, eps)
+        if eps == 1:
+            pulled = RationalCuspDivisor.from_dict(q, {1: 1, q: -1})
+            for _ in range(r - 1):
+                pulled = alpha_pullback(pulled, q)
+            assert c == list(pulled.as_vector()), (q, r)
+        u, den = apply_lambda_inverse(q**r, c)
+        entries, scale = _local_exponents(q, r, eps)
+        assert [Fraction(x, den) for x in u] == [Fraction(24 * e, scale) for e in entries], (
+            q, r, eps,
+        )
+        scalar = {
+            1: Fraction(q - 1),
+            q: Fraction(q) ** (r - 2) * (q * q - 1),
+            0: Fraction(q) ** (r - 3) * (q * q - 1),
+        }[eps]
+        assert _local_residues(q, r, eps) == [scalar * x for x in c], (q, r, eps)
