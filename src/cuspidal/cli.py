@@ -339,7 +339,8 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
 
     for n in range(1, max_n + 1):
         counts["levels"] += 1
-        check(len(enumerate_cusps(n)) == cusp_count(n), "cusp count at {}", n)
+        cusps = enumerate_cusps(n)
+        check(len(cusps) == cusp_count(n), "cusp count at {}", n)
         for p in primes_upto(7):
             if n * p > 400:
                 continue
@@ -350,7 +351,7 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
                 a, b = alpha_image(c, p), beta_image(c, p)
                 afibers[a] = afibers.get(a, 0) + alpha_ram(c, p)
                 bfibers[b] = bfibers.get(b, 0) + beta_ram(c, p)
-            for c in enumerate_cusps(n):
+            for c in cusps:
                 check(afibers.get(c) == deg, "alpha fiber degree at N={}, p={}", n, p)
                 check(bfibers.get(c) == deg, "beta fiber degree at N={}, p={}", n, p)
         rows, scale = _lambda_integer(n)

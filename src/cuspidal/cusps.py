@@ -8,14 +8,13 @@ closed form: z -> z directly, z -> p*z through the fraction p*x/(p^i d).
 
 Cuspidal divisors are the Galois-stable level-indexed sums a_d * (P_d)
 (RationalCuspDivisor), where (P_d) collects every cusp of level d.  On them
-the coverings move each level along its p-chain by one table per
-(p, val_p(N)), and no cusp is ever listed.
+the coverings move each level along its p-chain in closed form, by the
+valuations at p of the level and of N alone, and no cusp is ever listed.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .arith import Record, divisors_of, euler_phi, is_prime, valuation
 
@@ -70,7 +69,6 @@ def make_cusp(n: int, d: int, x: int) -> Cusp:
     return Cusp(n, d, t)
 
 
-@lru_cache(maxsize=None)
 def enumerate_cusps(n: int) -> tuple[Cusp, ...]:
     """All cusps of X0(n): phi(gcd(d, n/d)) of level d for each d | n."""
     out = []
@@ -205,56 +203,43 @@ def covering_degree(n: int, p: int) -> int:
 # on the p-part p^i of a level, so both maps act along the chain p^0, ...,
 # p^(r+1) of X0(Np) over p^0, ..., p^r of X0(N), r = val_p(N), and leave the
 # prime-to-p part d0 alone.  The image z -> p*z maps the cusps of level p^i d0
-# onto those of its beta level, each hit equally often by Galois equivariance,
-# so beta_*(P_e) = m * (P_f) with m the ratio of the two cusp counts; the
-# factor phi(gcd(d0, N/d0)) cancels, and an inexact ratio fails loudly.
-
-
-@lru_cache(maxsize=256)
-def _chain_maps(p: int, r: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Row i for the level p^i d0 of X0(Np), r = val_p(N): (alpha exponent,
-    alpha ramification, beta exponent b, beta multiplicity m) with
-    alpha(p^i d0) = p^min(i, r) d0 and beta_*(P_(p^i d0)) = m * (P_(p^b d0))."""
-    rows = []
-    for i in range(r + 2):
-        b = max(i - 1, 0)
-        m, rem = divmod(euler_phi(p ** min(i, r + 1 - i)), euler_phi(p ** min(b, r - b)))
-        if rem:
-            raise ConsistencyError(
-                f"pushforward of level p^{i} along p={p}, r={r} is not a multiple of level p^{b}"
-            )
-        rows.append((min(i, r), p if 2 * i <= r else 1, b, m))
-    return tuple(rows)
+# (i >= 1) onto those of level p^(i-1) d0, each hit equally often by Galois
+# equivariance, so the beta multiplicity m is the ratio of the two cusp
+# counts, phi(p^min(i, r+1-i)) / phi(p^min(i-1, r+1-i)): 1 once 2i > r + 1,
+# else p - 1 at i = 1 and p above it.
 
 
 def alpha_pullback(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     """Pullback through z -> z with ramification multiplicities, on (P_d) sums:
-    (P_(p^j d0)) lifts to level p^j d0, and to p^(r+1) d0 as well when j = r."""
+    (P_(p^j d0)) lifts to level p^j d0 with multiplicity p if 2j <= r, else 1,
+    and to p^(r+1) d0 with multiplicity 1 as well when j = r."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     r = valuation(div.n, p)
-    rows = _chain_maps(p, r)
     out = {}
     for d, v in div.coeffs:
         j = valuation(d, p)
-        out[d] = rows[j][1] * v
+        out[d] = (p if 2 * j <= r else 1) * v
         if j == r:
-            out[d * p] = rows[r + 1][1] * v
+            out[d * p] = v
     return RationalCuspDivisor.from_dict(div.n * p, out)
 
 
 def beta_pushforward(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
-    """Pushforward along z -> p*z on (P_d) sums, X0(Np) down to X0(N)."""
+    """Pushforward along z -> p*z on (P_d) sums, X0(Np) down to X0(N):
+    (P_e) with i = val_p(e) >= 1 goes to m * (P_(e/p)), and a level prime to
+    p goes to itself."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if div.n % p:
         raise ValueError(f"divisor of X0({div.n}) cannot descend along p={p}")
     n = div.n // p
-    rows = _chain_maps(p, valuation(n, p))
+    r = valuation(n, p)
     out: dict[int, int] = {}
     for e, v in div.coeffs:
         i = valuation(e, p)
-        _, _, b, m = rows[i]
-        f = e // p ** (i - b)
-        out[f] = out.get(f, 0) + m * v
+        if i:
+            e //= p
+            v *= 1 if 2 * i > r + 1 else (p - 1 if i == 1 else p)
+        out[e] = out.get(e, 0) + v
     return RationalCuspDivisor.from_dict(n, out)

@@ -143,7 +143,10 @@ class EigenReport(Record):
 def eigen_check(datum: EisensteinDatum, f: QExpansion, qmax: int) -> EigenReport:
     """Verify the eigenvalue pattern on the datum's series f: q+1 for primes
     q off the level (q <= qmax), and the datum's eigenvalue at every prime of
-    the level, each to the precision that f.prec leaves after the operator."""
+    the level, each to the precision that f.prec leaves after the operator.
+    f must have the datum's level, which picks T_q or U_q at each prime."""
+    if f.n != datum.n:
+        raise ValueError(f"series of level {f.n} cannot check a datum of level {datum.n}")
     if f.prec < 2 * qmax:
         raise ValueError("need a series of precision >= 2 * qmax for a meaningful check")
     checks = []

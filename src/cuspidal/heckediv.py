@@ -100,10 +100,9 @@ def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
 def hecke_delta(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     """The level-p Hecke correspondence on divisors: pull back along z -> z
     with ramification multiplicities, then push forward along z -> p*z, which
-    sends each (P_e) to m * (P_f).  Both steps walk the divisor's levels along
-    their p-chains and list no cusp; the chain table raises ConsistencyError
-    if the cusp count of level e is not a multiple of that of f, and
-    alpha_pullback raises ValueError if p is not prime."""
+    sends each (P_e) to m * (P_f).  Both steps move the divisor's levels along
+    their p-chains in closed form and list no cusp; alpha_pullback raises
+    ValueError if p is not prime."""
     return beta_pushforward(alpha_pullback(div, p), p)
 
 

@@ -11,9 +11,15 @@ does the recursive builder of a datum's divisor that the tensor product of
 tridiagonal block T_q of Lambda(q^r)^{-1}, the whole-level Lambda(N)^{-1}
 engine that walked a dict keyed by divisor, rebuilding T_q from that
 formula, with the class order on it, and the ell = 2 hypothesis test that
-tried every presentation of a datum.
+tried every presentation of a datum.  `chain_multiplicity` keeps the
+derivation of the beta pushforward multiplicities from cusp counts.
+
+The package lists the cusps of a curve afresh on every call, so this module
+rebinds `enumerate_cusps` to one memo that the cusp-by-cusp references and
+the cusp tests share.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -40,6 +46,8 @@ from cuspidal.cusps import (
 )
 from cuspidal.eisq import QExpansion
 from cuspidal.heckediv import EisensteinDatum, build_c_divisor
+
+enumerate_cusps = functools.cache(enumerate_cusps)
 
 MAPS = {"alpha": (alpha_image, alpha_ram), "beta": (beta_image, beta_ram)}
 
@@ -89,6 +97,17 @@ def pushforward(kind: str, div: dict, p: int) -> dict:
         img = image(c, p)
         out[img] = out.get(img, 0) + v
     return out
+
+
+def chain_multiplicity(p: int, r: int, i: int) -> int:
+    """m in beta_*(P_(p^i d0)) = m * (P_(p^(i-1) d0)) from X0(Np) down to
+    X0(N), r = val_p(N), 1 <= i <= r + 1: the cusp count of level p^i d0
+    over that of p^(i-1) d0, phi(p^min(i, r+1-i)) / phi(p^min(i-1, r+1-i)),
+    since z -> p*z hits every cusp of the lower level equally often (the
+    factor phi(gcd(d0, N/d0)) cancels).  The division must be exact."""
+    m, rem = divmod(euler_phi(p ** min(i, r + 1 - i)), euler_phi(p ** min(i - 1, r + 1 - i)))
+    assert rem == 0, (p, r, i)
+    return m
 
 
 def recursive_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:

@@ -12,11 +12,13 @@ each workload is replayed here in-process, so a change to the JSON
 rendering, the series, the divisors, the coverings or the sweep's checks
 fails tier-1 before it fails the benchmark.
 
-The package's six caches are pinned: `factor`, `divisors_of` and
-`enumerate_cusps` are unbounded (ROADMAP item 8 bounds or deletes them), and
-the other three (`parts`, the chain maps and the per-level table) are listed
-with their `maxsize`.  A datum's class order reads the closed local entries
-and needs no cache; adding, removing or resizing a cache is an edit here.
+The package's four caches are pinned: `factor` and `divisors_of` are
+unbounded, because the tracer reads their hit ratios, and the other two
+(`parts` and the per-level table) are listed with their `maxsize`.  The
+coverings on (P_d) sums are closed forms, cusp lists are built afresh on
+every call, and a datum's class order reads the closed local entries, so
+none of them needs a cache; adding, removing or resizing a cache is an edit
+here.
 """
 
 import contextlib
@@ -113,7 +115,7 @@ def test_hecke_deep_pool_bytes():
     assert _replay_first_of_each_stratum("hecke_deep") == (87, [])
 
 
-def test_only_the_arithmetic_and_cusp_list_caches_are_unbounded():
+def test_only_the_arithmetic_caches_are_unbounded():
     unbounded, bounded = set(), {}
     for info in pkgutil.iter_modules(cuspidal.__path__):
         module = importlib.import_module(f"cuspidal.{info.name}")
@@ -124,9 +126,5 @@ def test_only_the_arithmetic_and_cusp_list_caches_are_unbounded():
                     unbounded.add(f"{info.name}.{name}")
                 else:
                     bounded[f"{info.name}.{name}"] = maxsize
-    assert unbounded == {"arith.factor", "arith.divisors_of", "cusps.enumerate_cusps"}
-    assert bounded == {
-        "arith.parts": 1024,
-        "cusps._chain_maps": 256,
-        "classlattice._level_table": 64,
-    }
+    assert unbounded == {"arith.factor", "arith.divisors_of"}
+    assert bounded == {"arith.parts": 1024, "classlattice._level_table": 64}

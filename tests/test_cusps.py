@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal.arith import divisors_of, euler_phi, valuation
+from cuspidal.arith import divisors_of, euler_phi, primes_upto, valuation
 from cuspidal.cusps import (
     ConsistencyError,
     Cusp,
@@ -17,12 +17,20 @@ from cuspidal.cusps import (
     beta_ram,
     covering_degree,
     cusp_count,
-    enumerate_cusps,
     make_cusp,
     normalize_fraction,
 )
 from cuspidal.heckediv import hecke_delta
-from reference import aggregate, beta_pullback, expand, p_divisor, pullback, pushforward
+from reference import (
+    aggregate,
+    beta_pullback,
+    chain_multiplicity,
+    enumerate_cusps,
+    expand,
+    p_divisor,
+    pullback,
+    pushforward,
+)
 
 # Levels with high prime powers, where the beta pushforward multiplicities
 # of the interior levels exceed 1.
@@ -294,6 +302,31 @@ def test_normalize_fraction_high_prime_powers():
                 for a in (-7 * c - 1, -1, 1, c + 1, 5 * c - 1):
                     if math.gcd(a, c) == 1:
                         assert normalize_fraction(a, c, n) == _scan_normalize_fraction(a, c, n)
+
+
+@pytest.mark.parametrize("square", [False, True])
+def test_chain_maps_match_cusp_counts_up_to_p47_r11(square):
+    # Every level p^i e of X0(p^(r+1) d0), e | d0, with d0 = 1 or the square
+    # of a prime s != p, whose level e = s carries phi(s) > 1 cusps per point
+    # of the p-chain.
+    for p in primes_upto(47):
+        d0 = (25 if p == 3 else 9) if square else 1
+        for r in range(12):
+            n = p**r * d0
+            for e in divisors_of(d0):
+                for i in range(r + 2):
+                    pushed = beta_pushforward(p_divisor(p**i * e, n * p), p)
+                    if i == 0:
+                        assert pushed == p_divisor(e, n), (p, r, e)
+                    else:
+                        m = chain_multiplicity(p, r, i)
+                        assert pushed == m * p_divisor(p ** (i - 1) * e, n), (p, r, i, e)
+                for j in range(r + 1):
+                    pulled = alpha_pullback(p_divisor(p**j * e, n), p)
+                    lifts = {p**j * e: p if 2 * j <= r else 1}
+                    if j == r:
+                        lifts[p ** (r + 1) * e] = 1
+                    assert pulled == RationalCuspDivisor.from_dict(n * p, lifts), (p, r, j, e)
 
 
 def _push_table(n, p):

@@ -134,6 +134,13 @@ def test_eigen_check_rejects_a_series_shorter_than_twice_qmax(prec):
         eigen_check(datum, build_qexp(datum, prec), 13)
 
 
+def test_eigen_check_rejects_a_series_of_another_level():
+    # U_2 on a level-22 series against the level-2 datum's eigenvalues would
+    # read as a passing check of the level-2 datum.
+    with pytest.raises(ValueError, match="level 22 .* level 2$"):
+        eigen_check(EisensteinDatum(2, 2), build_qexp(EisensteinDatum(22, 2), 30), 7)
+
+
 def test_residue_tables():
     assert residue_table(EisensteinDatum(3, 3, 1)).res == (
         (1, Fraction(2)),

@@ -309,3 +309,19 @@ def test_closed_local_table_matches_the_engine_and_the_pullback():
             0: Fraction(q) ** (r - 3) * (q * q - 1),
         }[eps]
         assert _local_residues(q, r, eps) == [scalar * x for x in c], (q, r, eps)
+        # The README's order table: gcd(e), Sum q^a e_a, Sum q^(r-a) e_a,
+        # Sum e_a, Sum a e_a and the scale, the local factors of _datum_sums.
+        sums = (
+            math.gcd(*entries),
+            sum(q**a * x for a, x in enumerate(entries)),
+            sum(q ** (r - a) * x for a, x in enumerate(entries)),
+            sum(entries),
+            sum(a * x for a, x in enumerate(entries)),
+            scale,
+        )
+        qr = Fraction(q) ** (r - 2)
+        assert sums == {
+            1: (1, 1 - q, q * qr * (q - 1), 0, -1, q - 1),
+            q: (1, 0, q * qr * (q * q - 1), q - 1, -1, q * qr * (q * q - 1)),
+            0: (1, 0, qr * (q - 1) ** 2 * (q + 1), 0, 1 - q, qr * (q * q - 1)),
+        }[eps], (q, r, eps)
