@@ -16,10 +16,11 @@ The dense inverse of `cuspidal lambda --inverse` is the engine's columns.
 
 A datum's divisor is a tensor product of local vectors, so its Lambda(N)^{-1}
 image is 24 times the tensor product of the closed local entries over their
-scales (`_local_exponents`): every sum the eta-quotient conditions read is a
-product of local sums over at most three nonzero entries per q^r || N, which
-`_datum_sums` combines for `classifier.index_n` in O(omega(N)) per datum.
-The engine stays the definition for arbitrary divisors.
+scales, both read off `heckediv._local`: every sum the eta-quotient
+conditions read is a product of local sums over at most three nonzero
+entries per q^r || N, which `_datum_sums` combines for `classifier.index_n`
+in O(omega(N)) per datum.  The engine stays the definition for arbitrary
+divisors.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .arith import (
     valuation,
 )
 from .cusps import ConsistencyError, RationalCuspDivisor
-from .heckediv import EisensteinDatum, epsilon, over_primes
+from .heckediv import EisensteinDatum, _exponent_data, _local, epsilon, over_primes
 
 __all__ = [
     "lambda_matrix",
@@ -207,32 +208,12 @@ def _integer_vector(n: int, a) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in vec], den
 
 
-def _local_exponents(q: int, r: int, eps: int) -> tuple[list[int], int]:
-    """Local eta-exponent entries e over q^0, ..., q^r and local scale s at
-    q^r || N, by the eigenvalue eps of the level-q operator: Lambda(q^r)^{-1}
-    of the local divisor is 24 e / s.  Only e_0, e_1 and e_2 can be nonzero."""
-    if eps == 1:
-        entries, scale = [1, -1], q - 1
-    elif eps == q:
-        entries, scale = [q, -1], q ** (r - 1) * (q * q - 1)
-    else:
-        entries, scale = [q, -(q + 1), 1], q ** (r - 2) * (q * q - 1)
-    return entries + [0] * (r + 1 - len(entries)), scale
-
-
-def _exponent_data(datum: EisensteinDatum) -> Fraction:
-    """The rational 1/24 * prod(p-1, p|M) * prod(p^(r-1) (p^2-1), p^r || N, p
-    not in M) / prod(p|L), the product of the local scales over 24."""
-    scales = (_local_exponents(q, r, epsilon(datum, q))[1] for q, r in factor(datum.n))
-    return Fraction(math.prod(scales), 24)
-
-
 def r_vector(datum: EisensteinDatum) -> tuple[tuple[int, ...], int]:
     """Lambda(N)^{-1} applied to the datum's divisor as (u, den) with
     r = u / den: the closed entries, whose value at delta is the product over
     q^r || N of the local entry at val_q(delta), over _exponent_data.  `sweep`
     checks Lambda(N) r = C against the datum's divisor."""
-    closed = over_primes(datum, lambda q, r, eps: _local_exponents(q, r, eps)[0])
+    closed = over_primes(datum, lambda *k: _local(*k)[1])
     scale = _exponent_data(datum)
     return tuple(closed[d] * scale.denominator for d in divisors_of(datum.n)), scale.numerator
 
@@ -281,7 +262,7 @@ def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
     every prime contradicts the datum's degree 0: ConsistencyError."""
     den, g, s1, s2, weights, moments = 1, 24, 24, 24, [], []
     for q, r in factor(datum.n):
-        entries, scale = _local_exponents(q, r, epsilon(datum, q))
+        _, entries, scale = _local(q, r, epsilon(datum, q))
         e = entries[:3]
         den *= scale
         g *= math.gcd(*e)

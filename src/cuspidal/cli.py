@@ -30,7 +30,6 @@ from .classlattice import (
     apply_lambda_inverse,
     class_order,
     closed_form_order,
-    is_principal,
     lambda_inverse,
     lambda_matrix,
     r_vector,
@@ -383,22 +382,16 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
                 except ConsistencyError:
                     local = None
                 check(closed == order == local, "order of {}", datum)
-            squarefree_m = math.gcd(datum.m, datum.d_part) == 1
-            if squarefree_m:
+            if math.gcd(datum.m, datum.d_part) == 1:
                 check(
                     _maps_to(rows, scale, *r_vector(datum), div.as_vector()),
                     "exponent vector of {}", datum,
                 )
             for p in prime_divisors(n):
-                image = hecke_delta(div, p)
-                eps = epsilon(datum, p)
-                if squarefree_m:
-                    check(image == eps * div, "divisor eigenvalue of {} at {}", datum, p)
-                else:
-                    check(
-                        is_principal(n, image - eps * div),
-                        "class eigenvalue of {} at {}", datum, p,
-                    )
+                check(
+                    hecke_delta(div, p) == epsilon(datum, p) * div,
+                    "divisor eigenvalue of {} at {}", datum, p,
+                )
             f = build_qexp(datum, _SWEEP_PREC)
             residues = _residue_checks(datum, residue_table(datum), *residue_closed(datum), f)
             for key, label in _RESIDUE_LABELS.items():

@@ -113,6 +113,8 @@ class RationalCuspDivisor(Record):
 
     @staticmethod
     def from_dict(n: int, mapping: dict[int, int]) -> "RationalCuspDivisor":
+        if n < 1:
+            raise ValueError(f"level {n} must be positive")
         items = []
         for d, v in mapping.items():
             if d < 1 or n % d:

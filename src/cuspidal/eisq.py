@@ -25,7 +25,7 @@ from .arith import (
     primes_upto,
     valuation,
 )
-from .heckediv import EisensteinDatum, _local_divisor, epsilon, over_primes
+from .heckediv import EisensteinDatum, _exponent_data, _local, epsilon, over_primes
 
 __all__ = [
     "QExpansion",
@@ -189,22 +189,14 @@ class ResidueTable(Record):
         return Fraction(total, den)
 
 
-def _local_residues(q: int, r: int, eps: int) -> list[Fraction | int]:
-    """Residue factors at the levels q^0, ..., q^r for q^r || n: the local
-    divisor times q - 1 where eps = 1, q^(r-2) (q^2 - 1) where eps = q, and
-    q^(r-3) (q^2 - 1) where eps = 0."""
-    scalar = q - 1 if eps == 1 else Fraction(q) ** (r - 2 if eps == q else r - 3) * (q * q - 1)
-    # zeros stay ints, so that over_primes multiplies them in integers
-    return [scalar * x if x else 0 for x in _local_divisor(q, r, eps)]
-
-
 def residue_table(datum: EisensteinDatum) -> ResidueTable:
-    """Residues of the datum's series at every cusp level: the residue at
-    level d is the product over q^r || n of the local factor at val_q(d),
-    chosen by epsilon(datum, q).  The weighted residue sum over all cusps
-    vanishes; `residues` and `sweep` check it."""
-    table = over_primes(datum, _local_residues)
-    return ResidueTable(datum.n, tuple(sorted((d, Fraction(x)) for d, x in table.items())))
+    """Residues of the datum's series at every cusp level: its divisor times
+    24 m _exponent_data(datum) / rad(n), as the local residue factor is the
+    local divisor times the scale s at the primes of m (eps = 1) and s / q at
+    the others.  `residues` and `sweep` check that the weighted sum vanishes."""
+    table = over_primes(datum, lambda *k: _local(*k)[0])
+    scalar = 24 * datum.m * _exponent_data(datum) / parts(datum.n)[2]
+    return ResidueTable(datum.n, tuple(sorted((d, scalar * x) for d, x in table.items())))
 
 
 def residue_closed(datum: EisensteinDatum) -> tuple[Fraction, Fraction]:

@@ -3,12 +3,16 @@
 A datum (N, M, D) fixes the eigenvalue of the level-p Hecke operator at
 every prime p | N: 1 on the primes of M, p on the primes of sf(N)*D / M,
 and 0 on the primes of the square support outside D.  Each datum carries a
-degree-0 rational cuspidal divisor whose class these operators annihilate:
-one closed local vector per prime power, tensored by `over_primes`, which
-also builds its Lambda(N)^{-1} image and the residues.
+degree-0 rational cuspidal divisor that these operators annihilate.  One
+table, `_local(q, r, eps)`, holds its local divisor at q^r || N, the entries
+of the local Lambda(q^r)^{-1} image and their scale; `over_primes` tensors
+them into the divisor, its Lambda(N)^{-1} image and the residues.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .arith import Record, factor, is_prime, parts, valuation
 from .cusps import ConsistencyError, RationalCuspDivisor, alpha_pullback, beta_pushforward
@@ -76,22 +80,33 @@ def over_primes(datum: EisensteinDatum, local) -> dict:
     return out
 
 
-def _local_divisor(q: int, r: int, eps: int) -> list[int]:
-    """The datum's divisor at q^r || n over the levels q^0, ..., q^r: (P_1)
-    where eps = q, (q - 1)(P_1) - (P_q) where eps = 0, and where eps = 1 the
-    pullback of (P_1) - (P_q) along z -> z from X0(q), q^(r-1)(P_1) minus
+def _local(q: int, r: int, eps: int) -> tuple[list[int], list[int], int]:
+    """The datum's local table at q^r || n by the eigenvalue eps of the
+    level-q operator: divisor c and eta-exponent entries e over q^0, ..., q^r
+    and scale s, with Lambda(q^r)^{-1} c = 24 e / s.  c is (P_1) where eps = q,
+    (q - 1)(P_1) - (P_q) where eps = 0, and where eps = 1 the pullback of
+    (P_1) - (P_q) along z -> z from X0(q): q^(r-1)(P_1) minus
     q^max(r - 2a, 0)(P_q^a) for a >= 1."""
+    zeros = [0] * (r - 1)
+    if eps == 1:
+        c = [q ** (r - 1)] + [-(q ** max(r - 2 * a, 0)) for a in range(1, r + 1)]
+        return c, [1, -1] + zeros, q - 1
     if eps == q:
-        return [1] + [0] * r
-    if eps == 0:
-        return [q - 1, -1] + [0] * (r - 1)
-    return [q ** (r - 1)] + [-(q ** max(r - 2 * a, 0)) for a in range(1, r + 1)]
+        return [1, 0] + zeros, [q, -1] + zeros, q ** (r - 1) * (q * q - 1)
+    return [q - 1, -1] + zeros, [q, -(q + 1), 1] + zeros[1:], q ** (r - 2) * (q * q - 1)
+
+
+def _exponent_data(datum: EisensteinDatum) -> Fraction:
+    """The rational 1/24 * prod(p-1, p|M) * prod(p^(r-1) (p^2-1), p^r || N, p
+    not in M) / prod(p|L), the product of the local scales over 24."""
+    scales = (_local(q, r, epsilon(datum, q))[2] for q, r in factor(datum.n))
+    return Fraction(math.prod(scales), 24)
 
 
 def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
     """The degree-0 divisor attached to a datum: the tensor product of the
     local divisors at each q^r || n, chosen by epsilon(datum, q)."""
-    div = RationalCuspDivisor.from_dict(datum.n, over_primes(datum, _local_divisor))
+    div = RationalCuspDivisor.from_dict(datum.n, over_primes(datum, lambda *k: _local(*k)[0]))
     if div.degree() != 0:
         raise ConsistencyError(f"divisor built for {datum} has degree {div.degree()}")
     return div

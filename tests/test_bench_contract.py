@@ -16,9 +16,9 @@ The package's four caches are pinned: `factor` and `divisors_of` are
 unbounded, because the tracer reads their hit ratios, and the other two
 (`parts` and the per-level table) are listed with their `maxsize`.  The
 coverings on (P_d) sums are closed forms, cusp lists are built afresh on
-every call, and a datum's class order reads the closed local entries, so
-none of them needs a cache; adding, removing or resizing a cache is an edit
-here.
+every call, and a datum's divisor, class order and residues read one closed
+local table per prime power (`heckediv._local`), so none of them needs a
+cache; adding, removing or resizing a cache is an edit here.
 """
 
 import contextlib

@@ -168,7 +168,7 @@ def test_classify_never_builds_the_whole_level_divisor(monkeypatch):
         "closed_form_order",
         "apply_lambda_inverse",
         "_level_table",
-        "_local_divisor",
+        "over_primes",
     )
     for module in (classifier, classlattice, heckediv):
         for name in names:
@@ -193,7 +193,8 @@ def test_index_n_rejects_a_divisor_of_nonzero_degree(monkeypatch):
     # (P_1) at every prime, whose local exponents are the eps = q entries:
     # each local degree is 1 and each local weight q - 1, which no datum's
     # divisor of degree 0 can have
-    real = classlattice._local_exponents
-    monkeypatch.setattr(classlattice, "_local_exponents", lambda q, r, eps: real(q, r, q))
+    real = heckediv._local
+    for module in (classlattice, heckediv):
+        monkeypatch.setattr(module, "_local", lambda q, r, eps: real(q, r, q))
     with pytest.raises(ConsistencyError, match="nonzero weight at every prime"):
         index_n(EisensteinDatum(33, 3, 1))

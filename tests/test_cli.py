@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal import classlattice, cli, eisq
-from cuspidal.arith import divisors_of, prime_divisors
+from cuspidal import classlattice, cli, eisq, heckediv
+from cuspidal.arith import divisors_of, parts, prime_divisors
 from cuspidal.classifier import enumerate_data
+from cuspidal.cusps import RationalCuspDivisor
 from cuspidal.cli import main, to_json
 
 
@@ -298,8 +299,16 @@ def test_sweep_reports_a_broken_exponent_vector(capsys, monkeypatch):
     assert json.loads(out)["consistency"]["all_invariants_hold"] is False
 
 
+def _divisor_entry_off(real):
+    def patched(*args):
+        c, entries, scale = real(*args)
+        return [c[0] + 1, *c[1:]], entries, scale
+
+    return patched
+
+
 def test_sweep_reports_broken_residues(capsys, monkeypatch):
-    monkeypatch.setattr(eisq, "_local_residues", _one_entry_off(eisq._local_residues))
+    monkeypatch.setattr(eisq, "_local", _divisor_entry_off(eisq._local))
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     assert code == 2
     parsed = json.loads(out)
@@ -317,7 +326,7 @@ def test_sweep_reports_broken_residues(capsys, monkeypatch):
 
 
 def test_residues_reports_a_nonzero_weighted_sum(capsys, monkeypatch):
-    monkeypatch.setattr(eisq, "_local_residues", _one_entry_off(eisq._local_residues))
+    monkeypatch.setattr(eisq, "_local", _divisor_entry_off(eisq._local))
     code, out, err = _run(capsys, "residues", "12", "--M", "3", "--format", "json")
     assert code == 2
     assert err == ""
@@ -326,14 +335,20 @@ def test_residues_reports_a_nonzero_weighted_sum(capsys, monkeypatch):
     assert consistency["closed_matches_level_ml"] is True
 
 
+def _patch_local_table(monkeypatch, patched) -> None:
+    """Replace the local table where `classlattice` and `_exponent_data` read it."""
+    for module in (classlattice, heckediv):
+        monkeypatch.setattr(module, "_local", patched)
+
+
 def _sweep_with_broken_local_exponents(capsys, monkeypatch, broken) -> list[str]:
-    real = classlattice._local_exponents
+    real = heckediv._local
 
     def patched(*args):
-        entries, scale = real(*args)
-        return broken(entries), scale
+        c, entries, scale = real(*args)
+        return c, broken(entries), scale
 
-    monkeypatch.setattr(classlattice, "_local_exponents", patched)
+    _patch_local_table(monkeypatch, patched)
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     assert code == 2
     parsed = json.loads(out)
@@ -384,7 +399,9 @@ def test_sweep_reports_a_broken_local_order(capsys, monkeypatch):
     # classify reads the local orders alone; `sweep` is where they meet the
     # closed form and the whole-level engine.  A local scale 5 times too
     # large at q = 3 moves every order and exponent vector there that
-    # `sweep` checks.
+    # `sweep` checks.  The scale also fixes the residues' one scalar: the
+    # residue at level ML moves, and where M is the radical so do the residue
+    # at infinity and its link to the series' constant term.
     expected = []
     for n in range(3, 13, 3):
         for datum in enumerate_data(n):
@@ -392,18 +409,51 @@ def test_sweep_reports_a_broken_local_order(capsys, monkeypatch):
                 expected.append(f"order of {datum}")
             if math.gcd(datum.m, datum.d_part) == 1:
                 expected.append(f"exponent vector of {datum}")
-    real = classlattice._local_exponents
+            m_is_radical = datum.m == parts(n)[2]
+            if m_is_radical:
+                expected.append(f"residue at infinity of {datum}")
+            expected.append(f"residue at level ML of {datum}")
+            if m_is_radical:
+                expected.append(f"residue normalization of {datum}")
+    assert len(expected) == 37
+    real = heckediv._local
 
     def perturbed(q, r, eps):
-        entries, scale = real(q, r, eps)
-        return (entries, 5 * scale) if q == 3 else (entries, scale)
+        c, entries, scale = real(q, r, eps)
+        return (c, entries, 5 * scale) if q == 3 else (c, entries, scale)
 
-    monkeypatch.setattr(classlattice, "_local_exponents", perturbed)
+    _patch_local_table(monkeypatch, perturbed)
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     assert code == 2
     failures = json.loads(out)["outputs"]["failures"]
     assert "order of EisensteinDatum(n=3, m=3, d_part=1)" in failures
     assert failures == expected
+
+
+def test_sweep_reports_a_broken_divisor_eigenvalue(capsys, monkeypatch):
+    # (P_1) - (P_N) added to T_p of every degree-0 divisor breaks the exact
+    # eigenvector identity at every datum and prime, the data whose M shares
+    # a prime with D included; the single (P_d) of the case table keep T_p.
+    real = cli.hecke_delta
+
+    def perturbed(div, p):
+        image = real(div, p)
+        if div.degree():
+            return image
+        return image + RationalCuspDivisor.from_dict(div.n, {1: 1, div.n: -1})
+
+    monkeypatch.setattr(cli, "hecke_delta", perturbed)
+    report, ok = cli.run_sweep(12)
+    assert not ok
+    expected = [
+        f"divisor eigenvalue of {datum} at {p}"
+        for n in range(1, 13)
+        for datum in enumerate_data(n)
+        for p in prime_divisors(n)
+    ]
+    assert "divisor eigenvalue of EisensteinDatum(n=12, m=6, d_part=2) at 2" in expected
+    assert len(expected) == 33
+    assert report["failures"] == expected
 
 
 def test_sweep_reports_a_broken_solver(capsys, monkeypatch):

@@ -140,6 +140,14 @@ def test_p_divisor_degrees():
         p_divisor(5, 9)
 
 
+def test_from_dict_rejects_a_level_below_one():
+    # Every d divides 0, so without the check {5: 1} would be a divisor of
+    # degree 4 on "X0(0)".
+    for n, mapping in ((0, {5: 1}), (-6, {3: 1}), (0, {})):
+        with pytest.raises(ValueError, match=f"level {n} must be positive"):
+            RationalCuspDivisor.from_dict(n, mapping)
+
+
 def test_alpha_image_examples():
     assert alpha_image(make_cusp(22, 11, 1), 2) == make_cusp(11, 11, 1)
     assert alpha_image(make_cusp(27, 27, 1), 3) == make_cusp(9, 9, 1)

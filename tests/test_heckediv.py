@@ -155,6 +155,18 @@ def test_class_level_annihilation_general_m():
                 assert is_principal(n, diff), (datum, p)
 
 
+def test_divisor_is_an_exact_eigenvector():
+    # Exact at every datum, including those whose M shares a prime with D.
+    shared = 0
+    for n in range(2, 60):
+        for datum in _valid_data(n):
+            shared += math.gcd(datum.m, datum.d_part) != 1
+            div = build_c_divisor(datum)
+            for p in prime_divisors(n):
+                assert hecke_delta(div, p) == epsilon(datum, p) * div, (datum, p)
+    assert shared
+
+
 def test_deg_map_plain_is_alpha_pullback():
     div = build_c_divisor(EisensteinDatum(11, 11, 1))
     from cuspidal.cusps import alpha_pullback

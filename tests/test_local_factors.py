@@ -2,12 +2,15 @@
 
 The series, the residues, the closed exponent vector, the exponent scale,
 the datum's divisor and its class order are products over q^r || N of one
-local factor chosen by epsilon(datum, q).  The references below classify
-each prime by a five-way split on (r == 1, q | M, q | D) instead, build the
+local factor chosen by epsilon(datum, q).  The divisor, the exponent entries
+and the scale come from one table, `heckediv._local`, and the residues are
+one rational multiple of the divisor.  The references below classify each
+prime by a five-way split on (r == 1, q | M, q | D) instead, build the
 divisor by a closed sum and a pullback recursion, or run the whole-level
 class-order engine on the built divisor, and must agree exactly on random
 data that cover every eigenvalue at r = 1 and at r >= 2, high prime powers,
-and a base prime in M and in L.
+and a base prime in M and in L; the residues also on every datum at
+N <= 200.
 """
 
 import math
@@ -17,18 +20,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspidal.arith import divisors_of, factor, parts, prime_divisors, primes_upto, valuation
-from cuspidal.classifier import index_n
-from cuspidal.classlattice import (
-    _datum_sums,
-    _exponent_data,
-    _local_exponents,
-    apply_lambda_inverse,
-    class_order,
-    r_vector,
-)
+from cuspidal.classifier import enumerate_data, index_n
+from cuspidal.classlattice import _datum_sums, apply_lambda_inverse, class_order, r_vector
 from cuspidal.cusps import RationalCuspDivisor, alpha_pullback
-from cuspidal.eisq import QExpansion, _local_residues, base_epp, build_qexp, residue_table
-from cuspidal.heckediv import EisensteinDatum, _local_divisor, build_c_divisor, epsilon
+from cuspidal.eisq import QExpansion, base_epp, build_qexp, residue_table
+from cuspidal.heckediv import EisensteinDatum, _exponent_data, _local, build_c_divisor, epsilon
 from reference import recursive_c_divisor
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -190,6 +186,15 @@ def test_residue_table_matches_case_split(datum):
     assert residue_table(datum).res == _split_residue_table(datum), datum
 
 
+def test_residue_table_matches_case_split_on_every_datum_to_200():
+    count = 0
+    for n in range(1, 201):
+        for datum in enumerate_data(n):
+            assert residue_table(datum).res == _split_residue_table(datum), datum
+            count += 1
+    assert count == 794
+
+
 @settings(max_examples=80, deadline=None)
 @_with_examples
 @given(datum=data())
@@ -292,23 +297,25 @@ LOCAL_CASES = tuple(
 def test_closed_local_table_matches_the_engine_and_the_pullback():
     assert len(LOCAL_CASES) == 207
     for q, r, eps in LOCAL_CASES:
-        c = _local_divisor(q, r, eps)
+        c, entries, scale = _local(q, r, eps)
         if eps == 1:
             pulled = RationalCuspDivisor.from_dict(q, {1: 1, q: -1})
             for _ in range(r - 1):
                 pulled = alpha_pullback(pulled, q)
             assert c == list(pulled.as_vector()), (q, r)
         u, den = apply_lambda_inverse(q**r, c)
-        entries, scale = _local_exponents(q, r, eps)
         assert [Fraction(x, den) for x in u] == [Fraction(24 * e, scale) for e in entries], (
             q, r, eps,
         )
+        # The local residue factor is c times q - 1, q^(r-2)(q^2 - 1) or
+        # q^(r-3)(q^2 - 1): the scale where eps = 1, at the primes of M, and
+        # the scale over q elsewhere, so residue_table needs one scalar.
         scalar = {
             1: Fraction(q - 1),
             q: Fraction(q) ** (r - 2) * (q * q - 1),
             0: Fraction(q) ** (r - 3) * (q * q - 1),
         }[eps]
-        assert _local_residues(q, r, eps) == [scalar * x for x in c], (q, r, eps)
+        assert scalar == (scale if eps == 1 else Fraction(scale, q)), (q, r, eps)
         # The README's order table: gcd(e), Sum q^a e_a, Sum q^(r-a) e_a,
         # Sum e_a, Sum a e_a and the scale, the local factors of _datum_sums.
         sums = (
