@@ -10,8 +10,10 @@ Lambda(N)^{-1} = 24 * (tensor over q^r || N of T_q / (q^r (q^2 - 1))), with
 T_q an integer tridiagonal (r+1) x (r+1) block.  The engine applies it one
 prime at a time, in integers over one common denominator, and reads every
 eta-quotient condition as a gcd against that denominator.  Both read one
-bounded table per level: each block T_q with the positions of the divisor
-chains along q, the degree weights, the codivisors and the valuation rows.
+bounded table per level, the blocks T_q with the positions of the divisor
+chains d, d q, ..., d q^r, where the place j in a chain is val_q, which the
+parity condition reads.  A divisor's degree is psi(N)/24 times the weight
+of its exponent vector, so degree 0 is checked once, on the engine's image.
 The dense inverse of `cuspidal lambda --inverse` is the engine's columns.
 
 A datum's divisor is a tensor product of local vectors, so its Lambda(N)^{-1}
@@ -32,9 +34,7 @@ from functools import lru_cache
 from operator import mul
 
 from .arith import (
-    Record,
     divisors_of,
-    euler_phi,
     factor,
     is_prime,
     numerator_of,
@@ -92,27 +92,12 @@ def _block(q: int, r: int, at: Mapping[int, int]) -> tuple:
     )
 
 
-class _LevelTable(Record):
-    """What the engine and class_order read at level n, over the ascending
-    divisors d of n: for each q^r || n the tridiagonal block of T_q with its
-    position chains (`_block`), the degree weights phi(gcd(d, n/d)), the
-    codivisors n/d, and the rows val_p(d) for each p | n."""
-
-    __slots__ = ("divs", "blocks", "weights", "codivs", "valuations")
-
-
 @lru_cache(maxsize=64)
-def _level_table(n: int) -> _LevelTable:
-    divs = divisors_of(n)
-    at = {d: i for i, d in enumerate(divs)}
-    factors = factor(n)
-    return _LevelTable(
-        divs,
-        tuple(_block(q, r, at) for q, r in factors),
-        tuple(euler_phi(math.gcd(d, n // d)) for d in divs),
-        tuple(n // d for d in divs),
-        tuple(tuple(valuation(d, q) for d in divs) for q, _ in factors),
-    )
+def _level_table(n: int) -> tuple:
+    """The blocks `_block(q, r, at)` of T_q, one for each q^r || n, with the
+    chains as positions in the ascending divisors of n."""
+    at = {d: i for i, d in enumerate(divisors_of(n))}
+    return tuple(_block(q, r, at) for q, r in factor(n))
 
 
 def apply_lambda_inverse(
@@ -124,11 +109,11 @@ def apply_lambda_inverse(
     One pass per block T_q of the level's table (`_level_table`, at most 64
     levels held) runs along its chains d, d q, ..., d q^r, in integers.
     """
-    table = _level_table(n)
-    if len(a) != len(table.divs):
-        raise ValueError(f"vector length {len(a)} != number of divisors {len(table.divs)}")
+    size = len(divisors_of(n))
+    if len(a) != size:
+        raise ValueError(f"vector length {len(a)} != number of divisors {size}")
     x = list(a)
-    for block_den, diag, below, above, chains in table.blocks:
+    for block_den, diag, below, above, chains in _level_table(n):
         den *= block_den
         r = len(above)
         for chain in chains:
@@ -236,19 +221,22 @@ def class_order(n: int, a) -> int:
     Every eta-quotient condition admits the multiples of one modulus, so the
     order is the lcm of the per-condition minimal moduli for Lambda^{-1} a
     = u / den; each modulus is den (or 24 den, 2 den) over its gcd with the
-    condition's integer sum.
+    condition's integer sum.  The divisor's degree is psi(n)/24 times the
+    weight Sum u_d / den (Ligozat), so a nonzero weight is the one degree
+    check.  The parity sum at q reads val_q(d) as d's position in its chain.
     """
     nums, den = _integer_vector(n, a)
-    table = _level_table(n)
-    degree = sum(map(mul, nums, table.weights))
-    if degree != 0:
-        raise ValueError(f"divisor has degree {Fraction(degree, den)}, expected 0")
     u, den = apply_lambda_inverse(n, nums, den)
     if sum(u) != 0:
-        raise ValueError("exponent vector has nonzero weight; no multiple is principal")
-    s1 = sum(map(mul, u, table.divs))
-    s2 = sum(map(mul, u, table.codivs))
-    parities = [sum(map(mul, u, row)) for row in table.valuations]
+        psi = math.prod(q ** (e - 1) * (q + 1) for q, e in factor(n))
+        raise ValueError(f"divisor has degree {Fraction(psi * sum(u), 24 * den)}, expected 0")
+    divs = divisors_of(n)
+    s1 = sum(map(mul, u, divs))
+    s2 = sum(n // d * x for d, x in zip(divs, u))
+    parities = [
+        sum(j * u[i] for chain in chains for j, i in enumerate(chain))
+        for *_, chains in _level_table(n)
+    ]
     return _eta_order(den, math.gcd(*u), s1, s2, parities)
 
 
@@ -260,7 +248,7 @@ def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
     e_2: gcd(e), Sum q^a e_a, Sum q^(r-a) e_a, and for the parity sum at p,
     Sum a e_a at p and Sum e_a at every other prime.  A nonzero weight at
     every prime contradicts the datum's degree 0: ConsistencyError."""
-    den, g, s1, s2, weights, moments = 1, 24, 24, 24, [], []
+    den, g, s1, s2, totals, moments = 1, 24, 24, 24, [], []
     for q, r in factor(datum.n):
         _, entries, scale = _local(q, r, epsilon(datum, q))
         e = entries[:3]
@@ -268,12 +256,12 @@ def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
         g *= math.gcd(*e)
         s1 *= sum(q**a * x for a, x in enumerate(e))
         s2 *= sum(q ** (r - a) * x for a, x in enumerate(e))
-        weights.append(sum(e))
+        totals.append(sum(e))
         moments.append(sum(a * x for a, x in enumerate(e)))
-    if all(weights):
+    if all(totals):
         raise ConsistencyError(f"local exponents of {datum} have nonzero weight at every prime")
     parities = [
-        24 * moment * math.prod(weights[:i] + weights[i + 1 :]) for i, moment in enumerate(moments)
+        24 * moment * math.prod(totals[:i] + totals[i + 1 :]) for i, moment in enumerate(moments)
     ]
     return den, g, s1, s2, parities
 

@@ -204,18 +204,13 @@ def cmd_order(args) -> tuple[dict, int]:
     consistency: dict = {}
     engine = closed = None
     if args.method in ("lattice", "both"):
-        engine = class_order(datum.n, build_c_divisor(datum))
-        outputs["engine"] = engine
+        engine = outputs["engine"] = class_order(datum.n, build_c_divisor(datum))
     if args.method in ("closed", "both"):
-        closed = closed_form_order(datum)
-        outputs["closed"] = closed
-    outputs["order"] = engine if engine is not None else closed
-    code = 0
+        closed = outputs["closed"] = closed_form_order(datum)
+    order = outputs["order"] = index_n(datum)
     if args.method == "both":
-        match = None if closed is None else (engine == closed)
-        consistency["engine_closed_match"] = match
-        if match is False:
-            code = 2
+        consistency["engine_closed_match"] = None if closed is None else engine == closed
+    code = 0 if engine in (None, order) and closed in (None, order) else 2
     return {"outputs": outputs, "consistency": consistency}, code
 
 
@@ -374,14 +369,13 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
         for datum in enumerate_data(n):
             counts["data"] += 1
             div = build_c_divisor(datum)
-            order = class_order(n, div)
             closed = closed_form_order(datum)
             if closed is not None:
                 try:
-                    local = index_n(datum)
-                except ConsistencyError:
-                    local = None
-                check(closed == order == local, "order of {}", datum)
+                    agree = closed == class_order(n, div) == index_n(datum)
+                except (ValueError, ConsistencyError):
+                    agree = False
+                check(agree, "order of {}", datum)
             if math.gcd(datum.m, datum.d_part) == 1:
                 check(
                     _maps_to(rows, scale, *r_vector(datum), div.as_vector()),

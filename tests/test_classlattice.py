@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
 import pytest
@@ -138,6 +139,17 @@ def _identity(size):
 def test_lambda_inverse_is_inverse(n):
     size = len(divisors_of(n))
     assert _mat_mul(lambda_matrix(n), lambda_inverse(n)) == _identity(size)
+
+
+def test_degree_of_lambda_columns_is_psi_over_24():
+    # Ligozat: the (P_d)-divisor Lambda(N) r has degree psi(N)/24 * Sum r, so
+    # class_order's one degree check reads the weight of Lambda(N)^{-1} a.
+    for n in range(1, 400):
+        divs = divisors_of(n)
+        weights = [euler_phi(math.gcd(d, n // d)) for d in divs]
+        psi = math.prod(q ** (e - 1) * (q + 1) for q, e in factor(n))
+        columns = zip(*lambda_matrix(n))
+        assert all(sum(map(mul, weights, col)) == Fraction(psi, 24) for col in columns), n
 
 
 def test_solve_lambda_examples():

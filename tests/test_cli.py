@@ -55,6 +55,25 @@ def test_order_not_covered_closed(capsys):
     assert parsed["consistency"]["engine_closed_match"] is None
 
 
+def test_order_closed_reports_the_order_outside_the_closed_form(capsys):
+    code, out, _ = _run(
+        capsys, "order", "45", "--M", "5", "--D", "3", "--method", "closed", "--format", "json"
+    )
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["closed"] is None
+    assert outputs["order"] == 4
+
+
+def test_order_exits_two_when_the_engine_disagrees(capsys, monkeypatch):
+    real = cli.class_order
+    monkeypatch.setattr(cli, "class_order", lambda n, a: real(n, a) + 1)
+    code, out, _ = _run(capsys, "order", "11", "--M", "11", "--method", "lattice")
+    assert code == 2
+    assert "order: 5" in out
+    assert "engine: 6" in out
+
+
 _ESCAPES = st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d4b3'))
 _JSON_TEXT = st.one_of(st.text(), _ESCAPES)
 _JSON_LEAVES = st.one_of(
@@ -251,6 +270,40 @@ def test_sweep_reports_a_perturbed_block_triple(capsys, monkeypatch):
     failures = parsed["outputs"]["failures"]
     assert [f for f in failures if f.startswith("Lambda inverse at ")] == [
         f"Lambda inverse at {n}" for n in (2, 6, 10)
+    ]
+
+
+def test_sweep_reports_a_block_that_breaks_the_weight(capsys, monkeypatch):
+    checks = cli.run_sweep(12)[0]["checks"]
+    real = classlattice._block
+
+    def perturbed(q, r, at):
+        den, diag, below, above, chains = real(q, r, at)
+        if (q, r) != (2, 1):
+            return den, diag, below, above, chains
+        # T_2[0][0] up by one alone: the column sums of T_2 move, so the
+        # engine's image of a degree-0 divisor at 2 || N has nonzero weight
+        # and class_order raises; the sweep records it and goes on.
+        return den, (diag[0] + 1, *diag[1:]), below, above, chains
+
+    monkeypatch.setattr(classlattice, "_block", perturbed)
+    classlattice._level_table.cache_clear()
+    try:
+        code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
+    finally:
+        classlattice._level_table.cache_clear()
+    assert code == 2
+    outputs = json.loads(out)["outputs"]
+    assert outputs["checks"] == checks
+    orders = {2: [2], 6: [2, 3, 6], 10: [2, 5, 10]}
+    assert outputs["failures"] == [
+        label
+        for n, ms in orders.items()
+        for label in (
+            f"Lambda inverse at {n}",
+            f"solver agreement at {n}",
+            *(f"order of EisensteinDatum(n={n}, m={m}, d_part=1)" for m in ms),
+        )
     ]
 
 
