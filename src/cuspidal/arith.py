@@ -39,12 +39,14 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls.__slots__)
+        # The slots' own setters, which the refusing __setattr__ does not reach.
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *values) -> None:
-        if len(values) != len(self.__slots__):
+        if len(values) != len(self._setters):
             raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -106,7 +108,9 @@ def parts(n: int) -> tuple[int, int, int]:
 
 def euler_phi(n: int) -> int:
     """Euler's totient."""
-    return math.prod(p ** (e - 1) * (p - 1) for p, e in factor(n))
+    if n == 1:  # gcd(d, n/d) at most cusp levels
+        return 1
+    return math.prod([p ** (e - 1) * (p - 1) for p, e in factor(n)])
 
 
 def omega(n: int) -> int:
@@ -136,15 +140,11 @@ def valuation(n: int, p: int) -> int:
 
 def numerator_of(r: Fraction | int) -> int:
     """Positive numerator of r in lowest terms (the order of the associated cyclic group)."""
-    return abs(Fraction(r).numerator)
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and factor(n) == ((n, 1),)
+    return abs(r.numerator)
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
-    return tuple(p for p, _ in factor(n))
+    return tuple([p for p, _ in factor(n)])
 
 
 def primes_upto(limit: int) -> tuple[int, ...]:
@@ -157,3 +157,26 @@ def primes_upto(limit: int) -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = frozenset(primes_upto(43 * 43 - 1))  # what trial division by _BASES decides
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: trial division by the primes up to 41, then a strong
+    probable-prime test to those bases, which no composite below 3.3e24
+    passes (Sorenson and Webster, 2015); `factor` decides above that."""
+    if n < 43 * 43:
+        return n in _SMALL_PRIMES
+    for p in _BASES:
+        if n % p == 0:
+            return False
+    if n >= 3317044064679887385961981:
+        return factor(n) == ((n, 1),)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for a in _BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << k, n) for k in range(s)):
+            return False
+    return True

@@ -125,7 +125,7 @@ def apply_lambda_inverse(
                 if j < r:
                     v += above[j] * old[j + 1]
                 x[i] = v
-    return tuple(24 * v for v in x), den
+    return tuple([24 * v for v in x]), den
 
 
 def lambda_inverse(n: int) -> Matrix:
@@ -184,9 +184,9 @@ def _integer_vector(n: int, a) -> tuple[list[int], int]:
         divset = set(divs)
         if any(d not in divset for d in a):
             raise ValueError("coefficient keys must divide the level")
-        vec = [Fraction(a.get(d, 0)) for d in divs]
+        vec = [a.get(d, 0) for d in divs]
     else:
-        vec = [Fraction(x) for x in a]
+        vec = list(a)
         if len(vec) != len(divs):
             raise ValueError(f"vector length {len(vec)} != number of divisors {len(divs)}")
     den = math.lcm(*(x.denominator for x in vec))
@@ -199,8 +199,8 @@ def r_vector(datum: EisensteinDatum) -> tuple[tuple[int, ...], int]:
     q^r || N of the local entry at val_q(delta), over _exponent_data.  `sweep`
     checks Lambda(N) r = C against the datum's divisor."""
     closed = over_primes(datum, lambda *k: _local(*k)[1])
-    scale = _exponent_data(datum)
-    return tuple(closed[d] * scale.denominator for d in divisors_of(datum.n)), scale.numerator
+    num, den = _exponent_data(datum).as_integer_ratio()
+    return tuple([closed[d] * den for d in divisors_of(datum.n)]), num
 
 
 def _eta_order(den: int, g: int, s1: int, s2: int, parities) -> int:
@@ -285,7 +285,7 @@ def closed_form_order(datum: EisensteinDatum) -> int | None:
     k2 = valuation(n2, 2)
     if n2 == 2**k2 and k2 >= 2:
         return numerator_of(Fraction(2) ** (k2 - 4))
-    reduced = EisensteinDatum(n2, m, d2)
+    reduced = datum if a == 1 else EisensteinDatum(n2, m, d2)
     _, sq2, _ = parts(n2)
     if reduced.l_part == 1 and sq2 != 1:
         return None

@@ -20,8 +20,9 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
+from collections import defaultdict
 from json.encoder import encode_basestring_ascii as _esc
+from operator import mul
 
 from .arith import divisors_of, is_prime, prime_divisors, primes_upto
 from .classifier import enumerate_data, index_n, rational_eisenstein_primes
@@ -218,12 +219,12 @@ def _residue_checks(datum: EisensteinDatum, table, at_inf, at_ml, f) -> dict[str
     """The four residue invariants of a datum's table against its closed
     values at infinity and at level ML and against the constant term of its
     series f (at any precision), keyed as `residues` reports them."""
-    n, ml = datum.n, datum.m * datum.l_part
+    res = dict(table.res)
     return {
         "weighted_sum_zero": table.weighted_sum() == 0,
-        "closed_matches_infinity": table.at_level(n) == at_inf,
-        "closed_matches_level_ml": table.at_level(ml) == at_ml,
-        "normalization_link": table.at_level(n) == -24 * f.a(0),
+        "closed_matches_infinity": res[datum.n] == at_inf,
+        "closed_matches_level_ml": res[datum.m * datum.l_part] == at_ml,
+        "normalization_link": res[datum.n] == f.a(0) * -24,
     }
 
 
@@ -294,9 +295,9 @@ def _inverts_columns(n: int, rows, scale) -> bool:
     rows to its unit vector; column j is read over lcm(scale)."""
     den = math.lcm(*scale)
     lifts = [den // s for s in scale]
-    for j in range(len(rows)):
-        u, out = apply_lambda_inverse(n, [row[j] * t for row, t in zip(rows, lifts)], den)
-        if u != tuple(out if i == j else 0 for i in range(len(u))):
+    for j, column in enumerate(zip(*rows)):
+        u, out = apply_lambda_inverse(n, list(map(mul, column, lifts)), den)
+        if u[j] != out or any(u[:j]) or any(u[j + 1 :]):
             return False
     return True
 
@@ -304,9 +305,7 @@ def _inverts_columns(n: int, rows, scale) -> bool:
 def _maps_to(rows, scale, u, den: int, c) -> bool:
     """Whether Lambda(n) (u / den) == c for Lambda(n) = diag(scale)^{-1} rows,
     in integers: whether rows . u == den * scale * c."""
-    return all(
-        sum(a * v for a, v in zip(row, u)) == den * s * w for row, s, w in zip(rows, scale, c)
-    )
+    return all(sum(map(mul, row, u)) == den * s * w for row, s, w in zip(rows, scale, c))
 
 
 # The sweep's failure label of each residue check, in the order it runs them.
@@ -331,39 +330,44 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
         if not flag:
             failures.append(label.format(*args))
 
-    for n in range(1, max_n + 1):
+    covers = {n: [p for p in primes_upto(7) if n * p <= 400] for n in range(1, max_n + 1)}
+    last = {m: n for n, ps in covers.items() for m in (n, *(n * p for p in ps))}
+    lists: dict = {}
+
+    def cusps_of(m: int, n: int) -> tuple:
+        """The cusps of X0(m) at level n, listed once and dropped after their last level."""
+        found = lists[m] = lists.get(m) or enumerate_cusps(m)
+        return found if last[m] > n else lists.pop(m)
+
+    for n, ps in covers.items():
         counts["levels"] += 1
-        cusps = enumerate_cusps(n)
+        cusps = cusps_of(n, n)
         check(len(cusps) == cusp_count(n), "cusp count at {}", n)
-        for p in primes_upto(7):
-            if n * p > 400:
-                continue
+        for p in ps:
             deg = covering_degree(n, p)
-            afibers: dict = {}
-            bfibers: dict = {}
-            for c in enumerate_cusps(n * p):
+            afibers, bfibers = defaultdict(int), defaultdict(int)
+            for c in cusps_of(n * p, n):
                 a, b = alpha_image(c, p), beta_image(c, p)
-                afibers[a] = afibers.get(a, 0) + alpha_ram(c, p)
-                bfibers[b] = bfibers.get(b, 0) + beta_ram(c, p)
+                afibers[a.d, a.x] += alpha_ram(c, p)
+                bfibers[b.d, b.x] += beta_ram(c, p)
             for c in cusps:
-                check(afibers.get(c) == deg, "alpha fiber degree at N={}, p={}", n, p)
-                check(bfibers.get(c) == deg, "beta fiber degree at N={}, p={}", n, p)
+                check(afibers.get((c.d, c.x)) == deg, "alpha fiber degree at N={}, p={}", n, p)
+                check(bfibers.get((c.d, c.x)) == deg, "beta fiber degree at N={}, p={}", n, p)
         rows, scale = _lambda_integer(n)
         check(_inverts_columns(n, rows, scale), "Lambda inverse at {}", n)
         divs = divisors_of(n)
         rhs = tuple((-1) ** i * (i + 1) for i in range(len(divs)))
         u, den = apply_lambda_inverse(n, rhs)
-        check(
-            solve_lambda(n, rhs) == tuple(Fraction(x, den) for x in u),
-            "solver agreement at {}", n,
-        )
+        solved = solve_lambda(n, rhs)
+        agree = all(x.numerator * den == v * x.denominator for x, v in zip(solved, u))
+        check(agree, "solver agreement at {}", n)
         for p in prime_divisors(n):
             for d in divs:
                 expected = hecke_delta_closed(d, p, n)
                 if expected is None:
                     continue
                 check(
-                    hecke_delta(RationalCuspDivisor.from_dict(n, {d: 1}), p) == expected,
+                    hecke_delta(RationalCuspDivisor(n, ((d, 1),)), p) == expected,
                     "case table at N={}, p={}, d={}", n, p, d,
                 )
         for datum in enumerate_data(n):
@@ -392,14 +396,7 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
                 check(residues[key], label, datum)
             eigen = eigen_check(datum, f, _SWEEP_QMAX)
             check(eigen.passed, "eigenform checks of {}", datum)
-    report = {
-        "max_n": max_n,
-        "levels": counts["levels"],
-        "data": counts["data"],
-        "checks": counts["checks"],
-        "failures": failures,
-    }
-    return report, not failures
+    return {"max_n": max_n, **counts, "failures": failures}, not failures
 
 
 _COMMANDS = {

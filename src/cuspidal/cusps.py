@@ -4,7 +4,7 @@ A cusp is a pair (x : d) with d | N and gcd(x, d) = 1, where x is read
 modulo y = gcd(d, N/d).  The canonical representative is the smallest
 positive integer in its class coprime to d.  A reduced fraction a/c is the
 cusp (a*c/d : d) with d = gcd(c, N), so both coverings act on the pair in
-closed form: z -> z directly, z -> p*z through the fraction p*x/(p^i d).
+closed form: z -> z by the level gcd(d, N), z -> p*z through the fraction p*x/d.
 
 Cuspidal divisors are the Galois-stable level-indexed sums a_d * (P_d)
 (RationalCuspDivisor), where (P_d) collects every cusp of level d.  On them
@@ -15,6 +15,7 @@ valuations at p of the level and of N alone, and no cusp is ever listed.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .arith import Record, divisors_of, euler_phi, is_prime, valuation
 
@@ -46,9 +47,10 @@ class Cusp(Record):
     __slots__ = ("n", "d", "x")
 
     def __init__(self, n: int, d: int, x: int) -> None:  # spelled out: the most-built record
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "x", x)
+        set_n, set_d, set_x = self._setters
+        set_n(self, n)
+        set_d(self, d)
+        set_x(self, x)
 
     def __repr__(self) -> str:
         return f"Cusp({self.x}:{self.d} @ {self.n})"
@@ -59,9 +61,9 @@ def make_cusp(n: int, d: int, x: int) -> Cusp:
     if n < 1 or d < 1 or n % d:
         raise ValueError(f"cusp level {d} does not divide {n}")
     y = math.gcd(d, n // d)
-    t = x % y
-    if t == 0:
-        t = y
+    if y == 1:
+        return Cusp(n, d, 1)
+    t = x % y or y
     if math.gcd(t, y) != 1:
         raise ValueError(f"class {x} mod {y} has no representative coprime to {d}")
     while math.gcd(t, d) != 1:
@@ -108,20 +110,18 @@ class RationalCuspDivisor(Record):
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: tuple[tuple[int, int], ...]) -> None:  # as in Cusp
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
+        set_n, set_coeffs = self._setters
+        set_n(self, n)
+        set_coeffs(self, coeffs)
 
     @staticmethod
     def from_dict(n: int, mapping: dict[int, int]) -> "RationalCuspDivisor":
         if n < 1:
             raise ValueError(f"level {n} must be positive")
-        items = []
-        for d, v in mapping.items():
+        for d in mapping:
             if d < 1 or n % d:
                 raise ValueError(f"level {d} does not divide {n}")
-            if v:
-                items.append((d, v))
-        return RationalCuspDivisor(n, tuple(sorted(items)))
+        return _on_levels(n, mapping)
 
     def degree(self) -> int:
         return sum(v * euler_phi(math.gcd(d, self.n // d)) for d, v in self.coeffs)
@@ -129,7 +129,7 @@ class RationalCuspDivisor(Record):
     def as_vector(self) -> tuple[int, ...]:
         """Coefficients over the ascending divisors of n."""
         coeffs = dict(self.coeffs)
-        return tuple(coeffs.get(d, 0) for d in divisors_of(self.n))
+        return tuple([coeffs.get(d, 0) for d in divisors_of(self.n)])
 
     def _merge(self, other: "RationalCuspDivisor", sign: int) -> "RationalCuspDivisor":
         if self.n != other.n:
@@ -137,7 +137,7 @@ class RationalCuspDivisor(Record):
         out = dict(self.coeffs)
         for d, v in other.coeffs:
             out[d] = out.get(d, 0) + sign * v
-        return RationalCuspDivisor.from_dict(self.n, out)
+        return _on_levels(self.n, out)
 
     def __add__(self, other: "RationalCuspDivisor") -> "RationalCuspDivisor":
         return self._merge(other, 1)
@@ -146,10 +146,15 @@ class RationalCuspDivisor(Record):
         return self._merge(other, -1)
 
     def __rmul__(self, k: int) -> "RationalCuspDivisor":
-        return RationalCuspDivisor.from_dict(self.n, {d: k * v for d, v in self.coeffs})
+        return RationalCuspDivisor(self.n, tuple((d, k * v) for d, v in self.coeffs if k * v))
 
     def __neg__(self) -> "RationalCuspDivisor":
         return (-1) * self
+
+
+def _on_levels(n: int, mapping: dict[int, int]) -> RationalCuspDivisor:
+    """The divisor of a mapping whose levels all divide n, zeros dropped."""
+    return RationalCuspDivisor(n, tuple(sorted(filter(itemgetter(1), mapping.items()))))
 
 
 # ---------------------------------------------------------------------------
@@ -165,34 +170,30 @@ def _require_covering(c: Cusp, p: int) -> int:
 
 
 def alpha_image(c: Cusp, p: int) -> Cusp:
-    """Image of a cusp of X0(Np) on X0(N) under the covering z -> z."""
+    """Image of a cusp (x : d) of X0(Np) on X0(N) under z -> z: (x : gcd(d, N))."""
     n = _require_covering(c, p)
-    r = valuation(n, p)
-    i = valuation(c.d, p)
-    d0 = c.d // p**i
-    return make_cusp(n, p ** min(i, r) * d0, c.x)
+    return make_cusp(n, math.gcd(c.d, n), c.x)
 
 
 def beta_image(c: Cusp, p: int) -> Cusp:
-    """Image under z -> p*z: the fraction p*x/(p^i d) reduced, then normalized."""
+    """Image under z -> p*z: the fraction p*x/d in lowest terms, normalized."""
     n = _require_covering(c, p)
-    i = valuation(c.d, p)
-    d0 = c.d // p**i
-    if i >= 1:
-        return normalize_fraction(c.x, p ** (i - 1) * d0, n)
-    return normalize_fraction(p * c.x, d0, n)
+    if c.d % p:
+        return normalize_fraction(p * c.x, c.d, n)
+    return normalize_fraction(c.x, c.d // p, n)
 
 
 def alpha_ram(c: Cusp, p: int) -> int:
-    """Ramification index of z -> z at a cusp of level p^i d: p iff 2i <= val_p(N)."""
+    """Ramification index of z -> z at a cusp of level p^i d: p iff p^(2i) | N."""
     n = _require_covering(c, p)
-    return p if 2 * valuation(c.d, p) <= valuation(n, p) else 1
+    return p if n % p ** (2 * valuation(c.d, p)) == 0 else 1
 
 
 def beta_ram(c: Cusp, p: int) -> int:
-    """Ramification index of z -> p*z: p iff 2i >= val_p(N) + 2."""
+    """Ramification of z -> p*z at level p^i d: p iff i >= 1 and p^(2i-1) does not divide N."""
     n = _require_covering(c, p)
-    return p if 2 * valuation(c.d, p) >= valuation(n, p) + 2 else 1
+    i = valuation(c.d, p)
+    return p if i and n % p ** (2 * i - 1) else 1
 
 
 def covering_degree(n: int, p: int) -> int:
@@ -220,11 +221,11 @@ def alpha_pullback(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     r = valuation(div.n, p)
     out = {}
     for d, v in div.coeffs:
-        j = valuation(d, p)
+        j = valuation(d, p) if d % p == 0 else 0
         out[d] = (p if 2 * j <= r else 1) * v
         if j == r:
             out[d * p] = v
-    return RationalCuspDivisor.from_dict(div.n * p, out)
+    return _on_levels(div.n * p, out)
 
 
 def beta_pushforward(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
@@ -239,9 +240,9 @@ def beta_pushforward(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:
     r = valuation(n, p)
     out: dict[int, int] = {}
     for e, v in div.coeffs:
-        i = valuation(e, p)
-        if i:
+        if e % p == 0:
+            i = valuation(e, p)
             e //= p
             v *= 1 if 2 * i > r + 1 else (p - 1 if i == 1 else p)
         out[e] = out.get(e, 0) + v
-    return RationalCuspDivisor.from_dict(n, out)
+    return _on_levels(n, out)

@@ -17,13 +17,13 @@ from fractions import Fraction
 
 from .arith import (
     Record,
+    divisors_of,
     euler_phi,
+    factor,
     is_prime,
     omega,
     parts,
     prime_divisors,
-    primes_upto,
-    valuation,
 )
 from .heckediv import EisensteinDatum, _exponent_data, _local, epsilon, over_primes
 
@@ -51,9 +51,12 @@ class QExpansion(Record):
     __slots__ = ("n", "prec", "coeffs")
 
     def __init__(self, n: int, prec: int, coeffs: tuple[Fraction | int, ...]) -> None:
-        super().__init__(n, prec, coeffs)
-        if self.prec < 0 or len(self.coeffs) != self.prec + 1:
+        if prec < 0 or len(coeffs) != prec + 1:  # spelled out, as in Cusp
             raise ValueError("coefficient count must equal prec + 1")
+        set_n, set_prec, set_coeffs = self._setters
+        set_n(self, n)
+        set_prec(self, prec)
+        set_coeffs(self, coeffs)
 
     def a(self, k: int) -> Fraction | int:
         return self.coeffs[k]
@@ -65,7 +68,7 @@ def _euler_step(
     """Coefficients of f(z) - k f(qz) to the same precision: a_j - k a_{j/q}
     at the multiples j of q, a_j elsewhere."""
     out = list(coeffs)
-    out[::q] = [a - k * b for a, b in zip(coeffs[::q], coeffs)]
+    out[::q] = [a - b * k for a, b in zip(coeffs[::q], coeffs)]
     return tuple(out)
 
 
@@ -93,9 +96,8 @@ def build_qexp(datum: EisensteinDatum, prec: int) -> QExpansion:
     level-p series of the smallest prime p with eps != p, which already
     carries the factor (1 - pX); the other factors follow in ascending order.
     """
-    steps = [
-        (q, k) for q in prime_divisors(datum.n) for k in (1, q) if epsilon(datum, q) != k
-    ]
+    eps = {q: epsilon(datum, q) for q in prime_divisors(datum.n)}
+    steps = [(q, k) for q, e in eps.items() for k in (1, q) if e != k]
     base = min(q for q, k in steps if k == q)
     coeffs = base_epp(base, prec).coeffs
     for q, k in steps:
@@ -110,20 +112,24 @@ def hecke_on_qexp(f: QExpansion, q: int) -> QExpansion:
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     prec = f.prec // q
-    if f.n % q == 0:
-        coeffs = tuple(f.coeffs[q * k] for k in range(prec + 1))
-    else:
-        coeffs = tuple(
-            f.coeffs[q * k] + q * (f.coeffs[k // q] if k % q == 0 else 0)
-            for k in range(prec + 1)
-        )
-    return QExpansion(f.n, prec, coeffs)
+    coeffs = list(f.coeffs[: q * prec + 1 : q])
+    if f.n % q:
+        coeffs[::q] = [b + a * q for b, a in zip(coeffs[::q], f.coeffs)]
+    return QExpansion(f.n, prec, tuple(coeffs))
 
 
 class EigenFact(Record):
     """One Hecke eigenvalue test: the first coefficient index that fails, or None."""
 
     __slots__ = ("prime", "on_level", "eigenvalue", "checked_prec", "first_bad")
+
+    def __init__(self, prime, on_level, eigenvalue, checked_prec, first_bad) -> None:  # as in Cusp
+        set_prime, set_on_level, set_eigenvalue, set_checked_prec, set_first_bad = self._setters
+        set_prime(self, prime)
+        set_on_level(self, on_level)
+        set_eigenvalue(self, eigenvalue)
+        set_checked_prec(self, checked_prec)
+        set_first_bad(self, first_bad)
 
     @property
     def ok(self) -> bool:
@@ -149,11 +155,8 @@ def eigen_check(datum: EisensteinDatum, f: QExpansion, qmax: int) -> EigenReport
         raise ValueError(f"series of level {f.n} cannot check a datum of level {datum.n}")
     if f.prec < 2 * qmax:
         raise ValueError("need a series of precision >= 2 * qmax for a meaningful check")
-    checks = []
-    for q in primes_upto(qmax):
-        if datum.n % q == 0:
-            continue
-        checks.append(_eigen_fact(f, q, q + 1, on_level=False))
+    off_level = [q for q in range(2, qmax + 1) if is_prime(q) and datum.n % q]
+    checks = [_eigen_fact(f, q, q + 1, on_level=False) for q in off_level]
     for p in prime_divisors(datum.n):
         checks.append(_eigen_fact(f, p, epsilon(datum, p), on_level=True))
     return EigenReport(datum, f.prec, tuple(checks))
@@ -161,11 +164,8 @@ def eigen_check(datum: EisensteinDatum, f: QExpansion, qmax: int) -> EigenReport
 
 def _eigen_fact(f: QExpansion, q: int, eigenvalue: int, on_level: bool) -> EigenFact:
     g = hecke_on_qexp(f, q)
-    bad = None
-    for k in range(g.prec + 1):
-        if g.coeffs[k] != eigenvalue * f.coeffs[k]:
-            bad = k
-            break
+    pairs = enumerate(zip(g.coeffs, f.coeffs))
+    bad = next((k for k, (b, a) in pairs if b != a * eigenvalue), None)
     return EigenFact(q, on_level, eigenvalue, g.prec, bad)
 
 
@@ -181,11 +181,9 @@ class ResidueTable(Record):
         raise KeyError(f"{d} is not a level of X0({self.n})")
 
     def weighted_sum(self) -> Fraction:
-        den = math.lcm(*(v.denominator for _, v in self.res))
-        total = sum(
-            euler_phi(math.gcd(d, self.n // d)) * v.numerator * (den // v.denominator)
-            for d, v in self.res
-        )
+        n, ratios = self.n, [(d, *v.as_integer_ratio()) for d, v in self.res]
+        den = math.lcm(*(b for _, _, b in ratios))
+        total = sum(euler_phi(math.gcd(d, n // d)) * a * (den // b) for d, a, b in ratios if a)
         return Fraction(total, den)
 
 
@@ -195,8 +193,10 @@ def residue_table(datum: EisensteinDatum) -> ResidueTable:
     local divisor times the scale s at the primes of m (eps = 1) and s / q at
     the others.  `residues` and `sweep` check that the weighted sum vanishes."""
     table = over_primes(datum, lambda *k: _local(*k)[0])
-    scalar = 24 * datum.m * _exponent_data(datum) / parts(datum.n)[2]
-    return ResidueTable(datum.n, tuple(sorted((d, scalar * x) for d, x in table.items())))
+    num, den = _exponent_data(datum).as_integer_ratio()
+    num, den = 24 * datum.m * num, den * parts(datum.n)[2]
+    divs = divisors_of(datum.n)
+    return ResidueTable(datum.n, tuple((d, Fraction(num * table[d], den)) for d in divs))
 
 
 def residue_closed(datum: EisensteinDatum) -> tuple[Fraction, Fraction]:
@@ -206,18 +206,11 @@ def residue_closed(datum: EisensteinDatum) -> tuple[Fraction, Fraction]:
     is the product of (1 - p) over the primes of n.
     """
     n, m = datum.n, datum.m
-    sf, sq, rad = parts(n)
-    if m == rad:
-        at_inf = Fraction(math.prod(1 - p for p in prime_divisors(n)))
-    else:
-        at_inf = Fraction(0)
+    sf, _, rad = parts(n)
+    at_inf = Fraction(math.prod(1 - p for p in prime_divisors(n)) if m == rad else 0)
     num = 1
-    for p in prime_divisors(m):
-        num *= p - 1
-    for p in prime_divisors(rad // m):
-        num *= p * p - 1
-    for p in prime_divisors(sq):
-        num *= p ** (valuation(n, p) - 2)
+    for p, r in factor(n):
+        num *= (p - 1 if m % p == 0 else p * p - 1) * p ** max(r - 2, 0)
     den = math.prod(prime_divisors((sf // math.gcd(m, sf)) * datum.l_part))
-    at_ml = (-1) ** omega(m * datum.l_part) * Fraction(num, den)
+    at_ml = Fraction((-1) ** omega(m * datum.l_part) * num, den)
     return at_inf, at_ml

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .arith import Record, factor, is_prime, parts, valuation
 from .cusps import ConsistencyError, RationalCuspDivisor, alpha_pullback, beta_pushforward
@@ -36,17 +37,20 @@ class EisensteinDatum(Record):
 
     __slots__ = ("n", "m", "d_part")
 
-    def __init__(self, n: int, m: int, d_part: int = 1) -> None:
-        super().__init__(n, m, d_part)
-        if self.n < 1:
+    def __init__(self, n: int, m: int, d_part: int = 1) -> None:  # spelled out, as in Cusp
+        if n < 1:
             raise ValueError("level must be positive")
-        sf, sq, _ = parts(self.n)
-        if self.d_part < 1 or sq % self.d_part:
-            raise ValueError(f"D={self.d_part} must divide the square support {sq} of {self.n}")
-        if self.m < 1 or (sf * self.d_part) % self.m:
-            raise ValueError(f"M={self.m} must divide {sf * self.d_part}")
-        if self.m * (sq // self.d_part) == 1:
+        sf, sq, _ = parts(n)
+        if d_part < 1 or sq % d_part:
+            raise ValueError(f"D={d_part} must divide the square support {sq} of {n}")
+        if m < 1 or (sf * d_part) % m:
+            raise ValueError(f"M={m} must divide {sf * d_part}")
+        if m * (sq // d_part) == 1:
             raise ValueError("degenerate datum: M = 1 and D is the whole square support")
+        set_n, set_m, set_d_part = self._setters
+        set_n(self, n)
+        set_m(self, m)
+        set_d_part(self, d_part)
 
     @property
     def l_part(self) -> int:
@@ -75,8 +79,8 @@ def over_primes(datum: EisensteinDatum, local) -> dict:
     over q^0, ..., q^r, eps = epsilon(datum, q): {d: prod_q local[val_q(d)]}."""
     out = {1: 1}
     for q, r in factor(datum.n):
-        vec = local(q, r, epsilon(datum, q))
-        out = {d * q**a: x * v for d, x in out.items() for a, v in enumerate(vec)}
+        vec = [(q**a, v) for a, v in enumerate(local(q, r, epsilon(datum, q)))]
+        out = {d * t: x * v for d, x in out.items() for t, v in vec}
     return out
 
 
@@ -99,14 +103,15 @@ def _local(q: int, r: int, eps: int) -> tuple[list[int], list[int], int]:
 def _exponent_data(datum: EisensteinDatum) -> Fraction:
     """The rational 1/24 * prod(p-1, p|M) * prod(p^(r-1) (p^2-1), p^r || N, p
     not in M) / prod(p|L), the product of the local scales over 24."""
-    scales = (_local(q, r, epsilon(datum, q))[2] for q, r in factor(datum.n))
+    scales = [_local(q, r, epsilon(datum, q))[2] for q, r in factor(datum.n)]
     return Fraction(math.prod(scales), 24)
 
 
 def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
     """The degree-0 divisor attached to a datum: the tensor product of the
     local divisors at each q^r || n, chosen by epsilon(datum, q)."""
-    div = RationalCuspDivisor.from_dict(datum.n, over_primes(datum, lambda *k: _local(*k)[0]))
+    table = over_primes(datum, lambda *k: _local(*k)[0])
+    div = RationalCuspDivisor(datum.n, tuple(sorted(filter(itemgetter(1), table.items()))))
     if div.degree() != 0:
         raise ConsistencyError(f"divisor built for {datum} has degree {div.degree()}")
     return div
@@ -131,13 +136,9 @@ def hecke_delta_closed(d: int, p: int, n: int) -> RationalCuspDivisor | None:
         raise ValueError(f"{p} is not prime")
     r = valuation(n, p)
     i = valuation(d, p)
-    d0 = d // p**i
     if i == 0:
-        if r == 0:
-            return RationalCuspDivisor.from_dict(n, {d: p + 1})
-        return RationalCuspDivisor.from_dict(n, {d: p})
+        return RationalCuspDivisor(n, ((d, p + 1 if r == 0 else p),))
     if i == 1:
-        if r == 1:
-            return RationalCuspDivisor.from_dict(n, {d0: p - 1, d: 1})
-        return RationalCuspDivisor.from_dict(n, {d0: p * (p - 1)})
+        d0 = d // p
+        return RationalCuspDivisor(n, ((d0, p - 1), (d, 1)) if r == 1 else ((d0, p * (p - 1)),))
     return None

@@ -12,7 +12,9 @@ tridiagonal block T_q of Lambda(q^r)^{-1}, the whole-level Lambda(N)^{-1}
 engine that walked a dict keyed by divisor, rebuilding T_q from that
 formula, with the class order on it, and the ell = 2 hypothesis test that
 tried every presentation of a datum.  `chain_multiplicity` keeps the
-derivation of the beta pushforward multiplicities from cusp counts.
+derivation of the beta pushforward multiplicities from cusp counts, and
+`VALUATION_MAPS` the per-cusp coverings as they were computed before their
+closed forms: from the valuations at p of the cusp's level and of N.
 
 The package lists the cusps of a curve afresh on every call, so this module
 rebinds `enumerate_cusps` to one memo that the cusp-by-cusp references and
@@ -43,6 +45,8 @@ from cuspidal.cusps import (
     beta_image,
     beta_ram,
     enumerate_cusps,
+    make_cusp,
+    normalize_fraction,
 )
 from cuspidal.eisq import QExpansion
 from cuspidal.heckediv import EisensteinDatum, build_c_divisor
@@ -108,6 +112,51 @@ def chain_multiplicity(p: int, r: int, i: int) -> int:
     m, rem = divmod(euler_phi(p ** min(i, r + 1 - i)), euler_phi(p ** min(i - 1, r + 1 - i)))
     assert rem == 0, (p, r, i)
     return m
+
+
+def _covered_level(c, p: int) -> int:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if c.n % p:
+        raise ValueError(f"cusp of X0({c.n}) cannot descend along p={p}")
+    return c.n // p
+
+
+def _valuation_alpha_image(c, p: int):
+    """z -> z: the level p^i d0 goes to p^min(i, r) d0 on X0(N), r = val_p(N)."""
+    n = _covered_level(c, p)
+    r = valuation(n, p)
+    i = valuation(c.d, p)
+    d0 = c.d // p**i
+    return make_cusp(n, p ** min(i, r) * d0, c.x)
+
+
+def _valuation_beta_image(c, p: int):
+    """z -> p*z: the fraction p*x/(p^i d0) reduced, then normalized."""
+    n = _covered_level(c, p)
+    i = valuation(c.d, p)
+    d0 = c.d // p**i
+    if i >= 1:
+        return normalize_fraction(c.x, p ** (i - 1) * d0, n)
+    return normalize_fraction(p * c.x, d0, n)
+
+
+def _valuation_alpha_ram(c, p: int) -> int:
+    n = _covered_level(c, p)
+    return p if 2 * valuation(c.d, p) <= valuation(n, p) else 1
+
+
+def _valuation_beta_ram(c, p: int) -> int:
+    n = _covered_level(c, p)
+    return p if 2 * valuation(c.d, p) >= valuation(n, p) + 2 else 1
+
+
+VALUATION_MAPS = {
+    alpha_image: _valuation_alpha_image,
+    beta_image: _valuation_beta_image,
+    alpha_ram: _valuation_alpha_ram,
+    beta_ram: _valuation_beta_ram,
+}
 
 
 def recursive_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:

@@ -63,6 +63,32 @@ def test_primes_upto():
     assert not is_prime(1) and not is_prime(289)
 
 
+def test_is_prime_agrees_with_factor_below_two_hundred_thousand():
+    # factor's own cache is bypassed, so this leaves it as it was.
+    by_factor = factor.__wrapped__
+    wrong = [n for n in range(-3, 200_000) if is_prime(n) != (n > 1 and by_factor(n) == ((n, 1),))]
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # to every prime base up to 23
+        318665857834031151167461,  # to every prime base up to 37
+        1000003 * 1000033,
+        43**16,  # above the strong-test bound, where factor decides
+    ],
+)
+def test_is_prime_rejects_composites_past_trial_division(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("p", [1847, 1861, 1000033, 2**31 - 1, 2**61 - 1, 10**18 + 3])
+def test_is_prime_accepts_large_primes(p):
+    assert is_prime(p)
+
+
 @given(st.integers(min_value=1, max_value=10_000))
 def test_phi_sums_to_n(n):
     assert sum(euler_phi(d) for d in divisors_of(n)) == n

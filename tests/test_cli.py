@@ -552,6 +552,26 @@ def test_hecke_invalid_input_names_the_input(capsys, argv, message):
     assert err == f"cuspidal: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (("classify", "12", "--ell", "1000000000000000003"), {"primes": []}),
+        (
+            ("hecke", "12", "--p", "1000000000000000003", "--divisor", "1:1"),
+            {
+                "image": [{"c": {"den": "1", "num": "1000000000000000004"}, "d": 1}],
+                "input": [{"c": {"den": "1", "num": "1"}, "d": 1}],
+            },
+        ),
+    ],
+)
+def test_a_large_prime_argument_is_decided_at_once(capsys, argv, outputs):
+    # Primality of an 18-digit argument used to fall through to trial division.
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outputs"] == outputs
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_sweep_rejects_a_bound_below_one(capsys, bound):
     code, out, err = _run(capsys, "sweep", "--max-N", bound)
@@ -653,6 +673,10 @@ def test_timing_flag_optional(capsys):
         (
             ("sweep", "--max-N", "125"),
             "7655e34bfeca559668d33b6833c7cf9d672121405869cdc9f8b54f12f400e879",
+        ),
+        (
+            ("sweep", "--max-N", "161"),
+            "b167a16566a963fa386b559488262623e0c33e65483027a0a94536b39e87553d",
         ),
         (
             ("qexp", "2310", "--M", "1155", "--D", "1", "--prec", "9820"),

@@ -30,6 +30,7 @@ from reference import (
     p_divisor,
     pullback,
     pushforward,
+    VALUATION_MAPS,
 )
 
 # Levels with high prime powers, where the beta pushforward multiplicities
@@ -411,3 +412,74 @@ def test_hecke_delta_matches_naive_composition_at_deep_levels(case):
     div, p = case
     pulled = pullback("alpha", expand(div), div.n, p)
     assert hecke_delta(div, p) == aggregate(div.n, pushforward("beta", pulled, p))
+
+
+@pytest.mark.parametrize("p", HECKE_PRIMES)
+def test_closed_cusp_maps_match_the_valuation_oracles(p):
+    # Every cusp of X0(Np) for Np <= 600.
+    for top in range(p, 601, p):
+        for c in enumerate_cusps(top):
+            for closed, oracle in VALUATION_MAPS.items():
+                assert closed(c, p) == oracle(c, p), (closed.__name__, c, p)
+
+
+@pytest.mark.parametrize(
+    "c, p",
+    [(make_cusp(12, 4, 1), q) for q in (-3, 0, 1, 4, 6, 9, 15)]
+    + [(make_cusp(12, 4, 1), 5), (make_cusp(35, 5, 1), 2), (make_cusp(1, 1, 1), 3)],
+)
+def test_closed_cusp_maps_refuse_as_the_valuation_oracles(c, p):
+    # A composite p, then a level that no covering along p reaches.
+    for closed, oracle in VALUATION_MAPS.items():
+        text = _error_text(closed, c, p)
+        assert text == _error_text(oracle, c, p)
+        assert text.startswith("ValueError: ")
+
+
+def _is_record(div: RationalCuspDivisor) -> bool:
+    """Levels strictly ascending and every coefficient nonzero, as from_dict builds."""
+    levels = [d for d, _ in div.coeffs]
+    return levels == sorted(set(levels)) and all(v for _, v in div.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=150),
+    p=st.sampled_from(HECKE_PRIMES),
+    k=st.integers(min_value=-3, max_value=3),
+    data=st.data(),
+)
+def test_direct_record_builds_match_from_dict(n, p, k, data):
+    top = n * p
+    levels = st.sampled_from(divisors_of(top))
+    coeffs = data.draw(st.dictionaries(levels, st.integers(min_value=-5, max_value=5)))
+    # Let one pair of levels cancel under the pushforward: p*f (i = 1) and f
+    # prime to p both land on f.
+    r = valuation(n, p)
+    f = data.draw(st.sampled_from([d for d in divisors_of(n) if d % p]))
+    a = data.draw(st.integers(min_value=-3, max_value=3))
+    coeffs.update({f * p: a, f: -chain_multiplicity(p, r, 1) * a})
+    upper = RationalCuspDivisor.from_dict(top, coeffs)
+
+    down = beta_pushforward(upper, p)
+    mapping: dict[int, int] = {}
+    for e, v in upper.coeffs:
+        i = valuation(e, p)
+        target, m = (e // p, chain_multiplicity(p, r, i)) if i else (e, 1)
+        mapping[target] = mapping.get(target, 0) + m * v
+    assert down == RationalCuspDivisor.from_dict(n, mapping) and _is_record(down)
+    assert f not in dict(down.coeffs)
+    assert down == aggregate(n, pushforward("beta", expand(upper), p))
+
+    lower = RationalCuspDivisor.from_dict(n, {d: v for d, v in coeffs.items() if n % d == 0})
+    up = alpha_pullback(lower, p)
+    assert up == aggregate(top, pullback("alpha", expand(lower), n, p)) and _is_record(up)
+
+    for div in (lower, upper, down, up):
+        scaled = k * div
+        assert scaled == RationalCuspDivisor.from_dict(div.n, {d: k * v for d, v in div.coeffs})
+        assert _is_record(scaled) and 0 * div == RationalCuspDivisor.from_dict(div.n, {})
+        assert div - div == RationalCuspDivisor.from_dict(div.n, {})
+        assert div + scaled == RationalCuspDivisor.from_dict(
+            div.n, {d: (1 + k) * v for d, v in div.coeffs}
+        )
