@@ -675,12 +675,12 @@ def test_timing_flag_optional(capsys):
             "7655e34bfeca559668d33b6833c7cf9d672121405869cdc9f8b54f12f400e879",
         ),
         (
-            ("sweep", "--max-N", "161"),
-            "b167a16566a963fa386b559488262623e0c33e65483027a0a94536b39e87553d",
-        ),
-        (
             ("qexp", "2310", "--M", "1155", "--D", "1", "--prec", "9820"),
             "b2da04297e7e698e7f860ac28fa0056fabd35b77375b630f9d07b9fc7515a1ca",
+        ),
+        (
+            ("sweep", "--max-N", "161"),
+            "b167a16566a963fa386b559488262623e0c33e65483027a0a94536b39e87553d",
         ),
     ],
 )
