@@ -161,22 +161,23 @@ def primes_upto(limit: int) -> tuple[int, ...]:
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIMES = frozenset(primes_upto(43 * 43 - 1))  # what trial division by _BASES decides
+_STRONG_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     """Exact primality: trial division by the primes up to 41, then a strong
-    probable-prime test to those bases, which no composite below 3.3e24
-    passes (Sorenson and Webster, 2015); `factor` decides above that."""
+    probable-prime test to those bases.  A witness proves n composite; a pass
+    proves n prime below _STRONG_BOUND (Sorenson and Webster, 2015), or raises."""
     if n < 43 * 43:
         return n in _SMALL_PRIMES
     for p in _BASES:
         if n % p == 0:
             return False
-    if n >= 3317044064679887385961981:
-        return factor(n) == ((n, 1),)
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
     for a in _BASES:
         x = pow(a, (n - 1) >> s, n)
         if x != 1 and n - 1 not in (pow(x, 1 << k, n) for k in range(s)):
             return False
+    if n >= _STRONG_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime at or above {_STRONG_BOUND}")
     return True

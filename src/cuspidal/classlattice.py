@@ -43,7 +43,7 @@ from .arith import (
     valuation,
 )
 from .cusps import ConsistencyError, RationalCuspDivisor
-from .heckediv import EisensteinDatum, _exponent_data, _local, epsilon, over_primes
+from .heckediv import EisensteinDatum, _local, epsilon, over_primes
 
 __all__ = [
     "lambda_matrix",
@@ -53,7 +53,6 @@ __all__ = [
     "mat_vec",
     "r_vector",
     "class_order",
-    "is_principal",
     "closed_form_order",
 ]
 
@@ -195,12 +194,12 @@ def _integer_vector(n: int, a) -> tuple[list[int], int]:
 
 def r_vector(datum: EisensteinDatum) -> tuple[tuple[int, ...], int]:
     """Lambda(N)^{-1} applied to the datum's divisor as (u, den) with
-    r = u / den: the closed entries, whose value at delta is the product over
-    q^r || N of the local entry at val_q(delta), over _exponent_data.  `sweep`
-    checks Lambda(N) r = C against the datum's divisor."""
-    closed = over_primes(datum, lambda *k: _local(*k)[1])
-    num, den = _exponent_data(datum).as_integer_ratio()
-    return tuple([closed[d] * den for d in divisors_of(datum.n)]), num
+    r = u / den = 24 e / s: e the tensor of the closed local entries and s the
+    product of the local scales, reduced by g = gcd(24, s).  `sweep` checks
+    Lambda(N) r = C against the datum's divisor."""
+    closed, scale = over_primes(datum, 1)
+    g = math.gcd(24, scale)
+    return tuple([closed[d] * (24 // g) for d in divisors_of(datum.n)]), scale // g
 
 
 def _eta_order(den: int, g: int, s1: int, s2: int, parities) -> int:
@@ -266,10 +265,6 @@ def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
     return den, g, s1, s2, parities
 
 
-def is_principal(n: int, a) -> bool:
-    return class_order(n, a) == 1
-
-
 def closed_form_order(datum: EisensteinDatum) -> int | None:
     """Closed-form order of the datum's divisor class, or None in the one
     regime it does not cover: after reducing the primes shared by m and the
@@ -290,4 +285,5 @@ def closed_form_order(datum: EisensteinDatum) -> int | None:
     if reduced.l_part == 1 and sq2 != 1:
         return None
     h = 2 if (is_prime(m) and m % 8 == 1 and n2 in (m, 2 * m)) else 1
-    return numerator_of(_exponent_data(reduced) * h)
+    _, scale = over_primes(reduced, 1)
+    return numerator_of(Fraction(scale * h, 24))

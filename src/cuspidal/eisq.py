@@ -25,7 +25,7 @@ from .arith import (
     parts,
     prime_divisors,
 )
-from .heckediv import EisensteinDatum, _exponent_data, _local, epsilon, over_primes
+from .heckediv import EisensteinDatum, epsilon, over_primes
 
 __all__ = [
     "QExpansion",
@@ -189,14 +189,12 @@ class ResidueTable(Record):
 
 def residue_table(datum: EisensteinDatum) -> ResidueTable:
     """Residues of the datum's series at every cusp level: its divisor times
-    24 m _exponent_data(datum) / rad(n), as the local residue factor is the
-    local divisor times the scale s at the primes of m (eps = 1) and s / q at
-    the others.  `residues` and `sweep` check that the weighted sum vanishes."""
-    table = over_primes(datum, lambda *k: _local(*k)[0])
-    num, den = _exponent_data(datum).as_integer_ratio()
-    num, den = 24 * datum.m * num, den * parts(datum.n)[2]
-    divs = divisors_of(datum.n)
-    return ResidueTable(datum.n, tuple((d, Fraction(num * table[d], den)) for d in divs))
+    m s / rad(n), s the product of the local scales, as the local residue
+    factor is the local divisor times the scale at the primes of m (eps = 1)
+    and the scale over q elsewhere.  `residues` and `sweep` check its sum."""
+    table, scale = over_primes(datum, 0)
+    num, rad, divs = datum.m * scale, parts(datum.n)[2], divisors_of(datum.n)
+    return ResidueTable(datum.n, tuple((d, Fraction(num * table[d], rad)) for d in divs))
 
 
 def residue_closed(datum: EisensteinDatum) -> tuple[Fraction, Fraction]:

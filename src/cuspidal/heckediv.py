@@ -11,8 +11,6 @@ them into the divisor, its Lambda(N)^{-1} image and the residues.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from operator import itemgetter
 
 from .arith import Record, factor, is_prime, parts, valuation
@@ -74,14 +72,17 @@ def epsilon(datum: EisensteinDatum, p: int) -> int:
     return 0
 
 
-def over_primes(datum: EisensteinDatum, local) -> dict:
-    """The tensor product over q^r || n of the local vectors local(q, r, eps)
-    over q^0, ..., q^r, eps = epsilon(datum, q): {d: prod_q local[val_q(d)]}."""
-    out = {1: 1}
+def over_primes(datum: EisensteinDatum, column: int) -> tuple[dict[int, int], int]:
+    """Column 0 (the divisor c) or 1 (the eta entries e) of the local table
+    `_local(q, r, eps)`, eps = epsilon(datum, q), tensored over q^r || n as
+    {d: prod_q local[val_q(d)]}, with the product of the local scales s."""
+    out, scale = {1: 1}, 1
     for q, r in factor(datum.n):
-        vec = [(q**a, v) for a, v in enumerate(local(q, r, epsilon(datum, q)))]
+        local = _local(q, r, epsilon(datum, q))
+        vec = [(q**a, v) for a, v in enumerate(local[column])]
         out = {d * t: x * v for d, x in out.items() for t, v in vec}
-    return out
+        scale *= local[2]
+    return out, scale
 
 
 def _local(q: int, r: int, eps: int) -> tuple[list[int], list[int], int]:
@@ -100,17 +101,10 @@ def _local(q: int, r: int, eps: int) -> tuple[list[int], list[int], int]:
     return [q - 1, -1] + zeros, [q, -(q + 1), 1] + zeros[1:], q ** (r - 2) * (q * q - 1)
 
 
-def _exponent_data(datum: EisensteinDatum) -> Fraction:
-    """The rational 1/24 * prod(p-1, p|M) * prod(p^(r-1) (p^2-1), p^r || N, p
-    not in M) / prod(p|L), the product of the local scales over 24."""
-    scales = [_local(q, r, epsilon(datum, q))[2] for q, r in factor(datum.n)]
-    return Fraction(math.prod(scales), 24)
-
-
 def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
     """The degree-0 divisor attached to a datum: the tensor product of the
     local divisors at each q^r || n, chosen by epsilon(datum, q)."""
-    table = over_primes(datum, lambda *k: _local(*k)[0])
+    table, _ = over_primes(datum, 0)
     div = RationalCuspDivisor(datum.n, tuple(sorted(filter(itemgetter(1), table.items()))))
     if div.degree() != 0:
         raise ConsistencyError(f"divisor built for {datum} has degree {div.degree()}")

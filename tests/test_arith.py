@@ -77,7 +77,9 @@ def test_is_prime_agrees_with_factor_below_two_hundred_thousand():
         3825123056546413051,  # to every prime base up to 23
         318665857834031151167461,  # to every prime base up to 37
         1000003 * 1000033,
-        43**16,  # above the strong-test bound, where factor decides
+        # above the strong test's bound, where a witness still proves compositeness
+        43**16,
+        (10**13 + 37) * (10**12 + 39),
     ],
 )
 def test_is_prime_rejects_composites_past_trial_division(n):
@@ -87,6 +89,13 @@ def test_is_prime_rejects_composites_past_trial_division(n):
 @pytest.mark.parametrize("p", [1847, 1861, 1000033, 2**31 - 1, 2**61 - 1, 10**18 + 3])
 def test_is_prime_accepts_large_primes(p):
     assert is_prime(p)
+
+
+@pytest.mark.parametrize("n", [3317044064679887385961981, 2**89 - 1])
+def test_is_prime_refuses_a_pass_at_or_above_the_bound(n):
+    # The bound itself passes the strong test to all 13 bases.
+    with pytest.raises(ValueError, match=f"{n} is prime at or above 3317044064679887385961981"):
+        is_prime(n)
 
 
 @given(st.integers(min_value=1, max_value=10_000))

@@ -22,7 +22,6 @@ from cuspidal.classlattice import (
     apply_lambda_inverse,
     class_order,
     closed_form_order,
-    is_principal,
     lambda_inverse,
     lambda_matrix,
     mat_vec,
@@ -209,9 +208,9 @@ def test_class_order_rejects_nonzero_degree():
 
 
 def test_is_principal_examples():
-    assert is_principal(9, {1: 2, 3: -1})
-    assert not is_principal(11, (1, -1))
-    assert is_principal(11, {})
+    assert class_order(9, {1: 2, 3: -1}) == 1
+    assert class_order(11, (1, -1)) != 1
+    assert class_order(11, {}) == 1
 
 
 def _degree_zero_strategy(n):

@@ -352,16 +352,25 @@ def test_sweep_reports_a_broken_exponent_vector(capsys, monkeypatch):
     assert json.loads(out)["consistency"]["all_invariants_hold"] is False
 
 
-def _divisor_entry_off(real):
-    def patched(*args):
-        c, entries, scale = real(*args)
+def _break_residue_divisor(monkeypatch) -> None:
+    """Move the local divisor's entry at q^0 for the residues alone: the
+    local table is perturbed only while eisq's `over_primes` runs."""
+    real_local, real_over_primes = heckediv._local, eisq.over_primes
+
+    def entry_off(*args):
+        c, entries, scale = real_local(*args)
         return [c[0] + 1, *c[1:]], entries, scale
 
-    return patched
+    def over_primes(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(heckediv, "_local", entry_off)
+            return real_over_primes(*args)
+
+    monkeypatch.setattr(eisq, "over_primes", over_primes)
 
 
 def test_sweep_reports_broken_residues(capsys, monkeypatch):
-    monkeypatch.setattr(eisq, "_local", _divisor_entry_off(eisq._local))
+    _break_residue_divisor(monkeypatch)
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     assert code == 2
     parsed = json.loads(out)
@@ -379,7 +388,7 @@ def test_sweep_reports_broken_residues(capsys, monkeypatch):
 
 
 def test_residues_reports_a_nonzero_weighted_sum(capsys, monkeypatch):
-    monkeypatch.setattr(eisq, "_local", _divisor_entry_off(eisq._local))
+    _break_residue_divisor(monkeypatch)
     code, out, err = _run(capsys, "residues", "12", "--M", "3", "--format", "json")
     assert code == 2
     assert err == ""
@@ -389,7 +398,7 @@ def test_residues_reports_a_nonzero_weighted_sum(capsys, monkeypatch):
 
 
 def _patch_local_table(monkeypatch, patched) -> None:
-    """Replace the local table where `classlattice` and `_exponent_data` read it."""
+    """Replace the local table where `_datum_sums` and `over_primes` read it."""
     for module in (classlattice, heckediv):
         monkeypatch.setattr(module, "_local", patched)
 
@@ -543,6 +552,16 @@ def test_sweep_reports_a_broken_solver(capsys, monkeypatch):
         (("residues", "-5", "--M", "5"), "level -5 is not a positive integer"),
         (("qexp", "0", "--M", "1"), "level 0 is not a positive integer"),
         (("classify", "-12"), "level -12 is not a positive integer"),
+        # 2^89 - 1 is prime, but the strong test proves primality only below
+        # 3317044064679887385961981, and trial division would take years.
+        (
+            ("classify", "12", "--ell", str(2**89 - 1)),
+            f"cannot decide whether {2**89 - 1} is prime at or above 3317044064679887385961981",
+        ),
+        (
+            ("hecke", "12", "--p", str(2**89 - 1), "--divisor", "1:1"),
+            f"cannot decide whether {2**89 - 1} is prime at or above 3317044064679887385961981",
+        ),
     ],
 )
 def test_hecke_invalid_input_names_the_input(capsys, argv, message):

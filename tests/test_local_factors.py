@@ -24,7 +24,7 @@ from cuspidal.classifier import enumerate_data, index_n
 from cuspidal.classlattice import _datum_sums, apply_lambda_inverse, class_order, r_vector
 from cuspidal.cusps import RationalCuspDivisor, alpha_pullback
 from cuspidal.eisq import QExpansion, base_epp, build_qexp, residue_table
-from cuspidal.heckediv import EisensteinDatum, _exponent_data, _local, build_c_divisor, epsilon
+from cuspidal.heckediv import EisensteinDatum, _local, build_c_divisor, epsilon, over_primes
 from reference import recursive_c_divisor
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -199,7 +199,8 @@ def test_residue_table_matches_case_split_on_every_datum_to_200():
 @_with_examples
 @given(datum=data())
 def test_exponent_data_matches_case_split(datum):
-    assert _exponent_data(datum) == _split_exponent_data(datum), datum
+    # the product of the local scales over 24, as `over_primes` returns it
+    assert Fraction(over_primes(datum, 0)[1], 24) == _split_exponent_data(datum), datum
 
 
 @settings(max_examples=60, deadline=None)
