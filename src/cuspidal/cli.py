@@ -10,19 +10,26 @@ indent=2): keys sorted, two-space indent, "," and ": " separators, non-ASCII
 and control characters as \\uXXXX escapes, tuples as arrays.  `to_json`
 writes those bytes itself in one pass rather than calling json.dumps:
 CPython 3.11's C encoder does not run with `indent`, and the pure-Python
-encoder took most of the time of a large `qexp` report.
+encoder took most of the time of a large `qexp` report.  It imports `json`
+only for a string that needs escaping or a float.
+
+One table, `_ARGUMENTS`, describes every subcommand's arguments.  A
+well-formed request in canonical form (the subcommand, then its level and
+options spelled out in full, each option at most once with a value that does
+not start with "-") is read straight from it by `_read`.  Everything else,
+`--help`, abbreviations, `--opt=value`, negative values, `--` and every
+malformed command line, goes to the argparse parser built from the same
+table, with argparse's messages and exit codes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 import time
 from collections import defaultdict
-from json.encoder import encode_basestring_ascii as _esc
 from operator import mul
+from types import SimpleNamespace
 
 from .arith import divisors_of, is_prime, prime_divisors, primes_upto
 from .classifier import enumerate_data, index_n, rational_eisenstein_primes
@@ -61,6 +68,9 @@ __all__ = ["main", "run_sweep", "to_json"]
 # The largest `qexp --prec` served; the series costs O(prec log prec) time
 # and its report O(prec) memory.
 _PREC_BUDGET = 100_000
+# The largest `sweep --max-N` served; the sweep's time grows about linearly
+# with its bound.
+_SWEEP_BUDGET = 1000
 # The precision and the largest Hecke prime of `sweep`'s eigenform checks.
 _SWEEP_PREC, _SWEEP_QMAX = 24, 5
 
@@ -68,7 +78,7 @@ _SWEEP_PREC, _SWEEP_QMAX = 24, 5
 def to_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=2), in one pass."""
     if not isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj)
+        return _scalar(obj)
     chunks: list[str] = []
     _emit(obj, "\n", chunks)
     return "".join(chunks)
@@ -84,13 +94,13 @@ def _emit(value, nl: str, out: list[str]) -> None:
     if isinstance(value, dict):
         sep = "{" + inner
         for key, x in sorted(value.items()):
-            out.append(sep + _esc(key) + ": ")
+            out.append(sep + _quote(key) + ": ")
             if isinstance(x, str):
-                out.append(_esc(x))
+                out.append(_quote(x))
             elif isinstance(x, (dict, list, tuple)):
                 _emit(x, inner, out)
             else:
-                out.append(json.dumps(x))
+                out.append(_scalar(x))
             sep = "," + inner
         out.append(nl + "}")
     else:
@@ -98,13 +108,41 @@ def _emit(value, nl: str, out: list[str]) -> None:
         for x in value:
             out.append(sep)
             if isinstance(x, str):
-                out.append(_esc(x))
+                out.append(_quote(x))
             elif isinstance(x, (dict, list, tuple)):
                 _emit(x, inner, out)
             else:
-                out.append(json.dumps(x))
+                out.append(_scalar(x))
             sep = "," + inner
         out.append(nl + "]")
+
+
+def _quote(s: str) -> str:
+    """s as json.dumps writes a string: printable ASCII without a quote or
+    backslash stands as it is, anything else goes to json's escaper."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(s)
+
+
+def _scalar(x) -> str:
+    """A leaf as json.dumps writes it; only a float or another foreign leaf
+    imports json."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    import json
+
+    return json.dumps(x)
 
 
 def _rat(x) -> dict:
@@ -147,11 +185,6 @@ def _render_text(value, indent: int = 0) -> list[str]:
     else:
         lines.append(f"{pad}{value}")
     return lines
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit 1 on bad input, not argparse's 2
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _datum(args) -> EisensteinDatum:
@@ -286,6 +319,8 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
+    if args.max_N > _SWEEP_BUDGET:
+        raise ValueError(f"--max-N {args.max_N} exceeds the budget {_SWEEP_BUDGET}")
     report, ok = run_sweep(args.max_N)
     return {"outputs": report, "consistency": {"all_invariants_hold": ok}}, 0 if ok else 2
 
@@ -412,50 +447,116 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cuspidal", description=__doc__.splitlines()[0])
+_FORMAT = ("--format", {"dest": "format", "choices": ("text", "json"), "default": "text"})
+_TIMING = ("--timing", {"dest": "timing", "action": "store_true", "default": False})
+_INVERSE = ("--inverse", {"dest": "inverse", "action": "store_true", "default": False})
+_METHOD = (
+    "--method",
+    {"dest": "method", "choices": ("closed", "lattice", "both"), "default": "both"},
+)
+_DATUM = (
+    ("--M", {"dest": "M", "type": int, "required": True}),
+    ("--D", {"dest": "D", "type": int, "default": 1}),
+)
+
+# Each subcommand's arguments: whether it takes the level N, and its options
+# as (flag, add_argument keywords) in help order.  `_build_parser` passes the
+# keywords to argparse; `_read` understands exactly these: dest, type (int or
+# str), choices, default, required and the store_true action.
+_ARGUMENTS = {
+    "cusps": (True, ()),
+    "lambda": (True, (_INVERSE,)),
+    "cdivisor": (True, _DATUM),
+    "order": (True, (*_DATUM, _METHOD)),
+    "residues": (True, _DATUM),
+    "qexp": (True, (*_DATUM, ("--prec", {"dest": "prec", "type": int, "default": 60}))),
+    "hecke": (
+        True,
+        (
+            ("--p", {"dest": "p", "type": int, "required": True}),
+            ("--divisor", {"dest": "divisor", "type": str, "required": True}),
+        ),
+    ),
+    "classify": (True, (("--ell", {"dest": "ell", "type": int, "default": None}),)),
+    "sweep": (False, (("--max-N", {"dest": "max_N", "type": int, "required": True}),)),
+}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments argparse would give for a well-formed argv in canonical
+    form, or None for any other argv, which argparse then reads."""
+    if not argv or argv[0] not in _ARGUMENTS:
+        return None
+    takes_level, options = _ARGUMENTS[argv[0]]
+    unseen = dict((_FORMAT, _TIMING, *options))
+    if takes_level:  # the positional, keyed None
+        unseen[None] = {"dest": "N", "type": int, "required": True}
+    values = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = token if token.startswith("-") else None
+        spec = unseen.pop(flag, None)
+        if spec is None:
+            return None
+        if "action" in spec:
+            values[spec["dest"]] = True
+            continue
+        if flag is not None:
+            token = next(tokens, "-")  # a missing value reads as a dash
+            if token.startswith("-"):
+                return None
+        try:
+            value = spec.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[spec["dest"]] = value
+    for spec in unseen.values():
+        if spec.get("required"):
+            return None
+        values[spec["dest"]] = spec.get("default")
+    return SimpleNamespace(**values)
+
+
+def _build_parser():
+    """The argparse parser of `_ARGUMENTS`; it exits 1 on bad input, not 2."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="cuspidal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, needs_level: bool = True):
+    for name, (takes_level, options) in _ARGUMENTS.items():
         p = sub.add_parser(name)
-        if needs_level:
+        if takes_level:
             p.add_argument("N", type=int)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--timing", action="store_true")
-        return p
-
-    add("cusps")
-    p = add("lambda")
-    p.add_argument("--inverse", action="store_true")
-    for name in ("cdivisor", "order", "residues", "qexp"):
-        p = add(name)
-        p.add_argument("--M", type=int, required=True)
-        p.add_argument("--D", type=int, default=1)
-        if name == "order":
-            p.add_argument("--method", choices=("closed", "lattice", "both"), default="both")
-        if name == "qexp":
-            p.add_argument("--prec", type=int, default=60)
-    p = add("hecke")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--divisor", type=str, required=True)
-    p = add("classify")
-    p.add_argument("--ell", type=int, default=None)
-    p = add("sweep", needs_level=False)
-    p.add_argument("--max-N", dest="max_N", type=int, required=True)
+        for flag, spec in (_FORMAT, _TIMING, *options):
+            p.add_argument(flag, **spec)
     return parser
 
 
-_PARSER = _build_parser()
+# Built by `main` on the first argv that `_read` does not serve.
+_PARSER = None
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    global _PARSER
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        if _PARSER is None:
+            _PARSER = _build_parser()
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        if "N" in args and args.N < 1:
+        if getattr(args, "N", 1) < 1:
             raise ValueError(f"level {args.N} is not a positive integer")
         body, code = _COMMANDS[args.command](args)
     except (ValueError, KeyError) as exc:

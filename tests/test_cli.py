@@ -1,9 +1,14 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -562,6 +567,7 @@ def test_sweep_reports_a_broken_solver(capsys, monkeypatch):
             ("hecke", "12", "--p", str(2**89 - 1), "--divisor", "1:1"),
             f"cannot decide whether {2**89 - 1} is prime at or above 3317044064679887385961981",
         ),
+        (("sweep", "--max-N", "100000"), "--max-N 100000 exceeds the budget 1000"),
     ],
 )
 def test_hecke_invalid_input_names_the_input(capsys, argv, message):
@@ -602,12 +608,17 @@ def test_sweep_rejects_a_bound_below_one(capsys, bound):
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
-    def rebuilt():
-        raise AssertionError("main rebuilt the argument parser")
-
-    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    # A well-formed request is read from the option table and builds no
+    # parser; the first malformed one builds it, and later ones reuse it.
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
     assert _run(capsys, "cusps", "4")[0] == 0
+    assert built == []
     assert _run(capsys, "cusps")[0] == 1
+    assert _run(capsys, "cusps", "4", "--format", "xml")[0] == 1
+    assert built == [1]
 
 
 def test_timing_flag_optional(capsys):
@@ -617,92 +628,93 @@ def test_timing_flag_optional(capsys):
     assert "timing_ms" in parsed
 
 
-@pytest.mark.parametrize(
-    "argv, sha256",
-    [
-        (
-            ("classify", "5040"),
-            "b924349848e65b5e964846f648c59b33b7a9b774f2a4d17da9917d2c74f3ac30",
-        ),
-        (
-            ("classify", "27720"),
-            "20f421781a2b9e2a0392cec282084f637ae2e61cc80dfdf22a0933f06e061683",
-        ),
-        (
-            ("classify", "46656"),  # 2^6 * 3^6
-            "63cfab89ca9b24b8e806949919acd2ac0f6ff388270f5b55eb58f4860a75abb9",
-        ),
-        (
-            ("order", "153125", "--M", "7", "--D", "7", "--method", "both"),  # 5^5 * 7^2
-            "f4ed400e111eb2a8e1c10046fbb2fb95e05d9aab3266724da97584fc9117a315",
-        ),
-        (
-            ("hecke", "765625", "--p", "5", "--divisor", "1:1"),  # 5^6 * 7^2
-            "ae1aa071e806b2aecd8f0133ab987f01187bd674a316a0e1c24633eac5304bbd",
-        ),
-        (
-            ("hecke", "19140625", "--p", "5", "--divisor", "1:1"),  # 5^8 * 7^2
-            "8aadff1197ffaf056cbdb1199328f579018dfe9782daf8aa46acf0099ab3cf3e",
-        ),
-        (
-            ("hecke", "27720", "--p", "13", "--divisor", "1:3,8:-1,45:2,27720:-5,12:4"),
-            "1100a2af14cb0cb73374e43daca1aaef9737f4b79545a4e71c7008758723dccb",
-        ),
-        (
-            ("hecke", "765625", "--p", "5", "--divisor", "125:1,625:-1,15625:2,245:-3,35:1"),
-            "a51758c2753e15db384cd4865a72f46e17823944255c876429d30b5e4cc69ea4",
-        ),
-        (
-            # 2^3 * 3^2 * 5 * 7 * 11^2: every local type of the series occurs
-            ("qexp", "304920", "--M", "15", "--D", "33", "--prec", "300"),
-            "d128c5d6a42eb668cc22a7d6c9d0e9523d6d7cf825d91d7e2373554f381ff67f",
-        ),
-        (
-            ("qexp", "4725", "--M", "7", "--prec", "300"),  # 3^3 * 5^2 * 7, 5 in L
-            "f7111a406bd93f9c7f16e8a3eba73e9a6e76f7191e95fea26ee07bc3d3fd10d2",
-        ),
-        (
-            ("residues", "304920", "--M", "15", "--D", "33"),
-            "6a5880516f8b47a98524ea1ee1e304c5374a687c5f82627d55c7d565cd045249",
-        ),
-        (
-            ("residues", "4725", "--M", "7"),
-            "2ba901b7a71feba4f4be29cb22fd1b488429d31ab6bc999d62e8bfac0cead3d3",
-        ),
-        (
-            ("residues", "1990656", "--M", "2", "--D", "6"),  # 2^13 * 3^5
-            "a7f684ed0d2091e9b5adc398fa948951ab6adfd878a76806dddf280d9464afdb",
-        ),
-        (
-            ("lambda", "27720", "--inverse"),
-            "59619cf76b3433c7b573f2edb62f20822eebba2b110056e0471fa3bb0eaf9e62",
-        ),
-        (
-            ("lambda", "153125", "--inverse"),  # 5^5 * 7^2
-            "5c258afd350039c7cc0df41bd14f834dc231a15d1d1373488991ab13c9ac54a4",
-        ),
-        (
-            ("lambda", "1024", "--inverse"),
-            "3d246c3c56b4a7cfe1251c7b5551074724d90069d69913ae6ad9da22a91f3595",
-        ),
-        (
-            ("sweep", "--max-N", "60"),
-            "97c02003e4631d92bdc1d2371e2839a48aa64d8f8356cce4fadd4e7fbbf9b175",
-        ),
-        (
-            ("sweep", "--max-N", "125"),
-            "7655e34bfeca559668d33b6833c7cf9d672121405869cdc9f8b54f12f400e879",
-        ),
-        (
-            ("qexp", "2310", "--M", "1155", "--D", "1", "--prec", "9820"),
-            "b2da04297e7e698e7f860ac28fa0056fabd35b77375b630f9d07b9fc7515a1ca",
-        ),
-        (
-            ("sweep", "--max-N", "161"),
-            "b167a16566a963fa386b559488262623e0c33e65483027a0a94536b39e87553d",
-        ),
-    ],
-)
+# The golden requests and the SHA-256 of their JSON reports.
+_GOLDEN = [
+    (
+        ("classify", "5040"),
+        "b924349848e65b5e964846f648c59b33b7a9b774f2a4d17da9917d2c74f3ac30",
+    ),
+    (
+        ("classify", "27720"),
+        "20f421781a2b9e2a0392cec282084f637ae2e61cc80dfdf22a0933f06e061683",
+    ),
+    (
+        ("classify", "46656"),  # 2^6 * 3^6
+        "63cfab89ca9b24b8e806949919acd2ac0f6ff388270f5b55eb58f4860a75abb9",
+    ),
+    (
+        ("order", "153125", "--M", "7", "--D", "7", "--method", "both"),  # 5^5 * 7^2
+        "f4ed400e111eb2a8e1c10046fbb2fb95e05d9aab3266724da97584fc9117a315",
+    ),
+    (
+        ("hecke", "765625", "--p", "5", "--divisor", "1:1"),  # 5^6 * 7^2
+        "ae1aa071e806b2aecd8f0133ab987f01187bd674a316a0e1c24633eac5304bbd",
+    ),
+    (
+        ("hecke", "19140625", "--p", "5", "--divisor", "1:1"),  # 5^8 * 7^2
+        "8aadff1197ffaf056cbdb1199328f579018dfe9782daf8aa46acf0099ab3cf3e",
+    ),
+    (
+        ("hecke", "27720", "--p", "13", "--divisor", "1:3,8:-1,45:2,27720:-5,12:4"),
+        "1100a2af14cb0cb73374e43daca1aaef9737f4b79545a4e71c7008758723dccb",
+    ),
+    (
+        ("hecke", "765625", "--p", "5", "--divisor", "125:1,625:-1,15625:2,245:-3,35:1"),
+        "a51758c2753e15db384cd4865a72f46e17823944255c876429d30b5e4cc69ea4",
+    ),
+    (
+        # 2^3 * 3^2 * 5 * 7 * 11^2: every local type of the series occurs
+        ("qexp", "304920", "--M", "15", "--D", "33", "--prec", "300"),
+        "d128c5d6a42eb668cc22a7d6c9d0e9523d6d7cf825d91d7e2373554f381ff67f",
+    ),
+    (
+        ("qexp", "4725", "--M", "7", "--prec", "300"),  # 3^3 * 5^2 * 7, 5 in L
+        "f7111a406bd93f9c7f16e8a3eba73e9a6e76f7191e95fea26ee07bc3d3fd10d2",
+    ),
+    (
+        ("residues", "304920", "--M", "15", "--D", "33"),
+        "6a5880516f8b47a98524ea1ee1e304c5374a687c5f82627d55c7d565cd045249",
+    ),
+    (
+        ("residues", "4725", "--M", "7"),
+        "2ba901b7a71feba4f4be29cb22fd1b488429d31ab6bc999d62e8bfac0cead3d3",
+    ),
+    (
+        ("residues", "1990656", "--M", "2", "--D", "6"),  # 2^13 * 3^5
+        "a7f684ed0d2091e9b5adc398fa948951ab6adfd878a76806dddf280d9464afdb",
+    ),
+    (
+        ("lambda", "27720", "--inverse"),
+        "59619cf76b3433c7b573f2edb62f20822eebba2b110056e0471fa3bb0eaf9e62",
+    ),
+    (
+        ("lambda", "153125", "--inverse"),  # 5^5 * 7^2
+        "5c258afd350039c7cc0df41bd14f834dc231a15d1d1373488991ab13c9ac54a4",
+    ),
+    (
+        ("lambda", "1024", "--inverse"),
+        "3d246c3c56b4a7cfe1251c7b5551074724d90069d69913ae6ad9da22a91f3595",
+    ),
+    (
+        ("sweep", "--max-N", "60"),
+        "97c02003e4631d92bdc1d2371e2839a48aa64d8f8356cce4fadd4e7fbbf9b175",
+    ),
+    (
+        ("sweep", "--max-N", "125"),
+        "7655e34bfeca559668d33b6833c7cf9d672121405869cdc9f8b54f12f400e879",
+    ),
+    (
+        ("qexp", "2310", "--M", "1155", "--D", "1", "--prec", "9820"),
+        "b2da04297e7e698e7f860ac28fa0056fabd35b77375b630f9d07b9fc7515a1ca",
+    ),
+    (
+        ("sweep", "--max-N", "161"),
+        "b167a16566a963fa386b559488262623e0c33e65483027a0a94536b39e87553d",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", _GOLDEN)
 def test_golden_bytes(capsys, argv, sha256):
     # Taken from the dense-Fraction class-order engine, the cusp-enumerating
     # Hecke pushforward, the five-way per-prime case split of the series
@@ -776,7 +788,9 @@ def _argv(draw):
         if draw(st.booleans()):
             argv += ["--ell", str(draw(st.integers(min_value=-3, max_value=20)))]
     else:
-        argv = [command, "--max-N", str(draw(st.integers(min_value=-2, max_value=10)))]
+        huge = st.sampled_from((1001, 10**9))
+        bound = draw(st.one_of(st.integers(min_value=-2, max_value=10), huge))
+        argv = [command, "--max-N", str(bound)]
     return argv + ["--format", draw(st.sampled_from(("text", "json")))]
 
 
@@ -798,3 +812,138 @@ def test_cli_fuzz_contract(argv):
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err, (argv, err)
     assert _run_isolated(argv) == (code, out, err)
+
+
+# The options of each subcommand beside --format and --timing, as the
+# command line documents them, for a grammar independent of cli's table.
+_OPTIONS = {
+    "cusps": (),
+    "lambda": ("--inverse",),
+    "cdivisor": ("--M", "--D"),
+    "order": ("--M", "--D", "--method"),
+    "residues": ("--M", "--D"),
+    "qexp": ("--M", "--D", "--prec"),
+    "hecke": ("--p", "--divisor"),
+    "classify": ("--ell",),
+    "sweep": ("--max-N",),
+}
+_REQUIRED = {"--M", "--p", "--divisor", "--max-N"}
+_SWITCHES = {"--timing", "--inverse"}
+_VALUES = {
+    "--format": st.sampled_from(("text", "json")),
+    "--method": st.sampled_from(("closed", "lattice", "both")),
+    "--divisor": st.sampled_from(("1:1", "4:-1,1:2", "1:1,2:0")),
+}
+_NUMBER = st.integers(min_value=1, max_value=10**6).map(str)
+_ODD = (
+    "0", "-3", "-0", "x", "1.5", " 7", "+7", "1_0", "", "\u0663", "xml", "lat", "bogus", "-1:1"
+)
+_STRAY = ("-h", "--help", "--", "--bogus", "-3", "-", "extra", "7", "--M", "--max-N")
+
+
+@st.composite
+def _request_argv(draw):
+    """A well-formed command line in canonical form; one in three gets one or
+    two edits: an abbreviated flag, --opt=value, a repeat, a dropped, stray or
+    odd token, or a negative value."""
+    command = draw(st.sampled_from(tuple(_OPTIONS)))
+    words = [] if command == "sweep" else [[draw(_NUMBER)]]
+    for flag in ("--format", "--timing", *_OPTIONS[command]):
+        if flag in _REQUIRED or draw(st.booleans()):
+            words.append([flag] if flag in _SWITCHES else [flag, draw(_VALUES.get(flag, _NUMBER))])
+    words = draw(st.permutations(words))
+    argv = [command, *itertools.chain.from_iterable(words)]
+    edits = ("abbreviate", "equals", "repeat", "drop", "stray", "odd", "negate")
+    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 1, 2)))):
+        i = draw(st.integers(min_value=0, max_value=len(argv)))
+        edit = draw(st.sampled_from(edits))
+        if i == len(argv) or edit == "stray":
+            argv.insert(i, draw(st.sampled_from(_STRAY)))
+        elif edit == "drop":
+            del argv[i]
+        elif edit == "odd":
+            argv[i] = draw(st.sampled_from(_ODD))
+        elif edit == "negate":
+            argv[i] = "-" + argv[i]
+        elif argv[i].startswith("--") and edit == "abbreviate":
+            argv[i] = argv[i][: draw(st.integers(min_value=2, max_value=len(argv[i])))]
+        elif argv[i].startswith("--") and edit == "equals" and i + 1 < len(argv):
+            argv[i : i + 2] = [argv[i] + "=" + argv[i + 1]]
+        else:
+            argv.insert(i, argv[i])
+    return argv
+
+
+_REFERENCE = cli._build_parser()
+
+
+def _argparse(argv):
+    """argparse's arguments for argv, or the (code, stdout, stderr) it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(_REFERENCE.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=3000, deadline=None)
+@given(argv=_request_argv())
+def test_reader_agrees_with_argparse(argv):
+    read = cli._read(argv)
+    expected = _argparse(argv)
+    if read is not None:
+        assert vars(read) == expected, argv
+    elif isinstance(expected, tuple):
+        # main leaves help and every error to argparse, bytes and exit code.
+        assert _run_isolated(argv) == expected, argv
+
+
+def test_reader_serves_every_pinned_request():
+    pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+    pinned = [pool["setup"]["argv"]]
+    for strata in pool["workloads"].values():
+        pinned += [request["argv"] for stratum in strata for request in stratum]
+    pinned += [[*argv, "--format", "json"] for argv, _ in _GOLDEN]
+    for argv in pinned:
+        read = cli._read(argv)
+        assert read is not None and vars(read) == _argparse(argv), argv
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # The console script calls main() with no argv.
+    expected = _run(capsys, "cusps", "4", "--format", "json")
+    monkeypatch.setattr(sys, "argv", ["cuspidal", "cusps", "4", "--format", "json"])
+    assert main() == 0
+    assert (0, *capsys.readouterr()) == expected
+    monkeypatch.setattr(sys, "argv", ["cuspidal", "cusps"])
+    assert main() == 1
+
+
+def _entry(argv, after=""):
+    """The console script's main in a fresh interpreter without site; `after`
+    runs once main has returned."""
+    code = f"import sys\nfrom cuspidal.cli import main\nrc = main()\n{after}\nsys.exit(rc)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_a_well_formed_request_imports_neither_argparse_nor_json():
+    loaded = "print(sorted({'argparse', 'json', 'locale'} & set(sys.modules)), file=sys.stderr)"
+    run = _entry(["cusps", "1", "--format", "json"], loaded)
+    assert (run.returncode, run.stderr) == (0, "[]\n")
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == (
+        "58a5142501c82592f7b724119f9643852c381fb2aa80618091a0f759564700dd"
+    )
+    run = _entry(["cusps"])
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == "cuspidal cusps: error: the following arguments are required: N\n"
+    run = _entry(["--help"])
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("usage: cuspidal [-h]")
