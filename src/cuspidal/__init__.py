@@ -5,12 +5,15 @@ orders, weight-2 Eisenstein q-expansions with residues, and the resulting
 classification of rational Eisenstein primes.  Everything is computed in
 exact rational arithmetic.  The package root names the paper's objects;
 every other function is imported from its submodule.
+
+`build_qexp` and `residue_table` are resolved from `eisq` on each access
+(PEP 562) and never stored here, so importing the package loads neither
+`eisq` nor the `fractions` it uses.
 """
 
 from .classifier import rational_eisenstein_primes
 from .classlattice import class_order, closed_form_order, r_vector
 from .cusps import ConsistencyError, RationalCuspDivisor
-from .eisq import build_qexp, residue_table
 from .heckediv import EisensteinDatum, build_c_divisor, epsilon, hecke_delta
 
 __all__ = [
@@ -27,3 +30,11 @@ __all__ = [
     "rational_eisenstein_primes",
     "ConsistencyError",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("build_qexp", "residue_table"):
+        from . import eisq
+
+        return getattr(eisq, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

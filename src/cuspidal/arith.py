@@ -1,13 +1,14 @@
 """Exact integer arithmetic: factorization, multiplicative splits, totients.
 
-Everything here is pure and exact (plain integers and fractions.Fraction).
-Levels in this package are desk-scale, so trial division is plenty.
+Everything here is pure and exact, in plain integers; nothing here imports
+`fractions`.  `factor` trial-divides by the primes below _TRIAL_BOUND, so
+every level below its square factors by trial division alone, and splits a
+larger cofactor with Pollard's rho in Brent's form.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
@@ -70,15 +71,22 @@ class Record:
         return type(self), self._key(self)
 
 
+# `factor` trial-divides by the primes below this bound only, so every n
+# below its square factors by trial division alone.
+_TRIAL_BOUND = 1 << 16
+
+
 @lru_cache(maxsize=None)
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """The prime factorization of a positive integer as (p, e) pairs, primes
-    ascending, by trial division."""
+    ascending.  Trial division by p < _TRIAL_BOUND; a cofactor that keeps a
+    prime factor above the bound is split by `_rho`, and `is_prime` decides
+    each part (it raises at or above its bound)."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: expected a positive integer")
     m, p = n, 2
     fs: list[tuple[int, int]] = []
-    while p * p <= m:
+    while p * p <= m and p < _TRIAL_BOUND:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -86,9 +94,48 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             fs.append((p, e))
         p += 1 if p == 2 else 2
-    if m > 1:
-        fs.append((m, 1))
-    return tuple(fs)
+    if p * p > m:  # m is 1 or prime
+        if m > 1:
+            fs.append((m, 1))
+        return tuple(fs)
+    large: dict[int, int] = {}
+    pending = [m]
+    while pending:
+        x = pending.pop()
+        if is_prime(x):
+            large[x] = large.get(x, 0) + 1
+        else:
+            d = _rho(x)
+            pending += [d, x // d]
+    return (*fs, *sorted(large.items()))
+
+
+def _rho(m: int) -> int:
+    """A proper divisor of an odd composite m: Pollard's rho in Brent's form
+    on x -> x^2 + c mod m for c = 1, 2, ..., one gcd per 128 steps."""
+    for c in range(1, m):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    prod = prod * (x - y) % m
+                g = math.gcd(prod, m)
+                k += 128
+            r *= 2
+        if g == m:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % m
+                g = math.gcd(x - saved, m)
+        if g != m:
+            return g
+    raise ValueError(f"no divisor of {m} found")  # only for m prime
 
 
 @lru_cache(maxsize=1024)
@@ -138,8 +185,9 @@ def valuation(n: int, p: int) -> int:
     return e
 
 
-def numerator_of(r: Fraction | int) -> int:
-    """Positive numerator of r in lowest terms (the order of the associated cyclic group)."""
+def numerator_of(r) -> int:
+    """Positive numerator of an int or Fraction r in lowest terms (the order
+    of the associated cyclic group)."""
     return abs(r.numerator)
 
 

@@ -16,6 +16,11 @@ parity condition reads.  A divisor's degree is psi(N)/24 times the weight
 of its exponent vector, so degree 0 is checked once, on the engine's image.
 The dense inverse of `cuspidal lambda --inverse` is the engine's columns.
 
+Orders, the engine and the datum sums are integers, so the module imports
+`fractions` only inside the functions that build a Fraction: the dense
+matrices, `solve_lambda`, `mat_vec` and `class_order`'s degree message.
+`classify`, `order`, `hecke`, `cusps` and `cdivisor` never load it.
+
 A datum's divisor is a tensor product of local vectors, so its Lambda(N)^{-1}
 image is 24 times the tensor product of the closed local entries over their
 scales, both read off `heckediv._local`: every sum the eta-quotient
@@ -29,7 +34,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -37,7 +41,6 @@ from .arith import (
     divisors_of,
     factor,
     is_prime,
-    numerator_of,
     parts,
     prime_divisors,
     valuation,
@@ -56,8 +59,8 @@ __all__ = [
     "closed_form_order",
 ]
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
+Matrix = tuple[tuple["Fraction", ...], ...]
+Vector = tuple["Fraction", ...]
 
 
 def _lambda_integer(n: int) -> tuple[list[list[int]], list[int]]:
@@ -71,6 +74,8 @@ def _lambda_integer(n: int) -> tuple[list[list[int]], list[int]]:
 def lambda_matrix(n: int) -> Matrix:
     """Lambda(n)_{ij} = (1/24) * n/gcd(d_i, n/d_i) * gcd(d_i, d_j)^2/(d_i d_j),
     indexed by the ascending divisors of n: row i of _lambda_integer's A over s_i."""
+    from fractions import Fraction
+
     rows, scale = _lambda_integer(n)
     return tuple(tuple(Fraction(x, s) for x in row) for row, s in zip(rows, scale))
 
@@ -129,6 +134,8 @@ def apply_lambda_inverse(
 
 def lambda_inverse(n: int) -> Matrix:
     """Lambda(n)^{-1} as a dense matrix: the engine on each unit vector."""
+    from fractions import Fraction
+
     size = len(divisors_of(n))
     columns = []
     for j in range(size):
@@ -137,7 +144,7 @@ def lambda_inverse(n: int) -> Matrix:
     return tuple(zip(*columns))
 
 
-def solve_lambda(n: int, a: Sequence[Fraction | int]) -> Vector:
+def solve_lambda(n: int, a: Sequence["Fraction | int"]) -> Vector:
     """Solve Lambda(n) x = a by fraction-free (Bareiss) Gaussian elimination.
 
     With a = v / den, A x = s v / den for the integer rows of Lambda(n); the
@@ -145,6 +152,8 @@ def solve_lambda(n: int, a: Sequence[Fraction | int]) -> Vector:
     det * x, so the solve runs without rationals until the final division.
     Kept as an independent oracle against apply_lambda_inverse.
     """
+    from fractions import Fraction
+
     v, den = _integer_vector(n, a)
     rows, scale = _lambda_integer(n)
     m = [row + [s * x] for row, s, x in zip(rows, scale, v)]
@@ -167,7 +176,9 @@ def solve_lambda(n: int, a: Sequence[Fraction | int]) -> Vector:
     return tuple(Fraction(x, prev * den) for x in y)
 
 
-def mat_vec(m: Matrix, v: Sequence[Fraction | int]) -> Vector:
+def mat_vec(m: Matrix, v: Sequence["Fraction | int"]) -> Vector:
+    from fractions import Fraction
+
     return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m)
 
 
@@ -227,6 +238,8 @@ def class_order(n: int, a) -> int:
     nums, den = _integer_vector(n, a)
     u, den = apply_lambda_inverse(n, nums, den)
     if sum(u) != 0:
+        from fractions import Fraction
+
         psi = math.prod(q ** (e - 1) * (q + 1) for q, e in factor(n))
         raise ValueError(f"divisor has degree {Fraction(psi * sum(u), 24 * den)}, expected 0")
     divs = divisors_of(n)
@@ -270,7 +283,9 @@ def closed_form_order(datum: EisensteinDatum) -> int | None:
     regime it does not cover: after reducing the primes shared by m and the
     square support, L = 1 while the reduced level is still not squarefree.
     An independent oracle against the local orders of `index_n` and the
-    engine's class_order, which `sweep` runs.
+    engine's class_order, which `sweep` runs.  The order is the numerator of
+    h * Pi s / 24, with Pi s the product of the reduced datum's local scales
+    read off `_local`, and a power of 2 on the 2-power levels.
     """
     n, m, dp = datum.n, datum.m, datum.d_part
     _, sq, _ = parts(n)
@@ -279,11 +294,11 @@ def closed_form_order(datum: EisensteinDatum) -> int | None:
     n2, d2 = n // b, dp // a
     k2 = valuation(n2, 2)
     if n2 == 2**k2 and k2 >= 2:
-        return numerator_of(Fraction(2) ** (k2 - 4))
+        return 2 ** max(k2 - 4, 0)
     reduced = datum if a == 1 else EisensteinDatum(n2, m, d2)
     _, sq2, _ = parts(n2)
     if reduced.l_part == 1 and sq2 != 1:
         return None
     h = 2 if (is_prime(m) and m % 8 == 1 and n2 in (m, 2 * m)) else 1
-    _, scale = over_primes(reduced, 1)
-    return numerator_of(Fraction(scale * h, 24))
+    x = h * math.prod(_local(q, r, epsilon(reduced, q))[2] for q, r in factor(n2))
+    return x // math.gcd(x, 24)

@@ -19,7 +19,15 @@ options spelled out in full, each option at most once with a value that does
 not start with "-") is read straight from it by `_read`.  Everything else,
 `--help`, abbreviations, `--opt=value`, negative values, `--` and every
 malformed command line, goes to the argparse parser built from the same
-table, with argparse's messages and exit codes.
+table, with argparse's messages and exit codes.  That parser reads
+`--opt=--` as the value "--" on every Python version, as 3.13 does.
+
+Start-up loads only what a request uses.  `json` and `argparse` are imported
+where they are needed, and so is `eisq`, with the `fractions` it brings: only
+`qexp`, `residues` and `sweep` import it, inside `cmd_qexp`, `cmd_residues`
+and `run_sweep`.  `lambda` imports `fractions` for its dense matrix; `cusps`,
+`cdivisor`, `order`, `hecke` and `classify` compute in integers and load
+neither.
 """
 
 from __future__ import annotations
@@ -54,7 +62,6 @@ from .cusps import (
     alpha_image,
     beta_image,
 )
-from .eisq import build_qexp, eigen_check, residue_closed, residue_table
 from .heckediv import (
     EisensteinDatum,
     build_c_divisor,
@@ -262,6 +269,8 @@ def _residue_checks(datum: EisensteinDatum, table, at_inf, at_ml, f) -> dict[str
 
 
 def cmd_residues(args) -> tuple[dict, int]:
+    from .eisq import build_qexp, residue_closed, residue_table
+
     datum = _datum(args)
     table = residue_table(datum)
     at_inf, at_ml = residue_closed(datum)
@@ -279,6 +288,8 @@ def cmd_residues(args) -> tuple[dict, int]:
 def cmd_qexp(args) -> tuple[dict, int]:
     if args.prec > _PREC_BUDGET:
         raise ValueError(f"--prec {args.prec} exceeds the budget {_PREC_BUDGET}")
+    from .eisq import build_qexp
+
     f = build_qexp(_datum(args), args.prec)
     outputs = {
         "level": f.n,
@@ -356,6 +367,8 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
     """Run the cross-module invariant suite for every level up to max_n."""
     if max_n < 1:
         raise ValueError(f"sweep bound {max_n} is not a positive integer")
+    from .eisq import build_qexp, eigen_check, residue_closed, residue_table
+
     failures: list[str] = []
     counts = {"levels": 0, "data": 0, "checks": 0}
 
@@ -527,6 +540,22 @@ def _build_parser():
         def error(self, message: str) -> None:
             self.exit(1, f"{self.prog}: error: {message}\n")
 
+    class Store(argparse.Action):
+        """argparse's store, except that `--opt=--` is the value "--" as on
+        Python 3.13: 3.10 to 3.12 hand the action an empty list instead."""
+
+        def __call__(self, parser, namespace, values, option_string=None) -> None:
+            if values == []:
+                values = "--"
+                if self.type is int:
+                    raise argparse.ArgumentError(self, "invalid int value: '--'")
+                if self.choices is not None and values not in self.choices:
+                    choices = ", ".join(map(repr, self.choices))
+                    raise argparse.ArgumentError(
+                        self, f"invalid choice: '--' (choose from {choices})"
+                    )
+            setattr(namespace, self.dest, values)
+
     parser = Parser(prog="cuspidal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (takes_level, options) in _ARGUMENTS.items():
@@ -534,7 +563,7 @@ def _build_parser():
         if takes_level:
             p.add_argument("N", type=int)
         for flag, spec in (_FORMAT, _TIMING, *options):
-            p.add_argument(flag, **spec)
+            p.add_argument(flag, **{"action": Store, **spec})
     return parser
 
 

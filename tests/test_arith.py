@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal.arith import (
@@ -96,6 +96,63 @@ def test_is_prime_refuses_a_pass_at_or_above_the_bound(n):
     # The bound itself passes the strong test to all 13 bases.
     with pytest.raises(ValueError, match=f"{n} is prime at or above 3317044064679887385961981"):
         is_prime(n)
+
+
+def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    fs, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            fs.append((p, e))
+        p += 1
+    return (*fs, (n, 1)) if n > 1 else tuple(fs)
+
+
+@given(st.integers(min_value=1, max_value=10**6))
+def test_factor_agrees_with_trial_division_below_a_million(n):
+    assert factor.__wrapped__(n) == _trial_division(n)
+
+
+def _prime_from(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+_NEAR_1E9 = st.integers(min_value=10**9, max_value=10**9 + 10**7).map(_prime_from)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_NEAR_1E9, _NEAR_1E9)
+def test_factor_splits_two_primes_near_a_billion(p, q):
+    # Both primes lie above trial division's bound, so rho splits p q.
+    expected = ((p, 2),) if p == q else tuple(sorted(((p, 1), (q, 1))))
+    assert factor.__wrapped__(p * q) == expected
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ((10**18 + 3, 1),),
+        ((65537, 2),),  # the first prime at trial division's bound
+        ((1000000007, 2),),
+        ((1000000007, 3),),
+        ((3000017, 3),),
+        ((70001, 1), (3000017, 2)),
+        ((2, 2), (3, 1), (70001, 2), (3000017, 2), (1000000007, 1)),
+        ((2**31 - 1, 1), (2**61 - 1, 1)),  # above the strong test's bound
+    ],
+)
+def test_factor_splits_cofactors_above_trial_division(pairs):
+    assert factor.__wrapped__(math.prod(p**e for p, e in pairs)) == pairs
+
+
+def test_factor_refuses_a_prime_cofactor_at_or_above_the_strong_bound():
+    with pytest.raises(ValueError, match="prime at or above"):
+        factor.__wrapped__(6 * (2**89 - 1))
 
 
 @given(st.integers(min_value=1, max_value=10_000))

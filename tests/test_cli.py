@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -204,7 +205,7 @@ def test_precision_above_the_budget_exits_one(capsys, monkeypatch, prec):
     def refused(*args):
         raise AssertionError("qexp started the series")
 
-    monkeypatch.setattr(cli, "build_qexp", refused)
+    monkeypatch.setattr(eisq, "build_qexp", refused)
     code, out, err = _run(capsys, "qexp", "6", "--M", "2", "--prec", prec)
     assert code == 1
     assert out == ""
@@ -313,13 +314,13 @@ def test_sweep_reports_a_block_that_breaks_the_weight(capsys, monkeypatch):
 
 
 def test_sweep_reads_the_normalization_off_the_checked_series(capsys, monkeypatch):
-    real = cli.build_qexp
+    real = eisq.build_qexp
 
     def shifted(datum, prec):
         f = real(datum, prec)
         return eisq.QExpansion(f.n, f.prec, (f.a(0) + 1, *f.coeffs[1:]))
 
-    monkeypatch.setattr(cli, "build_qexp", shifted)
+    monkeypatch.setattr(eisq, "build_qexp", shifted)
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     assert code == 2
     parsed = json.loads(out)
@@ -568,13 +569,31 @@ def test_sweep_reports_a_broken_solver(capsys, monkeypatch):
             f"cannot decide whether {2**89 - 1} is prime at or above 3317044064679887385961981",
         ),
         (("sweep", "--max-N", "100000"), "--max-N 100000 exceeds the budget 1000"),
+        # Python 3.10 to 3.12 read `--opt=--` as an empty list; every
+        # version reads it as "--", as 3.13 does, and the subcommand's parser
+        # names an int option that cannot take it.
+        (
+            ("sweep", "--max-N=--"),
+            "cuspidal sweep: error: argument --max-N: invalid int value: '--'",
+        ),
+        (("qexp", "5", "--M=--"), "cuspidal qexp: error: argument --M: invalid int value: '--'"),
+        (
+            ("classify", "12", "--ell=--"),
+            "cuspidal classify: error: argument --ell: invalid int value: '--'",
+        ),
+        (
+            ("hecke", "12", "--p", "2", "--divisor=--"),
+            "--divisor term '--' is not level:coefficient",
+        ),
     ],
 )
 def test_hecke_invalid_input_names_the_input(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err == f"cuspidal: error: {message}\n"
+    if not message.startswith("cuspidal "):
+        message = f"cuspidal: error: {message}"
+    assert err == f"{message}\n"
 
 
 @pytest.mark.parametrize(
@@ -595,6 +614,37 @@ def test_a_large_prime_argument_is_decided_at_once(capsys, argv, outputs):
     code, out, err = _run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["outputs"] == outputs
+
+
+_P18 = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (
+            ("cusps", str(_P18)),
+            {"count": 2, "cusps": [{"d": 1, "x": 1}, {"d": _P18, "x": 1}]},
+        ),
+        (
+            ("lambda", str(_P18)),
+            {
+                "divisors": [1, _P18],
+                "inverse": False,
+                "rows": [
+                    [{"den": "24", "num": str(_P18)}, {"den": "24", "num": "1"}],
+                    [{"den": "24", "num": "1"}, {"den": "24", "num": str(_P18)}],
+                ],
+            },
+        ),
+    ],
+)
+def test_a_large_prime_level_is_factored_at_once(argv, outputs):
+    # `factor` used to trial-divide up to the square root of the level; a
+    # fresh process must answer within a second.
+    run = _entry([*argv, "--format", "json"], timeout=1)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["outputs"] == outputs
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
@@ -791,7 +841,13 @@ def _argv(draw):
         huge = st.sampled_from((1001, 10**9))
         bound = draw(st.one_of(st.integers(min_value=-2, max_value=10), huge))
         argv = [command, "--max-N", str(bound)]
-    return argv + ["--format", draw(st.sampled_from(("text", "json")))]
+    argv += ["--format", draw(st.sampled_from(("text", "json")))]
+    # One in eight joins an option to the value "--": `--opt=--`.
+    valued = [i for i, token in enumerate(argv) if token.startswith("--") and token != "--inverse"]
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        i = draw(st.sampled_from(valued))
+        argv[i : i + 2] = [argv[i] + "=--"]
+    return argv
 
 
 def _run_isolated(argv):
@@ -920,18 +976,23 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     assert main() == 1
 
 
-def _entry(argv, after=""):
-    """The console script's main in a fresh interpreter without site; `after`
-    runs once main has returned."""
-    code = f"import sys\nfrom cuspidal.cli import main\nrc = main()\n{after}\nsys.exit(rc)"
+def _fresh(code, argv=(), timeout=60):
+    """code, given argv, in a fresh interpreter without site."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.run(
         [sys.executable, "-S", "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def _entry(argv, after="", timeout=60):
+    """The console script's main in a fresh interpreter without site; `after`
+    runs once main has returned."""
+    code = f"import sys\nfrom cuspidal.cli import main\nrc = main()\n{after}\nsys.exit(rc)"
+    return _fresh(code, argv, timeout)
 
 
 def test_a_well_formed_request_imports_neither_argparse_nor_json():
@@ -947,3 +1008,78 @@ def test_a_well_formed_request_imports_neither_argparse_nor_json():
     run = _entry(["--help"])
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.startswith("usage: cuspidal [-h]")
+
+
+# Prints which of the modules that rationals and series need are loaded.
+_RATIONALS = (
+    "print(sorted({'fractions', 'decimal', 'cuspidal.eisq'} & set(sys.modules)), file=sys.stderr)"
+)
+
+
+def test_importing_the_command_line_loads_neither_fractions_nor_eisq():
+    run = _fresh(f"import sys, cuspidal.cli\n{_RATIONALS}")
+    assert (run.returncode, run.stderr) == (0, "[]\n")
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (("cusps", "1"), "58a5142501c82592f7b724119f9643852c381fb2aa80618091a0f759564700dd"),
+        (("classify", "5040"), dict(_GOLDEN)["classify", "5040"]),
+        (
+            ("hecke", "765625", "--p", "5", "--divisor", "1:1"),
+            dict(_GOLDEN)["hecke", "765625", "--p", "5", "--divisor", "1:1"],
+        ),
+        (
+            ("order", "153125", "--M", "7", "--D", "7", "--method", "both"),
+            dict(_GOLDEN)["order", "153125", "--M", "7", "--D", "7", "--method", "both"],
+        ),
+        (
+            ("cdivisor", "304920", "--M", "15", "--D", "33"),
+            "0bf2eeae3a7795f634ce629f31d84b632c89a79b3231ea6a1b201a3fe2149885",
+        ),
+    ],
+)
+def test_an_integer_request_loads_neither_fractions_nor_eisq(argv, sha256):
+    # Only the series subcommands import eisq, and only they and `lambda`
+    # build a Fraction.
+    run = _entry([*argv, "--format", "json"], _RATIONALS)
+    assert (run.returncode, run.stderr) == (0, "[]\n")
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv", [("qexp", "4725", "--M", "7", "--prec", "300"), ("lambda", "1024", "--inverse")]
+)
+def test_a_rational_request_loads_fractions_on_demand(argv):
+    run = _entry([*argv, "--format", "json"])
+    assert (run.returncode, run.stderr) == (0, "")
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == dict(_GOLDEN)[argv]
+
+
+def test_the_package_root_resolves_the_series_names_on_each_access():
+    # Stored at the root, a name would keep the tracer's wrapper after uninstall.
+    import cuspidal
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers_root", Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    )
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names = ("build_qexp", "residue_table")
+    originals = {name: getattr(eisq, name) for name in names}
+
+    def resolved():
+        return {name: getattr(cuspidal, name) for name in names}
+
+    assert resolved() == originals
+    tracer = layers.Tracer(cuspidal)
+    tracer.install()
+    try:
+        wrapped = {name: getattr(eisq, name) for name in names}
+        assert all(wrapped[name] is not originals[name] for name in names)
+        assert resolved() == wrapped
+    finally:
+        tracer.uninstall()
+    assert resolved() == originals
+    assert set(names).isdisjoint(vars(cuspidal))
