@@ -20,7 +20,6 @@ __all__ = [
     "omega",
     "divisors_of",
     "valuation",
-    "numerator_of",
     "is_prime",
     "prime_divisors",
     "primes_upto",
@@ -183,12 +182,6 @@ def valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def numerator_of(r) -> int:
-    """Positive numerator of an int or Fraction r in lowest terms (the order
-    of the associated cyclic group)."""
-    return abs(r.numerator)
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:

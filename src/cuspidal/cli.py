@@ -28,11 +28,20 @@ where they are needed, and so is `eisq`, with the `fractions` it brings: only
 and `run_sweep`.  `lambda` imports `fractions` for its dense matrix; `cusps`,
 `cdivisor`, `order`, `hecke` and `classify` compute in integers and load
 neither.
+
+Exit costs only what a request allocates.  Serving the process's own argv,
+`main` freezes the garbage collector on entry: everything alive then lives
+until the process exits, so the collections the interpreter runs while
+shutting down skip it.  A caller that passes argv keeps its heap as it was.
+A report that cannot be written, say to a pipe whose reader has gone, ends
+in one `cuspidal: error:` line and exit 1, never a traceback.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
 import sys
 import time
 from collections import defaultdict
@@ -75,6 +84,9 @@ __all__ = ["main", "run_sweep", "to_json"]
 # The largest `qexp --prec` served; the series costs O(prec log prec) time
 # and its report O(prec) memory.
 _PREC_BUDGET = 100_000
+# The largest cusp count that `cusps` lists; X0(2^34)'s 196608 cusps take
+# about 0.7 s.
+_CUSP_BUDGET = 100_000
 # The largest `sweep --max-N` served; the sweep's time grows about linearly
 # with its bound.
 _SWEEP_BUDGET = 1000
@@ -211,12 +223,15 @@ def _parse_divisor(n: int, text: str) -> RationalCuspDivisor:
 
 
 def cmd_cusps(args) -> tuple[dict, int]:
+    count = cusp_count(args.N)
+    if count > _CUSP_BUDGET:
+        raise ValueError(f"level {args.N} has {count} cusps, above the budget {_CUSP_BUDGET}")
     cusps = enumerate_cusps(args.N)
     outputs = {
         "count": len(cusps),
         "cusps": [{"d": c.d, "x": c.x} for c in cusps],
     }
-    consistency = {"count_matches_formula": len(cusps) == cusp_count(args.N)}
+    consistency = {"count_matches_formula": len(cusps) == count}
     return {"outputs": outputs, "consistency": consistency}, 0
 
 
@@ -572,9 +587,20 @@ _PARSER = None
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Serve one command line and return its exit code.
+
+    With argv None, main serves the process's own argv, and the process
+    exits when main returns.  It then freezes the garbage collector first,
+    so the interpreter's shutdown collections walk only what the request
+    allocated, and on a closed stdout it points file descriptor 1 at
+    os.devnull before returning 1, so the interpreter's final flush stays
+    quiet.  A caller that passes argv keeps its collector and its stdout.
+    """
     global _PARSER
-    if argv is None:
+    entry = argv is None
+    if entry:
         argv = sys.argv[1:]
+        gc.freeze()
     args = _read(argv)
     if args is None:
         if _PARSER is None:
@@ -605,10 +631,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     if args.timing:
         report["timing_ms"] = int((time.perf_counter() - started) * 1000)
-    if args.format == "json":
-        print(to_json(report))
-    else:
-        print("\n".join(_render_text(report)))
+    text = to_json(report) if args.format == "json" else "\n".join(_render_text(report))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        if entry:  # the recipe of the Python docs' "Note on SIGPIPE"
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cuspidal: error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

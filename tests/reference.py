@@ -56,6 +56,12 @@ enumerate_cusps = functools.cache(enumerate_cusps)
 MAPS = {"alpha": (alpha_image, alpha_ram), "beta": (beta_image, beta_ram)}
 
 
+def numerator_of(r) -> int:
+    """Positive numerator of an int or Fraction r in lowest terms (the order
+    of the associated cyclic group)."""
+    return abs(r.numerator)
+
+
 def p_divisor(d: int, n: int) -> RationalCuspDivisor:
     """(P_d): the sum of all cusps of level d on X0(n)."""
     return RationalCuspDivisor.from_dict(n, {d: 1})

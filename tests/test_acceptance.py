@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from cuspidal.arith import (
     divisors_of,
-    numerator_of,
     parts,
     prime_divisors,
     primes_upto,
@@ -34,7 +33,7 @@ from cuspidal.heckediv import (
     hecke_delta,
     hecke_delta_closed,
 )
-from reference import deg_map, kernel_intersection_order, p_divisor
+from reference import deg_map, kernel_intersection_order, numerator_of, p_divisor
 
 MAX_N = 150
 

