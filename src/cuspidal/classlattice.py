@@ -23,11 +23,11 @@ matrices, `solve_lambda`, `mat_vec` and `class_order`'s degree message.
 
 A datum's divisor is a tensor product of local vectors, so its Lambda(N)^{-1}
 image is 24 times the tensor product of the closed local entries over their
-scales, both read off `heckediv._local`: every sum the eta-quotient
+scales, both read off `heckediv.local_tables`: every sum the eta-quotient
 conditions read is a product of local sums over at most three nonzero
-entries per q^r || N, which `_datum_sums` combines for `classifier.index_n`
-in O(omega(N)) per datum.  The engine stays the definition for arbitrary
-divisors.
+entries per q^r || N, which `index_n` combines in O(omega(N)) per datum for
+`classify`.  The engine stays the definition for arbitrary divisors; `sweep`
+checks both orders against the third, `closed_form_order`.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ from .arith import (
     valuation,
 )
 from .cusps import ConsistencyError, RationalCuspDivisor
-from .heckediv import EisensteinDatum, _local, epsilon, over_primes
+from .heckediv import EisensteinDatum, local_tables, over_primes
 
 __all__ = [
+    "lambda_rows",
     "lambda_matrix",
     "lambda_inverse",
     "apply_lambda_inverse",
@@ -63,7 +64,7 @@ Matrix = tuple[tuple["Fraction", ...], ...]
 Vector = tuple["Fraction", ...]
 
 
-def _lambda_integer(n: int) -> tuple[list[list[int]], list[int]]:
+def lambda_rows(n: int) -> tuple[list[list[int]], list[int]]:
     """Lambda(n) = diag(s)^{-1} A in integers over the ascending divisors of
     n: A_ij = (n/d_j) gcd(d_i, d_j)^2 and s_i = 24 gcd(d_i, n/d_i) d_i."""
     divs = divisors_of(n)
@@ -73,10 +74,10 @@ def _lambda_integer(n: int) -> tuple[list[list[int]], list[int]]:
 
 def lambda_matrix(n: int) -> Matrix:
     """Lambda(n)_{ij} = (1/24) * n/gcd(d_i, n/d_i) * gcd(d_i, d_j)^2/(d_i d_j),
-    indexed by the ascending divisors of n: row i of _lambda_integer's A over s_i."""
+    indexed by the ascending divisors of n: row i of lambda_rows's A over s_i."""
     from fractions import Fraction
 
-    rows, scale = _lambda_integer(n)
+    rows, scale = lambda_rows(n)
     return tuple(tuple(Fraction(x, s) for x in row) for row, s in zip(rows, scale))
 
 
@@ -155,7 +156,7 @@ def solve_lambda(n: int, a: Sequence["Fraction | int"]) -> Vector:
     from fractions import Fraction
 
     v, den = _integer_vector(n, a)
-    rows, scale = _lambda_integer(n)
+    rows, scale = lambda_rows(n)
     m = [row + [s * x] for row, s, x in zip(rows, scale, v)]
     size = len(m)
     prev = 1
@@ -261,21 +262,29 @@ def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
     Sum a e_a at p and Sum e_a at every other prime.  A nonzero weight at
     every prime contradicts the datum's degree 0: ConsistencyError."""
     den, g, s1, s2, totals, moments = 1, 24, 24, 24, [], []
-    for q, r in factor(datum.n):
-        _, entries, scale = _local(q, r, epsilon(datum, q))
+    for q, r, _, entries, scale in local_tables(datum):
         e = entries[:3]
         den *= scale
         g *= math.gcd(*e)
-        s1 *= sum(q**a * x for a, x in enumerate(e))
-        s2 *= sum(q ** (r - a) * x for a, x in enumerate(e))
+        powers = (1, q, q * q)
+        s1 *= sum(map(mul, e, powers))
+        # Sum q^(r-a) e_a, with len(e) = min(r + 1, 3)
+        s2 *= q ** (r + 1 - len(e)) * sum(map(mul, reversed(e), powers))
         totals.append(sum(e))
-        moments.append(sum(a * x for a, x in enumerate(e)))
+        moments.append(sum(map(mul, e, range(3))))
     if all(totals):
         raise ConsistencyError(f"local exponents of {datum} have nonzero weight at every prime")
     parities = [
         24 * moment * math.prod(totals[:i] + totals[i + 1 :]) for i, moment in enumerate(moments)
     ]
     return den, g, s1, s2, parities
+
+
+def index_n(datum: EisensteinDatum) -> int:
+    """Order of the datum's divisor class, from the local factors at each
+    q^r || n in O(omega(n)) operations: class_order of build_c_divisor(datum)
+    without building the divisor."""
+    return _eta_order(*_datum_sums(datum))
 
 
 def closed_form_order(datum: EisensteinDatum) -> int | None:
@@ -285,7 +294,7 @@ def closed_form_order(datum: EisensteinDatum) -> int | None:
     An independent oracle against the local orders of `index_n` and the
     engine's class_order, which `sweep` runs.  The order is the numerator of
     h * Pi s / 24, with Pi s the product of the reduced datum's local scales
-    read off `_local`, and a power of 2 on the 2-power levels.
+    read off `local_tables`, and a power of 2 on the 2-power levels.
     """
     n, m, dp = datum.n, datum.m, datum.d_part
     _, sq, _ = parts(n)
@@ -300,5 +309,5 @@ def closed_form_order(datum: EisensteinDatum) -> int | None:
     if reduced.l_part == 1 and sq2 != 1:
         return None
     h = 2 if (is_prime(m) and m % 8 == 1 and n2 in (m, 2 * m)) else 1
-    x = h * math.prod(_local(q, r, epsilon(reduced, q))[2] for q, r in factor(n2))
+    x = h * math.prod(s for *_, s in local_tables(reduced))
     return x // math.gcd(x, 24)

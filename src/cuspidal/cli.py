@@ -13,8 +13,8 @@ CPython 3.11's C encoder does not run with `indent`, and the pure-Python
 encoder took most of the time of a large `qexp` report.  It imports `json`
 only for a string that needs escaping or a float.
 
-One table, `_ARGUMENTS`, describes every subcommand's arguments.  A
-well-formed request in canonical form (the subcommand, then its level and
+One table, `_ARGUMENTS`, names every subcommand's handler and arguments.
+A well-formed request in canonical form (the subcommand, then its level and
 options spelled out in full, each option at most once with a value that does
 not start with "-") is read straight from it by `_read`.  Everything else,
 `--help`, abbreviations, `--opt=value`, negative values, `--` and every
@@ -33,8 +33,8 @@ Exit costs only what a request allocates.  Serving the process's own argv,
 `main` freezes the garbage collector on entry: everything alive then lives
 until the process exits, so the collections the interpreter runs while
 shutting down skip it.  A caller that passes argv keeps its heap as it was.
-A report that cannot be written, say to a pipe whose reader has gone, ends
-in one `cuspidal: error:` line and exit 1, never a traceback.
+A report or help text that cannot be written, say to a pipe whose reader
+has gone, ends in one `cuspidal: error:` line and exit 1, never a traceback.
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ from types import SimpleNamespace
 from .arith import divisors_of, is_prime, prime_divisors, primes_upto
 from .classifier import enumerate_data, index_n, rational_eisenstein_primes
 from .classlattice import (
-    _lambda_integer,
     apply_lambda_inverse,
     class_order,
     closed_form_order,
     lambda_inverse,
     lambda_matrix,
+    lambda_rows,
     r_vector,
     solve_lambda,
 )
@@ -416,7 +416,7 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
             for c in cusps:
                 check(afibers.get((c.d, c.x)) == deg, "alpha fiber degree at N={}, p={}", n, p)
                 check(bfibers.get((c.d, c.x)) == deg, "beta fiber degree at N={}, p={}", n, p)
-        rows, scale = _lambda_integer(n)
+        rows, scale = lambda_rows(n)
         check(_inverts_columns(n, rows, scale), "Lambda inverse at {}", n)
         divs = divisors_of(n)
         rhs = tuple((-1) ** i * (i + 1) for i in range(len(divs)))
@@ -462,19 +462,6 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
     return {"max_n": max_n, **counts, "failures": failures}, not failures
 
 
-_COMMANDS = {
-    "cusps": cmd_cusps,
-    "lambda": cmd_lambda,
-    "cdivisor": cmd_cdivisor,
-    "order": cmd_order,
-    "residues": cmd_residues,
-    "qexp": cmd_qexp,
-    "hecke": cmd_hecke,
-    "classify": cmd_classify,
-    "sweep": cmd_sweep,
-}
-
-
 _FORMAT = ("--format", {"dest": "format", "choices": ("text", "json"), "default": "text"})
 _TIMING = ("--timing", {"dest": "timing", "action": "store_true", "default": False})
 _INVERSE = ("--inverse", {"dest": "inverse", "action": "store_true", "default": False})
@@ -486,27 +473,25 @@ _DATUM = (
     ("--M", {"dest": "M", "type": int, "required": True}),
     ("--D", {"dest": "D", "type": int, "default": 1}),
 )
+_HECKE = (
+    ("--p", {"dest": "p", "type": int, "required": True}),
+    ("--divisor", {"dest": "divisor", "type": str, "required": True}),
+)
 
-# Each subcommand's arguments: whether it takes the level N, and its options
-# as (flag, add_argument keywords) in help order.  `_build_parser` passes the
+# Each subcommand as (handler, whether it takes the level N, its options as
+# (flag, add_argument keywords) in help order).  `_build_parser` passes the
 # keywords to argparse; `_read` understands exactly these: dest, type (int or
 # str), choices, default, required and the store_true action.
 _ARGUMENTS = {
-    "cusps": (True, ()),
-    "lambda": (True, (_INVERSE,)),
-    "cdivisor": (True, _DATUM),
-    "order": (True, (*_DATUM, _METHOD)),
-    "residues": (True, _DATUM),
-    "qexp": (True, (*_DATUM, ("--prec", {"dest": "prec", "type": int, "default": 60}))),
-    "hecke": (
-        True,
-        (
-            ("--p", {"dest": "p", "type": int, "required": True}),
-            ("--divisor", {"dest": "divisor", "type": str, "required": True}),
-        ),
-    ),
-    "classify": (True, (("--ell", {"dest": "ell", "type": int, "default": None}),)),
-    "sweep": (False, (("--max-N", {"dest": "max_N", "type": int, "required": True}),)),
+    "cusps": (cmd_cusps, True, ()),
+    "lambda": (cmd_lambda, True, (_INVERSE,)),
+    "cdivisor": (cmd_cdivisor, True, _DATUM),
+    "order": (cmd_order, True, (*_DATUM, _METHOD)),
+    "residues": (cmd_residues, True, _DATUM),
+    "qexp": (cmd_qexp, True, (*_DATUM, ("--prec", {"dest": "prec", "type": int, "default": 60}))),
+    "hecke": (cmd_hecke, True, _HECKE),
+    "classify": (cmd_classify, True, (("--ell", {"dest": "ell", "type": int, "default": None}),)),
+    "sweep": (cmd_sweep, False, (("--max-N", {"dest": "max_N", "type": int, "required": True}),)),
 }
 
 
@@ -515,7 +500,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     form, or None for any other argv, which argparse then reads."""
     if not argv or argv[0] not in _ARGUMENTS:
         return None
-    takes_level, options = _ARGUMENTS[argv[0]]
+    _, takes_level, options = _ARGUMENTS[argv[0]]
     unseen = dict((_FORMAT, _TIMING, *options))
     if takes_level:  # the positional, keyed None
         unseen[None] = {"dest": "N", "type": int, "required": True}
@@ -573,7 +558,7 @@ def _build_parser():
 
     parser = Parser(prog="cuspidal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (takes_level, options) in _ARGUMENTS.items():
+    for name, (_, takes_level, options) in _ARGUMENTS.items():
         p = sub.add_parser(name)
         if takes_level:
             p.add_argument("N", type=int)
@@ -607,13 +592,13 @@ def main(argv: list[str] | None = None) -> int:
             _PARSER = _build_parser()
         try:
             args = _PARSER.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+        except SystemExit as exc:  # `--help` may still sit in stdout's buffer
+            return _written(None, int(exc.code or 0), entry)
     started = time.perf_counter()
     try:
         if getattr(args, "N", 1) < 1:
             raise ValueError(f"level {args.N} is not a positive integer")
-        body, code = _COMMANDS[args.command](args)
+        body, code = _ARGUMENTS[args.command][0](args)
     except (ValueError, KeyError) as exc:
         print(f"cuspidal: error: {exc}", file=sys.stderr)
         return 1
@@ -632,11 +617,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.timing:
         report["timing_ms"] = int((time.perf_counter() - started) * 1000)
     text = to_json(report) if args.format == "json" else "\n".join(_render_text(report))
+    return _written(text, code, entry)
+
+
+def _written(text: str | None, code: int, entry: bool) -> int:
+    """code once text (if any) and stdout's buffer are written, else 1 with
+    one error line: the Python docs' "Note on SIGPIPE" recipe at the entry."""
     try:
-        print(text)
+        if text is not None:
+            print(text)
         sys.stdout.flush()
     except OSError as exc:
-        if entry:  # the recipe of the Python docs' "Note on SIGPIPE"
+        if entry:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"cuspidal: error: {exc}", file=sys.stderr)
         return 1

@@ -123,14 +123,6 @@ class EigenFact(Record):
 
     __slots__ = ("prime", "on_level", "eigenvalue", "checked_prec", "first_bad")
 
-    def __init__(self, prime, on_level, eigenvalue, checked_prec, first_bad) -> None:  # as in Cusp
-        set_prime, set_on_level, set_eigenvalue, set_checked_prec, set_first_bad = self._setters
-        set_prime(self, prime)
-        set_on_level(self, on_level)
-        set_eigenvalue(self, eigenvalue)
-        set_checked_prec(self, checked_prec)
-        set_first_bad(self, first_bad)
-
     @property
     def ok(self) -> bool:
         return self.first_bad is None

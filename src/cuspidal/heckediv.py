@@ -5,8 +5,10 @@ every prime p | N: 1 on the primes of M, p on the primes of sf(N)*D / M,
 and 0 on the primes of the square support outside D.  Each datum carries a
 degree-0 rational cuspidal divisor that these operators annihilate.  One
 table, `_local(q, r, eps)`, holds its local divisor at q^r || N, the entries
-of the local Lambda(q^r)^{-1} image and their scale; `over_primes` tensors
-them into the divisor, its Lambda(N)^{-1} image and the residues.
+of the local Lambda(q^r)^{-1} image and their scale.  Its one reader is
+`local_tables`: `over_primes` tensors the rows into the divisor, its
+Lambda(N)^{-1} image and the residues, and `classlattice` sums them into
+class orders.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .cusps import ConsistencyError, RationalCuspDivisor, alpha_pullback, beta_p
 __all__ = [
     "EisensteinDatum",
     "epsilon",
+    "local_tables",
     "over_primes",
     "build_c_divisor",
     "hecke_delta",
@@ -72,16 +75,21 @@ def epsilon(datum: EisensteinDatum, p: int) -> int:
     return 0
 
 
+def local_tables(datum: EisensteinDatum) -> list[tuple[int, int, list[int], list[int], int]]:
+    """The datum's local table at each q^r || n as (q, r, c, e, s): the row
+    `_local(q, r, epsilon(datum, q))`, the only call of the table."""
+    return [(q, r, *_local(q, r, epsilon(datum, q))) for q, r in factor(datum.n)]
+
+
 def over_primes(datum: EisensteinDatum, column: int) -> tuple[dict[int, int], int]:
-    """Column 0 (the divisor c) or 1 (the eta entries e) of the local table
-    `_local(q, r, eps)`, eps = epsilon(datum, q), tensored over q^r || n as
-    {d: prod_q local[val_q(d)]}, with the product of the local scales s."""
+    """Column 0 (the divisor c) or 1 (the eta entries e) of `local_tables`,
+    tensored over q^r || n as {d: prod_q local[val_q(d)]}, with the product
+    of the local scales s."""
     out, scale = {1: 1}, 1
-    for q, r in factor(datum.n):
-        local = _local(q, r, epsilon(datum, q))
-        vec = [(q**a, v) for a, v in enumerate(local[column])]
+    for q, _, c, e, s in local_tables(datum):
+        vec = [(q**a, v) for a, v in enumerate(e if column else c)]
         out = {d * t: x * v for d, x in out.items() for t, v in vec}
-        scale *= local[2]
+        scale *= s
     return out, scale
 
 

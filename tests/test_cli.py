@@ -405,9 +405,8 @@ def test_residues_reports_a_nonzero_weighted_sum(capsys, monkeypatch):
 
 
 def _patch_local_table(monkeypatch, patched) -> None:
-    """Replace the local table where `_datum_sums` and `over_primes` read it."""
-    for module in (classlattice, heckediv):
-        monkeypatch.setattr(module, "_local", patched)
+    """Replace the local table; `heckediv.local_tables` is its one reader."""
+    monkeypatch.setattr(heckediv, "_local", patched)
 
 
 def _sweep_with_broken_local_exponents(capsys, monkeypatch, broken) -> list[str]:
@@ -1078,6 +1077,28 @@ def test_a_call_with_argv_leaves_the_collector_alone(capsys):
 def test_a_closed_stdout_exits_one_without_a_traceback(argv, unbuffered):
     # A buffered stdout fails in the report's flush, an unbuffered one in
     # its write; the interpreter's final flush must not fail again.
+    run = _into_a_closed_pipe(argv, unbuffered)
+    assert run.returncode == 1
+    assert run.stderr.startswith("cuspidal: error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [["--help"], ["cusps", "--help"]])
+def test_help_into_a_closed_stdout_ends_quietly(argv, unbuffered):
+    # argparse drops a failed write of its help, so an unbuffered stdout
+    # exits 0 in silence; a buffered one fails in main's flush, exit 1.
+    run = _into_a_closed_pipe(argv, unbuffered)
+    if unbuffered:
+        assert (run.returncode, run.stderr) == (0, "")
+    else:
+        assert run.returncode == 1
+        assert run.stderr.startswith("cuspidal: error: ") and run.stderr.count("\n") == 1
+
+
+def _into_a_closed_pipe(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """The process entry on argv, its stdout a pipe whose reader has closed,
+    with PYTHONUNBUFFERED set or unset whatever the caller's environment."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -1086,15 +1107,12 @@ def test_a_closed_stdout_exits_one_without_a_traceback(argv, unbuffered):
     os.close(read)
     code = "import sys\nfrom cuspidal.cli import main\nsys.exit(main())"
     try:
-        run = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-S", "-c", code, *argv],
             stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
         )
     finally:
         os.close(write)
-    assert run.returncode == 1
-    assert run.stderr.startswith("cuspidal: error: ") and run.stderr.count("\n") == 1
-    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
 
 
 # Prints which of the modules that rationals and series need are loaded.
