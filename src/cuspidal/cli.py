@@ -35,11 +35,23 @@ until the process exits, so the collections the interpreter runs while
 shutting down skip it.  A caller that passes argv keeps its heap as it was.
 A report or help text that cannot be written, say to a pipe whose reader
 has gone, ends in one `cuspidal: error:` line and exit 1, never a traceback.
+
+Only the process entry uses a second CPU, for `sweep`.  Serving its argv on
+a host that lets it run on two CPUs, `run_sweep` deals the levels to two
+shares of about equal tau-load (`_deal`) and forks one child for the second
+share; the child sends its results back through a pipe, and the report
+merges them in level order, byte for byte as one process writes it.  A
+child that fails leaves its share to the parent, and a share that raises
+kills and reaps the child and falls back to the one-process run, so the
+exit code and error line are that run's.  No child outlives the request.
+The tests, the benchmark's in-process replay and library callers, which
+pass argv or call `run_sweep` directly, stay in one process.
 """
 
 from __future__ import annotations
 
 import gc
+import marshal
 import math
 import os
 import sys
@@ -344,10 +356,10 @@ def cmd_classify(args) -> tuple[dict, int]:
     return {"outputs": outputs, "consistency": {}}, 0
 
 
-def cmd_sweep(args) -> tuple[dict, int]:
+def cmd_sweep(args, fork: bool = False) -> tuple[dict, int]:
     if args.max_N > _SWEEP_BUDGET:
         raise ValueError(f"--max-N {args.max_N} exceeds the budget {_SWEEP_BUDGET}")
-    report, ok = run_sweep(args.max_N)
+    report, ok = run_sweep(args.max_N, fork)
     return {"outputs": report, "consistency": {"all_invariants_hold": ok}}, 0 if ok else 2
 
 
@@ -378,22 +390,46 @@ _RESIDUE_LABELS = {
 }
 
 
-def run_sweep(max_n: int) -> tuple[dict, bool]:
-    """Run the cross-module invariant suite for every level up to max_n."""
+def run_sweep(max_n: int, fork: bool = False) -> tuple[dict, bool]:
+    """Run the cross-module invariant suite for every level up to max_n.
+
+    No level's checks read another level's results, so the levels may run
+    in any grouping and the report merges them in level order.  With fork
+    true (`cmd_sweep` at the process entry) and a process that can fork and
+    may run on two CPUs, `_deal` splits the levels into two shares of about
+    equal tau-load and a forked child runs one of them (`_sweep_forked`);
+    otherwise, and for every other caller, one process runs them all.  The
+    report and any error are those of the single-process run.
+    """
     if max_n < 1:
         raise ValueError(f"sweep bound {max_n} is not a positive integer")
+    levels = range(1, max_n + 1)
+    results = _sweep_forked(levels) if fork and _two_cpus() else _sweep_levels(levels)
+    counts = {"levels": max_n, "data": 0, "checks": 0}
+    failures: list[str] = []
+    for n in levels:
+        data, checks, failed = results[n]
+        counts["data"] += data
+        counts["checks"] += checks
+        failures += failed
+    return {"max_n": max_n, **counts, "failures": failures}, not failures
+
+
+def _sweep_levels(levels) -> dict[int, list]:
+    """{n: [data, checks, failures]} of the invariant suite at each of the
+    ascending levels, with the cusp lists shared among those levels only."""
     from .eisq import build_qexp, eigen_check, residue_closed, residue_table
 
-    failures: list[str] = []
-    counts = {"levels": 0, "data": 0, "checks": 0}
+    results: dict[int, list] = {}
 
     def check(flag: bool, label: str, *args) -> None:
-        """Count one check; only a failing one formats its label with args."""
-        counts["checks"] += 1
+        """Count one check of the current level; only a failing one formats
+        its label with args."""
+        level[1] += 1
         if not flag:
-            failures.append(label.format(*args))
+            level[2].append(label.format(*args))
 
-    covers = {n: [p for p in primes_upto(7) if n * p <= 400] for n in range(1, max_n + 1)}
+    covers = {n: [p for p in primes_upto(7) if n * p <= 400] for n in levels}
     last = {m: n for n, ps in covers.items() for m in (n, *(n * p for p in ps))}
     lists: dict = {}
 
@@ -403,7 +439,7 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
         return found if last[m] > n else lists.pop(m)
 
     for n, ps in covers.items():
-        counts["levels"] += 1
+        level = results[n] = [0, 0, []]
         cusps = cusps_of(n, n)
         check(len(cusps) == cusp_count(n), "cusp count at {}", n)
         for p in ps:
@@ -434,7 +470,7 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
                     "case table at N={}, p={}, d={}", n, p, d,
                 )
         for datum in enumerate_data(n):
-            counts["data"] += 1
+            level[0] += 1
             div = build_c_divisor(datum)
             closed = closed_form_order(datum)
             if closed is not None:
@@ -459,7 +495,79 @@ def run_sweep(max_n: int) -> tuple[dict, bool]:
                 check(residues[key], label, datum)
             eigen = eigen_check(datum, f, _SWEEP_QMAX)
             check(eigen.passed, "eigenform checks of {}", datum)
-    return {"max_n": max_n, **counts, "failures": failures}, not failures
+    return results
+
+
+def _two_cpus() -> bool:
+    """Whether this process can fork and may run on two CPUs or more."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _deal(levels) -> tuple[list[int], list[int]]:
+    """Two shares of the levels, each ascending: by descending tau(n), each
+    level goes to the share whose tau-load is smaller (the first on a tie),
+    so the loads differ by at most the largest tau."""
+    shares: tuple[list[int], list[int]] = ([], [])
+    loads = [0, 0]
+    for n in sorted(levels, key=lambda n: -len(divisors_of(n))):
+        i = 1 if loads[1] < loads[0] else 0
+        shares[i].append(n)
+        loads[i] += len(divisors_of(n))
+    return sorted(shares[0]), sorted(shares[1])
+
+
+def _sweep_forked(levels) -> dict[int, list]:
+    """`_sweep_levels(levels)`, the second share of `_deal` run by a forked
+    child at the same time as the first.
+
+    The child sends its results down a pipe as `marshal` bytes and leaves
+    with os._exit, 1 on any exception, so it writes nothing else and runs
+    no clean-up of the parent's.  The process reads the pipe to its end
+    before it reaps the child, and runs the child's share itself if the
+    child failed.  If this share raises, the child is killed and reaped
+    first; on an Exception, or a fork refused, the process then runs every
+    level itself, so an error is the one the single-process run raises.
+    """
+    mine, theirs = _deal(levels)
+    read, write = os.pipe()
+    try:
+        pid = os.fork() if theirs else None
+    except OSError:
+        pid = None
+    if pid == 0:  # the child
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(_sweep_levels(theirs)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    if pid is None:
+        os.close(read)
+        return _sweep_levels(levels)
+    payload = None
+    try:
+        with open(read, "rb") as pipe:
+            results = _sweep_levels(mine)
+            payload = pipe.read()
+    except Exception:
+        results = None
+    finally:
+        if payload is None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if results is None:
+        return _sweep_levels(levels)
+    results.update(marshal.loads(payload) if status == 0 else _sweep_levels(theirs))
+    return results
 
 
 _FORMAT = ("--format", {"dest": "format", "choices": ("text", "json"), "default": "text"})
@@ -577,9 +685,11 @@ def main(argv: list[str] | None = None) -> int:
     With argv None, main serves the process's own argv, and the process
     exits when main returns.  It then freezes the garbage collector first,
     so the interpreter's shutdown collections walk only what the request
-    allocated, and on a closed stdout it points file descriptor 1 at
-    os.devnull before returning 1, so the interpreter's final flush stays
-    quiet.  A caller that passes argv keeps its collector and its stdout.
+    allocated, lets `sweep` fork a child for half its levels, and on a
+    closed stdout it points file descriptor 1 at os.devnull before
+    returning 1, so the interpreter's final flush stays quiet.  A caller
+    that passes argv keeps its collector and its stdout, and its process
+    runs every level of a sweep.
     """
     global _PARSER
     entry = argv is None
@@ -598,7 +708,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "N", 1) < 1:
             raise ValueError(f"level {args.N} is not a positive integer")
-        body, code = _ARGUMENTS[args.command][0](args)
+        handler = _ARGUMENTS[args.command][0]
+        # Only the process entry may fork: its process ends when main returns.
+        body, code = handler(args, fork=entry) if handler is cmd_sweep else handler(args)
     except (ValueError, KeyError) as exc:
         print(f"cuspidal: error: {exc}", file=sys.stderr)
         return 1

@@ -150,6 +150,14 @@ def test_factor_splits_cofactors_above_trial_division(pairs):
     assert factor.__wrapped__(math.prod(p**e for p, e in pairs)) == pairs
 
 
+def test_factor_refuses_a_split_beyond_the_rho_budget():
+    # Rho's steps grow as the square root of the smaller prime: near 10^12
+    # a split needs more than 2^20 of them, near 10^18 about 10^9.
+    for n in ((10**12 + 39) * (10**12 + 61), 6 * (10**18 + 3) * (10**18 + 9)):
+        with pytest.raises(ValueError, match=f"cannot factor {n}: no split within 1048576 rho"):
+            factor.__wrapped__(n)
+
+
 def test_factor_refuses_a_prime_cofactor_at_or_above_the_strong_bound():
     with pytest.raises(ValueError, match="prime at or above"):
         factor.__wrapped__(6 * (2**89 - 1))

@@ -660,6 +660,17 @@ def test_a_large_prime_level_is_factored_at_once(argv, outputs):
     assert json.loads(run.stdout)["outputs"] == outputs
 
 
+@pytest.mark.parametrize("command", ["cusps", "classify"])
+def test_a_level_that_rho_cannot_split_is_refused_within_its_budget(command):
+    # Pollard-Brent would need about 10^9 steps; it stops at 2^20, in about
+    # 0.3 s on a 2-vCPU host, and names the level and the budget.
+    level = (10**18 + 3) * (10**18 + 9)
+    run = _entry([command, str(level)], timeout=2)
+    assert (run.returncode, run.stdout) == (1, "")
+    message = f"cannot factor {level}: no split within 1048576 rho steps"
+    assert run.stderr == f"cuspidal: error: {message}\n"
+
+
 @pytest.mark.parametrize("level", [_BIG_SQUARE, 2**91])
 def test_a_cusp_count_above_the_budget_is_refused_at_once(level):
     # `cusps` used to list every cusp, about 10^9 and 2^45 of them here.
@@ -1022,11 +1033,11 @@ def _fresh(code, argv=(), timeout=60):
     )
 
 
-def _entry(argv, after="", timeout=60):
-    """The console script's main in a fresh interpreter without site; `after`
-    runs once main has returned."""
-    code = f"import sys\nfrom cuspidal.cli import main\nrc = main()\n{after}\nsys.exit(rc)"
-    return _fresh(code, argv, timeout)
+def _entry(argv, after="", timeout=60, before=""):
+    """The console script's main in a fresh interpreter without site; `before`
+    runs before cuspidal.cli is imported, `after` once main has returned."""
+    lines = ["import sys", before, "from cuspidal.cli import main", "rc = main()", after]
+    return _fresh("\n".join([*lines, "sys.exit(rc)"]), argv, timeout)
 
 
 def test_a_well_formed_request_imports_neither_argparse_nor_json():
@@ -1188,3 +1199,156 @@ def test_the_package_root_resolves_the_series_names_on_each_access():
         tracer.uninstall()
     assert resolved() == originals
     assert set(names).isdisjoint(vars(cuspidal))
+
+
+# Run before the entry's main: the process may use two CPUs, whatever the
+# host gives it, os.fork counts its calls, and every DeprecationWarning is
+# shown (Python 3.12+ warns on a fork while threads run).
+_TWO_CPUS = """
+import os
+import warnings
+warnings.simplefilter("always", DeprecationWarning)
+os.sched_getaffinity = lambda pid: {0, 1}
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+"""
+# Run after the entry's main: the forks, and whether any child is left.
+_NO_CHILD = """
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "a child is left"
+except ChildProcessError:
+    left = "no child"
+print(len(forks), left, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("bound", ["60", "125", "161"])
+def test_the_entry_deals_a_sweep_to_a_child_and_keeps_its_bytes(bound):
+    argv = ("sweep", "--max-N", bound)
+    run = _entry([*argv, "--format", "json"], _NO_CHILD, before=_TWO_CPUS)
+    assert (run.returncode, run.stderr) == (0, "1 no child\n")
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == dict(_GOLDEN)[argv]
+
+
+def test_the_entry_sweeps_alone_on_one_cpu():
+    one_cpu = _TWO_CPUS.replace("{0, 1}", "{0}")
+    argv = ("sweep", "--max-N", "60")
+    run = _entry([*argv, "--format", "json"], _NO_CHILD, before=one_cpu)
+    assert (run.returncode, run.stderr) == (0, "0 no child\n")
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == dict(_GOLDEN)[argv]
+
+
+# Breaks the engine at the given levels; runs with `cli` and `levels` bound.
+_BREAK_ENGINE = """
+real = cli.apply_lambda_inverse
+
+def broken(n, a, den=1):
+    u, den = real(n, a, den)
+    return ((u[0] + 1, *u[1:]), den) if n in levels else (u, den)
+
+cli.apply_lambda_inverse = broken
+"""
+
+
+def test_a_dealt_sweep_reports_the_failures_of_both_shares_in_level_order(
+    capsys, monkeypatch
+):
+    mine, theirs = cli._deal(range(1, 41))
+    levels = {*mine[3:5], *theirs[2:4]}
+    assert len(levels) == 4
+    monkeypatch.setattr(cli, "apply_lambda_inverse", cli.apply_lambda_inverse)
+    exec(_BREAK_ENGINE, {"cli": cli, "levels": levels})
+    code, out, _ = _run(capsys, "sweep", "--max-N", "40", "--format", "json")
+    failures = json.loads(out)["outputs"]["failures"]
+    labels = ("Lambda inverse at {}", "solver agreement at {}")
+    assert (code, failures) == (2, [label.format(n) for n in sorted(levels) for label in labels])
+    patch = f"from cuspidal import cli\nlevels = {sorted(levels)}\n{_BREAK_ENGINE}"
+    argv = ["sweep", "--max-N", "40", "--format", "json"]
+    run = _entry(argv, _NO_CHILD, before=_TWO_CPUS + patch)
+    assert (run.returncode, run.stdout, run.stderr) == (2, out, "1 no child\n")
+
+
+def test_a_failed_child_leaves_its_share_to_the_process():
+    # The child's solver raises; the process runs the child's levels itself.
+    patch = """
+from cuspidal import cli
+entry, real = os.getpid(), cli.solve_lambda
+
+def solve(n, rhs):
+    if os.getpid() != entry:
+        os.write(2, b"child fails\\n")
+        raise RuntimeError("in the child")
+    return real(n, rhs)
+
+cli.solve_lambda = solve
+"""
+    argv = ("sweep", "--max-N", "125")
+    run = _entry([*argv, "--format", "json"], _NO_CHILD, before=_TWO_CPUS + patch)
+    assert (run.returncode, run.stderr) == (0, "child fails\n1 no child\n")
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == dict(_GOLDEN)[argv]
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [("ValueError", 1, "error"), ("ConsistencyError", 2, "consistency failure")],
+)
+def test_a_raising_share_ends_the_request_as_the_single_process_does(
+    capsys, monkeypatch, error, code, prefix
+):
+    # Only the process's own share raises: the child is killed and reaped,
+    # and every level runs again here, so the error is the first level's.
+    patch = """
+from cuspidal import cli
+from cuspidal.cusps import ConsistencyError
+entry, real = os.getpid(), cli.cusp_count
+
+def count(n):
+    if os.getpid() == entry and n > 2:
+        raise ERROR(f"broken at {n}")
+    return real(n)
+
+cli.cusp_count = count
+""".replace("ERROR", error)
+    expected = f"cuspidal: {prefix}: broken at 3\n"
+    monkeypatch.setattr(cli, "cusp_count", cli.cusp_count)
+    exec(patch, {"os": os})
+    assert _run(capsys, "sweep", "--max-N", "60") == (code, "", expected)
+    run = _entry(["sweep", "--max-N", "60"], _NO_CHILD, before=_TWO_CPUS + patch)
+    assert (run.returncode, run.stdout, run.stderr) == (code, "", expected + "1 no child\n")
+
+
+def test_sweeps_in_process_never_fork(capsys, monkeypatch):
+    report = cli.run_sweep(60)
+
+    def refuse():
+        raise AssertionError("forked in process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli.run_sweep(60) == report
+    code, out, _ = _run(capsys, "sweep", "--max-N", "60", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(_GOLDEN)["sweep", "--max-N", "60"]
+
+
+def test_a_fork_that_fails_leaves_every_level_to_the_process(monkeypatch):
+    report = cli.run_sweep(30)
+
+    def refuse():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli.run_sweep(30, fork=True) == report
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 60, 161, 1000])
+def test_the_deal_splits_the_levels_by_tau_load(bound):
+    levels = range(1, bound + 1)
+    shares = cli._deal(levels)
+    assert sorted([*shares[0], *shares[1]]) == list(levels)
+    assert all(share == sorted(share) for share in shares)
+    tau = [sum(len(divisors_of(n)) for n in share) for share in shares]
+    assert abs(tau[0] - tau[1]) <= max(len(divisors_of(n)) for n in levels)
