@@ -25,9 +25,9 @@ table, with argparse's messages and exit codes.  That parser reads
 Start-up loads only what a request uses.  `json` and `argparse` are imported
 where they are needed, and so is `eisq`, with the `fractions` it brings: only
 `qexp`, `residues` and `sweep` import it, inside `cmd_qexp`, `cmd_residues`
-and `run_sweep`.  `lambda` imports `fractions` for its dense matrix; `cusps`,
-`cdivisor`, `order`, `hecke` and `classify` compute in integers and load
-neither.
+and `_sweep_level`.  `lambda` imports `fractions` for its dense matrix;
+`cusps`, `cdivisor`, `order`, `hecke` and `classify` compute in integers and
+load neither.
 
 Exit costs only what a request allocates.  Serving the process's own argv,
 `main` freezes the garbage collector on entry: everything alive then lives
@@ -36,16 +36,17 @@ shutting down skip it.  A caller that passes argv keeps its heap as it was.
 A report or help text that cannot be written, say to a pipe whose reader
 has gone, ends in one `cuspidal: error:` line and exit 1, never a traceback.
 
-Only the process entry uses a second CPU, for `sweep`.  Serving its argv on
-a host that lets it run on two CPUs, `run_sweep` deals the levels to two
-shares of about equal tau-load (`_deal`) and forks one child for the second
-share; the child sends its results back through a pipe, and the report
-merges them in level order, byte for byte as one process writes it.  A
-child that fails leaves its share to the parent, and a share that raises
-kills and reaps the child and falls back to the one-process run, so the
-exit code and error line are that run's.  No child outlives the request.
-The tests, the benchmark's in-process replay and library callers, which
-pass argv or call `run_sweep` directly, stay in one process.
+Only the process entry uses a second CPU, for `sweep`, whose levels each
+run alone (`_sweep_level`) and share nothing.  Serving its argv on a host
+that lets it run on two CPUs, `run_sweep` deals the levels to two shares of
+about equal tau-load (`_deal`) and forks one child for the second share;
+the child sends its results back through a pipe, and the report merges them
+in level order, byte for byte as one process writes it.  A fork refused, a
+share that raises and a child's bytes that do not load take one fallback:
+the child is reaped and the process runs every level itself, so the exit
+code and error line are the one-process run's.  No child outlives the
+request.  The tests, the benchmark's in-process replay and library callers,
+which pass argv or call `run_sweep` directly, stay in one process.
 """
 
 from __future__ import annotations
@@ -99,6 +100,9 @@ _PREC_BUDGET = 100_000
 # The largest cusp count that `cusps` lists; X0(2^34)'s 196608 cusps take
 # about 0.7 s.
 _CUSP_BUDGET = 100_000
+# The largest tau(N) that `lambda` serves: on a 2-vCPU host its matrix took
+# 0.38 s at tau = 384 and, inverted, 1.26 s at tau = 512.
+_LAMBDA_BUDGET = 384
 # The largest `sweep --max-N` served; the sweep's time grows about linearly
 # with its bound.
 _SWEEP_BUDGET = 1000
@@ -248,6 +252,9 @@ def cmd_cusps(args) -> tuple[dict, int]:
 
 
 def cmd_lambda(args) -> tuple[dict, int]:
+    tau = len(divisors_of(args.N))
+    if tau > _LAMBDA_BUDGET:
+        raise ValueError(f"level {args.N} has {tau} divisors, above the budget {_LAMBDA_BUDGET}")
     rows = lambda_inverse(args.N) if args.inverse else lambda_matrix(args.N)
     outputs = {
         "divisors": list(divisors_of(args.N)),
@@ -393,118 +400,96 @@ _RESIDUE_LABELS = {
 def run_sweep(max_n: int, fork: bool = False) -> tuple[dict, bool]:
     """Run the cross-module invariant suite for every level up to max_n.
 
-    No level's checks read another level's results, so the levels may run
-    in any grouping and the report merges them in level order.  With fork
-    true (`cmd_sweep` at the process entry) and a process that can fork and
-    may run on two CPUs, `_deal` splits the levels into two shares of about
-    equal tau-load and a forked child runs one of them (`_sweep_forked`);
-    otherwise, and for every other caller, one process runs them all.  The
-    report and any error are those of the single-process run.
+    Each level runs alone (`_sweep_level`), and the report merges them in
+    level order.  With fork true (`cmd_sweep` at the process entry) and a
+    process that can fork and may run on two CPUs, a forked child runs one
+    of `_deal`'s two shares of the levels (`_sweep_forked`); otherwise, and
+    for every other caller, one process runs them all.  The report and any
+    error are those of the single-process run.
     """
     if max_n < 1:
         raise ValueError(f"sweep bound {max_n} is not a positive integer")
     levels = range(1, max_n + 1)
-    results = _sweep_forked(levels) if fork and _two_cpus() else _sweep_levels(levels)
-    counts = {"levels": max_n, "data": 0, "checks": 0}
-    failures: list[str] = []
-    for n in levels:
-        data, checks, failed = results[n]
-        counts["data"] += data
-        counts["checks"] += checks
-        failures += failed
+    cpus = os.sched_getaffinity(0) if fork and hasattr(os, "sched_getaffinity") else ()
+    forked = hasattr(os, "fork") and len(cpus) >= 2
+    results = _sweep_forked(levels) if forked else {n: _sweep_level(n) for n in levels}
+    data, checks, failed = zip(*(results[n] for n in levels))
+    failures = [label for labels in failed for label in labels]
+    counts = {"levels": max_n, "data": sum(data), "checks": sum(checks)}
     return {"max_n": max_n, **counts, "failures": failures}, not failures
 
 
-def _sweep_levels(levels) -> dict[int, list]:
-    """{n: [data, checks, failures]} of the invariant suite at each of the
-    ascending levels, with the cusp lists shared among those levels only."""
+def _sweep_level(n: int) -> tuple[int, int, list[str]]:
+    """(data, checks, failures) of the invariant suite at level n, which
+    lists the cusps of X0(n) and of its coverings X0(np) itself."""
     from .eisq import build_qexp, eigen_check, residue_closed, residue_table
 
-    results: dict[int, list] = {}
+    data = checks = 0
+    failures: list[str] = []
 
     def check(flag: bool, label: str, *args) -> None:
-        """Count one check of the current level; only a failing one formats
-        its label with args."""
-        level[1] += 1
+        """Count one check; only a failing one formats its label with args."""
+        nonlocal checks
+        checks += 1
         if not flag:
-            level[2].append(label.format(*args))
+            failures.append(label.format(*args))
 
-    covers = {n: [p for p in primes_upto(7) if n * p <= 400] for n in levels}
-    last = {m: n for n, ps in covers.items() for m in (n, *(n * p for p in ps))}
-    lists: dict = {}
-
-    def cusps_of(m: int, n: int) -> tuple:
-        """The cusps of X0(m) at level n, listed once and dropped after their last level."""
-        found = lists[m] = lists.get(m) or enumerate_cusps(m)
-        return found if last[m] > n else lists.pop(m)
-
-    for n, ps in covers.items():
-        level = results[n] = [0, 0, []]
-        cusps = cusps_of(n, n)
-        check(len(cusps) == cusp_count(n), "cusp count at {}", n)
-        for p in ps:
-            deg = covering_degree(n, p)
-            afibers, bfibers = defaultdict(int), defaultdict(int)
-            for c in cusps_of(n * p, n):
-                a, b = alpha_image(c, p), beta_image(c, p)
-                afibers[a.d, a.x] += alpha_ram(c, p)
-                bfibers[b.d, b.x] += beta_ram(c, p)
-            for c in cusps:
-                check(afibers.get((c.d, c.x)) == deg, "alpha fiber degree at N={}, p={}", n, p)
-                check(bfibers.get((c.d, c.x)) == deg, "beta fiber degree at N={}, p={}", n, p)
-        rows, scale = lambda_rows(n)
-        check(_inverts_columns(n, rows, scale), "Lambda inverse at {}", n)
-        divs = divisors_of(n)
-        rhs = tuple((-1) ** i * (i + 1) for i in range(len(divs)))
-        u, den = apply_lambda_inverse(n, rhs)
-        solved = solve_lambda(n, rhs)
-        agree = all(x.numerator * den == v * x.denominator for x, v in zip(solved, u))
-        check(agree, "solver agreement at {}", n)
+    cusps = enumerate_cusps(n)
+    check(len(cusps) == cusp_count(n), "cusp count at {}", n)
+    for p in (p for p in primes_upto(7) if n * p <= 400):
+        deg = covering_degree(n, p)
+        afibers, bfibers = defaultdict(int), defaultdict(int)
+        for c in enumerate_cusps(n * p):
+            a, b = alpha_image(c, p), beta_image(c, p)
+            afibers[a.d, a.x] += alpha_ram(c, p)
+            bfibers[b.d, b.x] += beta_ram(c, p)
+        for c in cusps:
+            check(afibers.get((c.d, c.x)) == deg, "alpha fiber degree at N={}, p={}", n, p)
+            check(bfibers.get((c.d, c.x)) == deg, "beta fiber degree at N={}, p={}", n, p)
+    rows, scale = lambda_rows(n)
+    check(_inverts_columns(n, rows, scale), "Lambda inverse at {}", n)
+    divs = divisors_of(n)
+    rhs = tuple((-1) ** i * (i + 1) for i in range(len(divs)))
+    u, den = apply_lambda_inverse(n, rhs)
+    solved = solve_lambda(n, rhs)
+    agree = all(x.numerator * den == v * x.denominator for x, v in zip(solved, u))
+    check(agree, "solver agreement at {}", n)
+    for p in prime_divisors(n):
+        for d in divs:
+            expected = hecke_delta_closed(d, p, n)
+            if expected is None:
+                continue
+            check(
+                hecke_delta(RationalCuspDivisor(n, ((d, 1),)), p) == expected,
+                "case table at N={}, p={}, d={}", n, p, d,
+            )
+    for datum in enumerate_data(n):
+        data += 1
+        div = build_c_divisor(datum)
+        closed = closed_form_order(datum)
+        if closed is not None:
+            try:
+                agree = closed == class_order(n, div) == index_n(datum)
+            except (ValueError, ConsistencyError):
+                agree = False
+            check(agree, "order of {}", datum)
+        if math.gcd(datum.m, datum.d_part) == 1:
+            check(
+                _maps_to(rows, scale, *r_vector(datum), div.as_vector()),
+                "exponent vector of {}", datum,
+            )
         for p in prime_divisors(n):
-            for d in divs:
-                expected = hecke_delta_closed(d, p, n)
-                if expected is None:
-                    continue
-                check(
-                    hecke_delta(RationalCuspDivisor(n, ((d, 1),)), p) == expected,
-                    "case table at N={}, p={}, d={}", n, p, d,
-                )
-        for datum in enumerate_data(n):
-            level[0] += 1
-            div = build_c_divisor(datum)
-            closed = closed_form_order(datum)
-            if closed is not None:
-                try:
-                    agree = closed == class_order(n, div) == index_n(datum)
-                except (ValueError, ConsistencyError):
-                    agree = False
-                check(agree, "order of {}", datum)
-            if math.gcd(datum.m, datum.d_part) == 1:
-                check(
-                    _maps_to(rows, scale, *r_vector(datum), div.as_vector()),
-                    "exponent vector of {}", datum,
-                )
-            for p in prime_divisors(n):
-                check(
-                    hecke_delta(div, p) == epsilon(datum, p) * div,
-                    "divisor eigenvalue of {} at {}", datum, p,
-                )
-            f = build_qexp(datum, _SWEEP_PREC)
-            residues = _residue_checks(datum, residue_table(datum), *residue_closed(datum), f)
-            for key, label in _RESIDUE_LABELS.items():
-                check(residues[key], label, datum)
-            eigen = eigen_check(datum, f, _SWEEP_QMAX)
-            check(eigen.passed, "eigenform checks of {}", datum)
-    return results
-
-
-def _two_cpus() -> bool:
-    """Whether this process can fork and may run on two CPUs or more."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
+            check(
+                hecke_delta(div, p) == epsilon(datum, p) * div,
+                "divisor eigenvalue of {} at {}", datum, p,
+            )
+        f = build_qexp(datum, _SWEEP_PREC)
+        residues = _residue_checks(datum, residue_table(datum), *residue_closed(datum), f)
+        for key, label in _RESIDUE_LABELS.items():
+            check(residues[key], label, datum)
+        eigen = eigen_check(datum, f, _SWEEP_QMAX)
+        check(eigen.passed, "eigenform checks of {}", datum)
+    return data, checks, failures
 
 
 def _deal(levels) -> tuple[list[int], list[int]]:
@@ -520,17 +505,17 @@ def _deal(levels) -> tuple[list[int], list[int]]:
     return sorted(shares[0]), sorted(shares[1])
 
 
-def _sweep_forked(levels) -> dict[int, list]:
-    """`_sweep_levels(levels)`, the second share of `_deal` run by a forked
-    child at the same time as the first.
+def _sweep_forked(levels) -> dict[int, tuple]:
+    """{n: `_sweep_level(n)`} over the levels, the second share of `_deal`
+    run by a forked child at the same time as the first.
 
     The child sends its results down a pipe as `marshal` bytes and leaves
     with os._exit, 1 on any exception, so it writes nothing else and runs
     no clean-up of the parent's.  The process reads the pipe to its end
-    before it reaps the child, and runs the child's share itself if the
-    child failed.  If this share raises, the child is killed and reaped
-    first; on an Exception, or a fork refused, the process then runs every
-    level itself, so an error is the one the single-process run raises.
+    before it reaps the child, and kills the child first if its own share
+    raises.  One fallback covers a fork refused, an Exception in this
+    share and bytes that do not load: the child is reaped and the process
+    runs every level itself, so an error is the single-process run's.
     """
     mine, theirs = _deal(levels)
     read, write = os.pipe()
@@ -543,31 +528,29 @@ def _sweep_forked(levels) -> dict[int, list]:
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps(_sweep_levels(theirs)))
+                pipe.write(marshal.dumps({n: _sweep_level(n) for n in theirs}))
             code = 0
         finally:
             os._exit(code)
     os.close(write)
-    if pid is None:
-        os.close(read)
-        return _sweep_levels(levels)
     payload = None
     try:
         with open(read, "rb") as pipe:
-            results = _sweep_levels(mine)
-            payload = pipe.read()
+            if pid is not None:
+                results = {n: _sweep_level(n) for n in mine}
+                payload = pipe.read()
+                results.update(marshal.loads(payload))
+                return results
     except Exception:
-        results = None
+        pass
     finally:
-        if payload is None:
-            import signal
+        if pid is not None:
+            if payload is None:
+                import signal
 
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    if results is None:
-        return _sweep_levels(levels)
-    results.update(marshal.loads(payload) if status == 0 else _sweep_levels(theirs))
-    return results
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return {n: _sweep_level(n) for n in levels}
 
 
 _FORMAT = ("--format", {"dest": "format", "choices": ("text", "json"), "default": "text"})

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal import classlattice, cli, eisq, heckediv
+from cuspidal import arith, classifier, classlattice, cli, cusps, eisq, heckediv
 from cuspidal.arith import divisors_of, parts, prime_divisors
 from cuspidal.classifier import enumerate_data
 from cuspidal.cusps import RationalCuspDivisor, cusp_count
@@ -679,14 +679,34 @@ def test_a_cusp_count_above_the_budget_is_refused_at_once(level):
     assert run.stderr.startswith(f"cuspidal: error: level {level} has ")
 
 
-def test_the_budget_sits_above_every_pinned_cusps_request():
+def _pinned_levels(command) -> list[int]:
+    """The levels of every pinned request of command: the pool's and the golden ones."""
     pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
     pinned = [pool["setup"]["argv"]]
     for strata in pool["workloads"].values():
         pinned += [request["argv"] for stratum in strata for request in stratum]
     pinned += [argv for argv, _ in _GOLDEN]
-    levels = [int(argv[1]) for argv in pinned if argv[0] == "cusps"]
+    return [int(argv[1]) for argv in pinned if argv[0] == command]
+
+
+def test_the_budget_sits_above_every_pinned_cusps_request():
+    levels = _pinned_levels("cusps")
     assert levels and max(map(cusp_count, levels)) <= cli._CUSP_BUDGET
+
+
+@pytest.mark.parametrize("level, tau", [(6469693230, 1024), (200560490130, 2048)])
+@pytest.mark.parametrize("inverse", [(), ("--inverse",)], ids=["matrix", "inverse"])
+def test_a_lambda_above_the_tau_budget_is_refused_at_once(level, tau, inverse):
+    # These used to write 72 MB, and to run past 10 s; tau = 384 takes 0.4 s.
+    run = _entry(["lambda", str(level), *inverse], timeout=2)
+    assert (run.returncode, run.stdout) == (1, "")
+    message = f"level {level} has {tau} divisors, above the budget 384"
+    assert run.stderr == f"cuspidal: error: {message}\n"
+
+
+def test_the_tau_budget_sits_above_every_pinned_lambda_request():
+    levels = _pinned_levels("lambda")
+    assert levels and max(len(divisors_of(n)) for n in levels) <= cli._LAMBDA_BUDGET
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
@@ -1271,7 +1291,7 @@ def test_a_dealt_sweep_reports_the_failures_of_both_shares_in_level_order(
 
 
 def test_a_failed_child_leaves_its_share_to_the_process():
-    # The child's solver raises; the process runs the child's levels itself.
+    # The child's solver raises; the process runs every level itself.
     patch = """
 from cuspidal import cli
 entry, real = os.getpid(), cli.solve_lambda
@@ -1288,6 +1308,55 @@ cli.solve_lambda = solve
     run = _entry([*argv, "--format", "json"], _NO_CHILD, before=_TWO_CPUS + patch)
     assert (run.returncode, run.stderr) == (0, "child fails\n1 no child\n")
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == dict(_GOLDEN)[argv]
+
+
+# Replaces marshal.dumps in the forked child only with CHILD, a lambda of
+# the value; runs before `cli` is imported.
+_IN_THE_CHILD = """
+import marshal
+import signal
+entry, dumps = os.getpid(), marshal.dumps
+marshal.dumps = lambda value: dumps(value) if os.getpid() == entry else (CHILD)(value)
+"""
+
+
+@pytest.mark.parametrize(
+    "child",
+    [
+        "lambda value: dumps(value)[:100]",  # bytes cut short, which do not load
+        "lambda value: os.kill(os.getpid(), signal.SIGKILL)",  # killed before writing
+    ],
+    ids=["cut_short", "killed"],
+)
+def test_a_child_whose_bytes_do_not_load_leaves_every_level_to_the_process(child):
+    patch = _IN_THE_CHILD.replace("CHILD", child)
+    argv = ("sweep", "--max-N", "125")
+    run = _entry([*argv, "--format", "json"], _NO_CHILD, before=_TWO_CPUS + patch)
+    assert (run.returncode, run.stderr) == (0, "1 no child\n")
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == dict(_GOLDEN)[argv]
+
+
+def _clear_caches() -> None:
+    for module in (arith, classifier, classlattice, cusps, eisq, heckediv):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_each_level_of_a_sweep_runs_alone():
+    # With the caches cleared before each run, the levels give the same
+    # results in any order and in any share.
+    levels = range(1, 61)
+    _clear_caches()
+    ascending = {n: cli._sweep_level(n) for n in levels}
+    _clear_caches()
+    assert {n: cli._sweep_level(n) for n in reversed(levels)} == ascending
+    for share in cli._deal(levels):
+        _clear_caches()
+        assert {n: cli._sweep_level(n) for n in share} == {n: ascending[n] for n in share}
+    report = cli.run_sweep(60)[0]
+    assert report["data"] == sum(data for data, _, _ in ascending.values())
+    assert report["checks"] == sum(checks for _, checks, _ in ascending.values())
 
 
 @pytest.mark.parametrize(
