@@ -61,7 +61,7 @@ from collections import defaultdict
 from operator import mul
 from types import SimpleNamespace
 
-from .arith import divisors_of, is_prime, prime_divisors, primes_upto
+from .arith import divisors_of, factor, is_prime, prime_divisors, primes_upto
 from .classifier import enumerate_data, index_n, rational_eisenstein_primes
 from .classlattice import (
     apply_lambda_inverse,
@@ -103,6 +103,11 @@ _CUSP_BUDGET = 100_000
 # The largest tau(N) that `lambda` serves: on a 2-vCPU host its matrix took
 # 0.38 s at tau = 384 and, inverted, 1.26 s at tau = 512.
 _LAMBDA_BUDGET = 384
+# The largest tau(N) that `classify` serves: 0.60 s at 8192, 1.22 s at 16384.
+_CLASSIFY_BUDGET = 8192
+# The largest tau(N) at which `order` runs the whole-level engine: 0.80 s at
+# 65536, 1.76 s at 131072.  `--method closed` costs O(omega(N)) and has none.
+_ORDER_BUDGET = 65536
 # The largest `sweep --max-N` served; the sweep's time grows about linearly
 # with its bound.
 _SWEEP_BUDGET = 1000
@@ -226,6 +231,13 @@ def _datum(args) -> EisensteinDatum:
     return EisensteinDatum(args.N, args.M, args.D)
 
 
+def _check_tau(n: int, budget: int) -> None:
+    """Refuse a level with more than budget divisors, counted from `factor`."""
+    tau = math.prod(e + 1 for _, e in factor(n))
+    if tau > budget:
+        raise ValueError(f"level {n} has {tau} divisors, above the budget {budget}")
+
+
 def _parse_divisor(n: int, text: str) -> RationalCuspDivisor:
     coeffs: dict[int, int] = {}
     for part in text.split(","):
@@ -248,13 +260,11 @@ def cmd_cusps(args) -> tuple[dict, int]:
         "cusps": [{"d": c.d, "x": c.x} for c in cusps],
     }
     consistency = {"count_matches_formula": len(cusps) == count}
-    return {"outputs": outputs, "consistency": consistency}, 0
+    return {"outputs": outputs, "consistency": consistency}, 0 if len(cusps) == count else 2
 
 
 def cmd_lambda(args) -> tuple[dict, int]:
-    tau = len(divisors_of(args.N))
-    if tau > _LAMBDA_BUDGET:
-        raise ValueError(f"level {args.N} has {tau} divisors, above the budget {_LAMBDA_BUDGET}")
+    _check_tau(args.N, _LAMBDA_BUDGET)
     rows = lambda_inverse(args.N) if args.inverse else lambda_matrix(args.N)
     outputs = {
         "divisors": list(divisors_of(args.N)),
@@ -279,6 +289,7 @@ def cmd_order(args) -> tuple[dict, int]:
     consistency: dict = {}
     engine = closed = None
     if args.method in ("lattice", "both"):
+        _check_tau(datum.n, _ORDER_BUDGET)
         engine = outputs["engine"] = class_order(datum.n, build_c_divisor(datum))
     if args.method in ("closed", "both"):
         closed = outputs["closed"] = closed_form_order(datum)
@@ -346,6 +357,7 @@ def cmd_hecke(args) -> tuple[dict, int]:
 
 
 def cmd_classify(args) -> tuple[dict, int]:
+    _check_tau(args.N, _CLASSIFY_BUDGET)
     primes = rational_eisenstein_primes(args.N, args.ell)
     outputs = {
         "primes": [

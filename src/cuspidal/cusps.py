@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .arith import Record, divisors_of, euler_phi, is_prime, valuation
+from .arith import Record, divisors_of, euler_phi, factor, is_prime, valuation
 
 __all__ = [
     "ConsistencyError",
@@ -83,7 +83,9 @@ def enumerate_cusps(n: int) -> tuple[Cusp, ...]:
 
 
 def cusp_count(n: int) -> int:
-    return sum(euler_phi(math.gcd(d, n // d)) for d in divisors_of(n))
+    """Number of cusps of X0(n), the sum of phi(gcd(d, n/d)) over d | n, prime by prime."""
+    local = (sum(euler_phi(p ** min(i, e - i)) for i in range(e + 1)) for p, e in factor(n))
+    return math.prod(local)
 
 
 def normalize_fraction(a: int, c: int, n: int) -> Cusp:

@@ -62,9 +62,10 @@ class EisensteinDatum(Record):
 def epsilon(datum: EisensteinDatum, p: int) -> int:
     """Eigenvalue in {1, p, 0} of the level-p operator attached to the datum.
 
-    This is the one per-prime classification of the package: the series, its
-    residues, the exponent vector and its scale take their local factor at
-    p^r || n from this value and r alone.
+    The one per-prime classification of the package: every local factor at
+    p^r || n is a function of this value and r, and `classifier` reads its
+    normal forms and flags from it.  The oracles `eisq.residue_closed` and
+    `classlattice.closed_form_order` keep their own (m, d_part) arithmetic.
     """
     if datum.n % p:
         raise ValueError(f"{p} does not divide {datum.n}")

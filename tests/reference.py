@@ -10,11 +10,13 @@ does the recursive builder of a datum's divisor that the tensor product of
 `heckediv.build_c_divisor` replaced.  So do the general entry formula of the
 tridiagonal block T_q of Lambda(q^r)^{-1}, the whole-level Lambda(N)^{-1}
 engine that walked a dict keyed by divisor, rebuilding T_q from that
-formula, with the class order on it, and the ell = 2 hypothesis test that
-tried every presentation of a datum.  `chain_multiplicity` keeps the
-derivation of the beta pushforward multiplicities from cusp counts, and
-`VALUATION_MAPS` the per-cusp coverings as they were computed before their
-closed forms: from the valuations at p of the cusp's level and of N.
+formula, with the class order on it, the ell = 2 hypothesis test that
+tried every presentation of a datum, and the normalization and newness
+conditions as they read (m, d_part) rather than the eigenvalues.
+`chain_multiplicity` keeps the derivation of the beta pushforward
+multiplicities from cusp counts, and `VALUATION_MAPS` the per-cusp coverings
+as they were computed before their closed forms: from the valuations at p of
+the cusp's level and of N.
 
 The package lists the cusps of a curve afresh on every call, so this module
 rebinds `enumerate_cusps` to one memo that the cusp-by-cusp references and
@@ -354,3 +356,23 @@ def hypothesis_ok_by_presentations(ell: int, datum: EisensteinDatum) -> bool:
         if t > 1 and t % 2 == 1:
             return True
     return False
+
+
+def normalize_by_quotient(datum: EisensteinDatum, ell: int) -> EisensteinDatum:
+    """The datum with every prime q of (sf*D)/m, q = 1 mod ell, absorbed into
+    m: the normalization as it read the (m, d_part) encoding."""
+    sf, _, _ = parts(datum.n)
+    m = datum.m
+    for q in prime_divisors(sf * datum.d_part // m):
+        if q % ell == 1:
+            m *= q
+    return EisensteinDatum(datum.n, m, datum.d_part)
+
+
+def new_candidate_by_quotient(ell: int, datum: EisensteinDatum) -> bool:
+    """d_part = 1 and every prime of sf(n)/gcd(m, sf(n)) congruent to -1 mod
+    ell: the newness conditions as they read the (m, d_part) encoding."""
+    if datum.d_part != 1:
+        return False
+    sf, _, _ = parts(datum.n)
+    return all(q % ell == ell - 1 for q in prime_divisors(sf // math.gcd(datum.m, sf)))

@@ -6,6 +6,7 @@ from cuspidal import classifier, classlattice, heckediv
 from cuspidal.arith import primes_upto
 from cuspidal.classifier import (
     _hypothesis_ok,
+    _new_candidate,
     enumerate_data,
     index_n,
     normalize_datum,
@@ -13,7 +14,11 @@ from cuspidal.classifier import (
 )
 from cuspidal.cusps import ConsistencyError
 from cuspidal.heckediv import EisensteinDatum
-from reference import hypothesis_ok_by_presentations
+from reference import (
+    hypothesis_ok_by_presentations,
+    new_candidate_by_quotient,
+    normalize_by_quotient,
+)
 
 
 def _keys(primes):
@@ -130,6 +135,30 @@ def test_hypothesis_ok_matches_every_presentation():
             assert ok == hypothesis_ok_by_presentations(2, datum), datum
             seen.add(ok)
     assert seen == {True, False}
+
+
+def test_normalize_and_newness_match_the_quotient_forms():
+    # The eigenvalue forms against the (m, d_part) forms they replaced, at
+    # every datum with N < 3000 and every prime ell <= 47.
+    ells = primes_upto(47)
+    for n in range(1, 3000):
+        for datum in enumerate_data(n):
+            for ell in ells:
+                assert normalize_datum(datum, ell) == normalize_by_quotient(datum, ell)
+                assert _new_candidate(ell, datum) == new_candidate_by_quotient(ell, datum)
+
+
+def test_each_ideal_is_flagged_once(monkeypatch):
+    calls = []
+
+    def counted(ell, datum):
+        calls.append((ell, datum.m, datum.d_part))
+        return _hypothesis_ok(ell, datum)
+
+    monkeypatch.setattr(classifier, "_hypothesis_ok", counted)
+    primes = rational_eisenstein_primes(223092870)
+    assert sorted(calls) == calls == sorted(_keys(primes))
+    assert len(calls) == len(primes)
 
 
 def test_squarefree_indexes_match_formula():

@@ -709,6 +709,54 @@ def test_the_tau_budget_sits_above_every_pinned_lambda_request():
     assert levels and max(len(divisors_of(n)) for n in levels) <= cli._LAMBDA_BUDGET
 
 
+# 2*3*...*79: tau = 2^22 divisors and cusps.
+_P79 = 3217644767340672907899084554130
+
+
+@pytest.mark.parametrize(
+    "argv, counted, budget",
+    [
+        (["lambda"], "divisors", 384),
+        (["cusps"], "cusps", 100000),
+        (["classify"], "divisors", 8192),
+        (["order", "--M", "2"], "divisors", 65536),
+        (["order", "--M", "2", "--method", "lattice"], "divisors", 65536),
+    ],
+    ids=["lambda", "cusps", "classify", "order", "order-lattice"],
+)
+def test_a_level_of_many_divisors_is_refused_at_once(argv, counted, budget):
+    # tau(N) and the cusp count are read off the factorization.  These used
+    # to list every divisor first: 2.0 s for lambda, 3.3 s for cusps, and
+    # classify and order at tau = 2^20 ran past 19 s.
+    run = _entry([argv[0], str(_P79), *argv[1:]], timeout=1)
+    assert (run.returncode, run.stdout) == (1, "")
+    message = f"level {_P79} has {2**22} {counted}, above the budget {budget}"
+    assert run.stderr == f"cuspidal: error: {message}\n"
+
+
+def test_order_by_the_closed_form_alone_has_no_tau_budget(capsys):
+    argv = ("order", str(_P79), "--M", "2", "--method", "closed", "--format", "json")
+    code, out, _ = _run(capsys, *argv)
+    outputs = json.loads(out)["outputs"]
+    assert code == 0
+    assert outputs["closed"] == outputs["order"]
+
+
+def test_the_tau_budgets_sit_above_every_pinned_classify_and_order_request():
+    for command, budget in (("classify", cli._CLASSIFY_BUDGET), ("order", cli._ORDER_BUDGET)):
+        levels = _pinned_levels(command)
+        assert levels and max(len(divisors_of(n)) for n in levels) <= budget, command
+
+
+def test_cusps_exits_two_when_the_count_disagrees_with_the_formula(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cusp_count", lambda n: cusp_count(n) + 1)
+    code, out, err = _run(capsys, "cusps", "9", "--format", "json")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["consistency"] == {"count_matches_formula": False}
+    assert report["outputs"]["count"] == 4
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_sweep_rejects_a_bound_below_one(capsys, bound):
     code, out, err = _run(capsys, "sweep", "--max-N", bound)

@@ -483,3 +483,8 @@ def test_direct_record_builds_match_from_dict(n, p, k, data):
         assert div + scaled == RationalCuspDivisor.from_dict(
             div.n, {d: (1 + k) * v for d, v in div.coeffs}
         )
+
+
+def test_count_is_the_divisor_sum_at_every_level_to_5000():
+    for n in range(1, 5001):
+        assert cusp_count(n) == sum(euler_phi(math.gcd(d, n // d)) for d in divisors_of(n)), n

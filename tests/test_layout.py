@@ -3,7 +3,8 @@
 Each module reaches another through public names only, so a private helper
 is known in the module that defines it and nowhere else.  The datum's local
 table is the sharpest case: `heckediv._local` has one caller,
-`heckediv.local_tables`, and every other reader goes through that.
+`heckediv.local_tables`, and every other reader goes through that.  In
+`classifier`, a datum's eigenvalues are read through `heckediv.epsilon`.
 """
 
 import ast
@@ -47,3 +48,19 @@ def test_the_local_table_has_one_caller():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_local"
     ]
     assert callers == [("heckediv", "local_tables")]
+
+
+def test_classifier_reads_eigenvalues_through_epsilon():
+    # Only `enumerate_data`, which creates the data, reads the (m, d_part)
+    # encoding through `parts`; the helpers ask `heckediv.epsilon`.
+    tree = _tree(SRC / "classifier.py")
+    callers: dict[str, set[str]] = {"parts": set(), "epsilon": set()}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].add(function.name)
+    assert callers == {
+        "parts": {"enumerate_data"},
+        "epsilon": {"normalize_datum", "_hypothesis_ok", "_new_candidate"},
+    }
