@@ -16,10 +16,11 @@ parity condition reads.  A divisor's degree is psi(N)/24 times the weight
 of its exponent vector, so degree 0 is checked once, on the engine's image.
 The dense inverse of `cuspidal lambda --inverse` is the engine's columns.
 
-Orders, the engine and the datum sums are integers, so the module imports
-`fractions` only inside the functions that build a Fraction: the dense
-matrices, `solve_lambda`, `mat_vec` and `class_order`'s degree message.
-`classify`, `order`, `hecke`, `cusps` and `cdivisor` never load it.
+Every matrix and vector here is integers over a denominator: Lambda(N) is
+`lambda_rows`'s rows over their scales, Lambda(N)^{-1} is `lambda_inverse`'s
+rows over one den, and `solve_lambda` and the engine return (vector, den).
+The module imports `fractions` only for `class_order`'s degree message, so
+no subcommand but the series ones loads it.
 
 A datum's divisor is a tensor product of local vectors, so its Lambda(N)^{-1}
 image is 24 times the tensor product of the closed local entries over their
@@ -50,7 +51,6 @@ from .heckediv import EisensteinDatum, local_tables, over_primes
 
 __all__ = [
     "lambda_rows",
-    "lambda_matrix",
     "lambda_inverse",
     "apply_lambda_inverse",
     "solve_lambda",
@@ -60,25 +60,12 @@ __all__ = [
     "closed_form_order",
 ]
 
-Matrix = tuple[tuple["Fraction", ...], ...]
-Vector = tuple["Fraction", ...]
-
-
 def lambda_rows(n: int) -> tuple[list[list[int]], list[int]]:
     """Lambda(n) = diag(s)^{-1} A in integers over the ascending divisors of
     n: A_ij = (n/d_j) gcd(d_i, d_j)^2 and s_i = 24 gcd(d_i, n/d_i) d_i."""
     divs = divisors_of(n)
     rows = [[(n // dj) * math.gcd(di, dj) ** 2 for dj in divs] for di in divs]
     return rows, [24 * math.gcd(di, n // di) * di for di in divs]
-
-
-def lambda_matrix(n: int) -> Matrix:
-    """Lambda(n)_{ij} = (1/24) * n/gcd(d_i, n/d_i) * gcd(d_i, d_j)^2/(d_i d_j),
-    indexed by the ascending divisors of n: row i of lambda_rows's A over s_i."""
-    from fractions import Fraction
-
-    rows, scale = lambda_rows(n)
-    return tuple(tuple(Fraction(x, s) for x in row) for row, s in zip(rows, scale))
 
 
 def _block(q: int, r: int, at: Mapping[int, int]) -> tuple:
@@ -133,28 +120,23 @@ def apply_lambda_inverse(
     return tuple([24 * v for v in x]), den
 
 
-def lambda_inverse(n: int) -> Matrix:
-    """Lambda(n)^{-1} as a dense matrix: the engine on each unit vector."""
-    from fractions import Fraction
-
+def lambda_inverse(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Lambda(n)^{-1} = rows / den as a dense matrix: the engine's columns on
+    the unit vectors, which share den, the product of the block denominators."""
     size = len(divisors_of(n))
-    columns = []
-    for j in range(size):
-        u, den = apply_lambda_inverse(n, [int(i == j) for i in range(size)])
-        columns.append([Fraction(x, den) for x in u])
-    return tuple(zip(*columns))
+    units = ([int(i == j) for i in range(size)] for j in range(size))
+    columns, dens = zip(*(apply_lambda_inverse(n, e) for e in units))
+    return tuple(zip(*columns)), dens[0]
 
 
-def solve_lambda(n: int, a: Sequence["Fraction | int"]) -> Vector:
-    """Solve Lambda(n) x = a by fraction-free (Bareiss) Gaussian elimination.
+def solve_lambda(n: int, a) -> tuple[tuple[int, ...], int]:
+    """Solve Lambda(n) x = a by fraction-free (Bareiss) Gaussian elimination,
+    as (y, den) with x = y / den.
 
     With a = v / den, A x = s v / den for the integer rows of Lambda(n); the
     elimination keeps every entry an integer, and back substitution yields
-    det * x, so the solve runs without rationals until the final division.
-    Kept as an independent oracle against apply_lambda_inverse.
+    det * x.  Kept as an independent oracle against apply_lambda_inverse.
     """
-    from fractions import Fraction
-
     v, den = _integer_vector(n, a)
     rows, scale = lambda_rows(n)
     m = [row + [s * x] for row, s, x in zip(rows, scale, v)]
@@ -174,13 +156,12 @@ def solve_lambda(n: int, a: Sequence["Fraction | int"]) -> Vector:
         row = m[i]
         tail = sum(row[j] * y[j] for j in range(i + 1, size))
         y[i] = (prev * row[size] - tail) // row[i]
-    return tuple(Fraction(x, prev * den) for x in y)
+    return tuple(y), prev * den
 
 
-def mat_vec(m: Matrix, v: Sequence["Fraction | int"]) -> Vector:
-    from fractions import Fraction
-
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m)
+def mat_vec(rows, v: Sequence[int]) -> tuple[int, ...]:
+    """The integer products of each row with v."""
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 def _integer_vector(n: int, a) -> tuple[list[int], int]:

@@ -25,9 +25,9 @@ table, with argparse's messages and exit codes.  That parser reads
 Start-up loads only what a request uses.  `json` and `argparse` are imported
 where they are needed, and so is `eisq`, with the `fractions` it brings: only
 `qexp`, `residues` and `sweep` import it, inside `cmd_qexp`, `cmd_residues`
-and `_sweep_level`.  `lambda` imports `fractions` for its dense matrix;
-`cusps`, `cdivisor`, `order`, `hecke` and `classify` compute in integers and
-load neither.
+and `_sweep_level`.  `lambda`, `cusps`, `cdivisor`, `order`, `hecke` and
+`classify` compute in integers and load neither; `lambda` writes each entry
+of its integer rows over their denominator in lowest terms (`_ratio`).
 
 Exit costs only what a request allocates.  Serving the process's own argv,
 `main` freezes the garbage collector on entry: everything alive then lives
@@ -68,8 +68,8 @@ from .classlattice import (
     class_order,
     closed_form_order,
     lambda_inverse,
-    lambda_matrix,
     lambda_rows,
+    mat_vec,
     r_vector,
     solve_lambda,
 )
@@ -105,9 +105,11 @@ _CUSP_BUDGET = 100_000
 _LAMBDA_BUDGET = 384
 # The largest tau(N) that `classify` serves: 0.60 s at 8192, 1.22 s at 16384.
 _CLASSIFY_BUDGET = 8192
-# The largest tau(N) at which `order` runs the whole-level engine: 0.80 s at
-# 65536, 1.76 s at 131072.  `--method closed` costs O(omega(N)) and has none.
-_ORDER_BUDGET = 65536
+# The largest tau(N) at which a request builds a vector over every divisor of
+# N: `order`'s engine took 0.80 s at 65536 and 1.76 s at 131072, `residues`
+# 0.84 s and 1.91 s, `cdivisor` 0.87 s and 2.09 s.  `order --method closed`
+# costs O(omega(N)) and has none.
+_WHOLE_LEVEL_BUDGET = 65536
 # The largest `sweep --max-N` served; the sweep's time grows about linearly
 # with its bound.
 _SWEEP_BUDGET = 1000
@@ -190,12 +192,14 @@ def _rat(x) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+def _ratio(num: int, den: int) -> dict:
+    """num / den for den > 0 in lowest terms, as `_rat` writes the Fraction."""
+    g = math.gcd(num, den)
+    return {"num": str(num // g), "den": str(den // g)}
+
+
 def _vec(pairs) -> list:
     return [{"d": d, "c": _rat(c)} for d, c in sorted(pairs)]
-
-
-def _matrix_json(rows) -> list:
-    return [[_rat(x) for x in row] for row in rows]
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
@@ -265,16 +269,21 @@ def cmd_cusps(args) -> tuple[dict, int]:
 
 def cmd_lambda(args) -> tuple[dict, int]:
     _check_tau(args.N, _LAMBDA_BUDGET)
-    rows = lambda_inverse(args.N) if args.inverse else lambda_matrix(args.N)
+    if args.inverse:
+        rows, den = lambda_inverse(args.N)
+        scale = [den] * len(rows)
+    else:
+        rows, scale = lambda_rows(args.N)
     outputs = {
         "divisors": list(divisors_of(args.N)),
         "inverse": bool(args.inverse),
-        "rows": _matrix_json(rows),
+        "rows": [[_ratio(x, s) for x in row] for row, s in zip(rows, scale)],
     }
     return {"outputs": outputs, "consistency": {}}, 0
 
 
 def cmd_cdivisor(args) -> tuple[dict, int]:
+    _check_tau(args.N, _WHOLE_LEVEL_BUDGET)
     div = build_c_divisor(_datum(args))
     outputs = {
         "coefficients": _vec(div.coeffs),
@@ -289,7 +298,7 @@ def cmd_order(args) -> tuple[dict, int]:
     consistency: dict = {}
     engine = closed = None
     if args.method in ("lattice", "both"):
-        _check_tau(datum.n, _ORDER_BUDGET)
+        _check_tau(datum.n, _WHOLE_LEVEL_BUDGET)
         engine = outputs["engine"] = class_order(datum.n, build_c_divisor(datum))
     if args.method in ("closed", "both"):
         closed = outputs["closed"] = closed_form_order(datum)
@@ -314,6 +323,7 @@ def _residue_checks(datum: EisensteinDatum, table, at_inf, at_ml, f) -> dict[str
 
 
 def cmd_residues(args) -> tuple[dict, int]:
+    _check_tau(args.N, _WHOLE_LEVEL_BUDGET)
     from .eisq import build_qexp, residue_closed, residue_table
 
     datum = _datum(args)
@@ -394,12 +404,6 @@ def _inverts_columns(n: int, rows, scale) -> bool:
     return True
 
 
-def _maps_to(rows, scale, u, den: int, c) -> bool:
-    """Whether Lambda(n) (u / den) == c for Lambda(n) = diag(scale)^{-1} rows,
-    in integers: whether rows . u == den * scale * c."""
-    return all(sum(map(mul, row, u)) == den * s * w for row, s, w in zip(rows, scale, c))
-
-
 # The sweep's failure label of each residue check, in the order it runs them.
 _RESIDUE_LABELS = {
     "weighted_sum_zero": "residue sum of {}",
@@ -463,9 +467,8 @@ def _sweep_level(n: int) -> tuple[int, int, list[str]]:
     divs = divisors_of(n)
     rhs = tuple((-1) ** i * (i + 1) for i in range(len(divs)))
     u, den = apply_lambda_inverse(n, rhs)
-    solved = solve_lambda(n, rhs)
-    agree = all(x.numerator * den == v * x.denominator for x, v in zip(solved, u))
-    check(agree, "solver agreement at {}", n)
+    y, den_y = solve_lambda(n, rhs)
+    check(all(a * den == b * den_y for a, b in zip(y, u)), "solver agreement at {}", n)
     for p in prime_divisors(n):
         for d in divs:
             expected = hecke_delta_closed(d, p, n)
@@ -486,10 +489,10 @@ def _sweep_level(n: int) -> tuple[int, int, list[str]]:
                 agree = False
             check(agree, "order of {}", datum)
         if math.gcd(datum.m, datum.d_part) == 1:
-            check(
-                _maps_to(rows, scale, *r_vector(datum), div.as_vector()),
-                "exponent vector of {}", datum,
-            )
+            # Lambda(n) (r / den) == c, that is rows . r == den * scale * c
+            r, den = r_vector(datum)
+            c = tuple([den * s * x for s, x in zip(scale, div.as_vector())])
+            check(mat_vec(rows, r) == c, "exponent vector of {}", datum)
         for p in prime_divisors(n):
             check(
                 hecke_delta(div, p) == epsilon(datum, p) * div,

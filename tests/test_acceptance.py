@@ -20,7 +20,7 @@ from cuspidal.classlattice import (
     class_order,
     closed_form_order,
     lambda_inverse,
-    lambda_matrix,
+    lambda_rows,
     mat_vec,
     r_vector,
     solve_lambda,
@@ -41,6 +41,11 @@ MAX_N = 150
 def _mat_mul(a, b):
     cols = list(zip(*b))
     return tuple(tuple(sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols) for r in a)
+
+
+def _over(rows, dens):
+    """Integer rows over their denominators, one per row, as Fraction rows."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row, den in zip(rows, dens))
 
 
 def _report(num: int, text: str) -> None:
@@ -87,14 +92,16 @@ def test_criterion_04_lambda_machinery():
     rng = random.Random(0)
     for n in range(1, MAX_N + 1):
         divs = divisors_of(n)
-        ident = _mat_mul(lambda_matrix(n), lambda_inverse(n))
+        inv, den = lambda_inverse(n)
+        ident = _mat_mul(_over(*lambda_rows(n)), _over(inv, [den] * len(divs)))
         assert all(
             ident[i][j] == (1 if i == j else 0)
             for i in range(len(divs))
             for j in range(len(divs))
         ), n
-        rhs = tuple(Fraction(rng.randint(-20, 20)) for _ in divs)
-        assert solve_lambda(n, rhs) == mat_vec(lambda_inverse(n), rhs), n
+        rhs = tuple(rng.randint(-20, 20) for _ in divs)
+        y, den_y = solve_lambda(n, rhs)
+        assert _over([y], [den_y]) == _over([mat_vec(inv, rhs)], [den]), n
     _report(4, f"Lambda * Lambda^-1 = Id and solver agreement for all N <= {MAX_N}")
 
 
@@ -112,9 +119,9 @@ def test_criterion_05_r_vector_triple_agreement():
                 c = build_c_divisor(datum)
                 u, den = apply_lambda_inverse(n, c.as_vector())
                 assert r == tuple(Fraction(x, den) for x in u), datum
-                assert mat_vec(lambda_matrix(n), r) == tuple(
-                    Fraction(x) for x in c.as_vector()
-                ), datum
+                rows, scale = lambda_rows(n)
+                lam_r = [sum(x * y for x, y in zip(row, r)) for row in _over(rows, scale)]
+                assert lam_r == list(c.as_vector()), datum
                 count += 1
     assert count > 250
     _report(5, f"exponent-vector triple agreement and Lambda*R = C on {count} data")

@@ -22,7 +22,7 @@ from cuspidal.classlattice import (
     class_order,
     closed_form_order,
     lambda_inverse,
-    lambda_matrix,
+    lambda_rows,
     mat_vec,
     r_vector,
     solve_lambda,
@@ -41,6 +41,29 @@ from reference import (
 
 # Levels whose interior tridiagonal rows (prime exponent >= 2) carry weight.
 HIGH_POWER_LEVELS = (2**12, 3**8, 5**5 * 7**2, 2**4 * 3**3 * 5**2 * 7)
+
+
+def _lambda(n):
+    """Lambda(n) as Fractions: row i of lambda_rows's A over s_i."""
+    rows, scale = lambda_rows(n)
+    return tuple(tuple(Fraction(x, s) for x in row) for row, s in zip(rows, scale))
+
+
+def _inverse(n):
+    """Lambda(n)^{-1} as Fractions: lambda_inverse's rows over their den."""
+    rows, den = lambda_inverse(n)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def _solve(n, a):
+    """solve_lambda's (y, den) as the Fraction vector y / den."""
+    y, den = solve_lambda(n, a)
+    return tuple(Fraction(x, den) for x in y)
+
+
+def _apply(m, v):
+    """The Fraction matrix m times the vector v."""
+    return tuple(sum((x * w for x, w in zip(row, v)), Fraction(0)) for row in m)
 
 
 def _kronecker_lambda_inverse(n):
@@ -80,7 +103,7 @@ def _fraction_solve_lambda(n, a):
     if len(a) != len(divs):
         raise ValueError(f"vector length {len(a)} != number of divisors {len(divs)}")
     size = len(divs)
-    m = [list(row) + [Fraction(a[i])] for i, row in enumerate(lambda_matrix(n))]
+    m = [list(row) + [Fraction(a[i])] for i, row in enumerate(_lambda(n))]
     for col in range(size):
         piv = next(r for r in range(col, size) if m[r][col] != 0)
         m[col], m[piv] = m[piv], m[col]
@@ -99,26 +122,34 @@ def _mat_mul(a, b):
 
 
 def test_lambda_matrix_small():
-    assert lambda_matrix(1) == ((Fraction(1, 24),),)
+    assert lambda_rows(1) == ([[1]], [24])
+    assert _lambda(1) == ((Fraction(1, 24),),)
     for p in (2, 11, 13):
-        assert lambda_matrix(p) == (
+        assert lambda_rows(p) == ([[p, 1], [p, p * p]], [24, 24 * p])
+        assert _lambda(p) == (
             (Fraction(p, 24), Fraction(1, 24)),
             (Fraction(1, 24), Fraction(p, 24)),
         )
-    assert lambda_matrix(9) == tuple(
+    assert _lambda(9) == tuple(
         tuple(Fraction(x, 24) for x in row) for row in ((9, 3, 1), (1, 3, 1), (1, 3, 9))
     )
 
 
 def test_lambda_inverse_small():
-    assert lambda_inverse(1) == _kronecker_lambda_inverse(1) == ((Fraction(24),),)
+    # Every column shares one denominator, the product of the block denominators.
+    assert lambda_inverse(1) == (((24,),), 1)
+    assert _inverse(1) == _kronecker_lambda_inverse(1) == ((Fraction(24),),)
     for p in (2, 3, 11):
         scale = Fraction(24, p * p - 1)
-        assert lambda_inverse(p) == _kronecker_lambda_inverse(p) == (
+        rows = ((24 * p * p, -24 * p), (-24 * p, 24 * p * p))
+        assert lambda_inverse(p) == (rows, p * (p * p - 1))
+        assert _inverse(p) == _kronecker_lambda_inverse(p) == (
             (scale * p, -scale),
             (-scale, scale * p),
         )
-    assert lambda_inverse(9) == _kronecker_lambda_inverse(9) == tuple(
+    assert lambda_inverse(9)[1] == 9 * 8
+    assert lambda_inverse(12)[1] == 4 * 3 * 3 * 8
+    assert _inverse(9) == _kronecker_lambda_inverse(9) == tuple(
         tuple(Fraction(x) for x in row) for row in ((3, -3, 0), (-1, 10, -1), (0, -3, 3))
     )
 
@@ -137,7 +168,7 @@ def _identity(size):
 )
 def test_lambda_inverse_is_inverse(n):
     size = len(divisors_of(n))
-    assert _mat_mul(lambda_matrix(n), lambda_inverse(n)) == _identity(size)
+    assert _mat_mul(_lambda(n), _inverse(n)) == _identity(size)
 
 
 def test_degree_of_lambda_columns_is_psi_over_24():
@@ -147,27 +178,31 @@ def test_degree_of_lambda_columns_is_psi_over_24():
         divs = divisors_of(n)
         weights = [euler_phi(math.gcd(d, n // d)) for d in divs]
         psi = math.prod(q ** (e - 1) * (q + 1) for q, e in factor(n))
-        columns = zip(*lambda_matrix(n))
+        columns = zip(*_lambda(n))
         assert all(sum(map(mul, weights, col)) == Fraction(psi, 24) for col in columns), n
 
 
 def test_solve_lambda_examples():
     e1 = [1] + [0] * (len(divisors_of(60)) - 1)
-    rhs = mat_vec(lambda_matrix(60), e1)
-    assert solve_lambda(60, rhs) == tuple(Fraction(x) for x in e1)
-    assert solve_lambda(11, (1, -1)) == (Fraction(12, 5), Fraction(-12, 5))
-    assert mat_vec(lambda_matrix(11), (Fraction(12, 5), Fraction(-12, 5))) == (
+    rhs = _apply(_lambda(60), e1)
+    assert _solve(60, rhs) == tuple(Fraction(x) for x in e1)
+    assert _solve(11, (1, -1)) == (Fraction(12, 5), Fraction(-12, 5))
+    assert _apply(_lambda(11), (Fraction(12, 5), Fraction(-12, 5))) == (
         Fraction(1),
         Fraction(-1),
     )
+    # In integers: rows . (12, -12) == 5 * scale * (1, -1)
+    rows, scale = lambda_rows(11)
+    assert mat_vec(rows, (12, -12)) == (5 * scale[0], -5 * scale[1])
 
 
 def test_solve_agrees_with_inverse():
     rng = random.Random(7)
     for n in (6, 24, 45, 100, 147):
-        vec = tuple(Fraction(rng.randint(-9, 9)) for _ in divisors_of(n))
-        assert solve_lambda(n, vec) == mat_vec(lambda_inverse(n), vec)
-        assert solve_lambda(n, vec) == mat_vec(_kronecker_lambda_inverse(n), vec)
+        vec = tuple(rng.randint(-9, 9) for _ in divisors_of(n))
+        rows, den = lambda_inverse(n)
+        assert _solve(n, vec) == tuple(Fraction(x, den) for x in mat_vec(rows, vec))
+        assert _solve(n, vec) == _apply(_kronecker_lambda_inverse(n), vec)
 
 
 def test_r_vector_examples():
@@ -188,10 +223,10 @@ def test_r_vector_solves_lambda():
                 u, den = r_vector(datum)
                 r = tuple(Fraction(x, den) for x in u)
                 c = build_c_divisor(datum)
-                assert mat_vec(lambda_matrix(n), r) == tuple(
-                    Fraction(x) for x in c.as_vector()
-                )
-                assert r == solve_lambda(n, c.as_vector())
+                assert _apply(_lambda(n), r) == tuple(Fraction(x) for x in c.as_vector())
+                rows, scale = lambda_rows(n)
+                assert mat_vec(rows, u) == tuple(den * s * x for s, x in zip(scale, c.as_vector()))
+                assert r == _solve(n, c.as_vector())
 
 
 def test_class_order_examples():
@@ -307,7 +342,7 @@ def _dense_class_order(n, a):
     degree = sum(vec[i] * euler_phi(math.gcd(d, n // d)) for i, d in enumerate(divs))
     if degree != 0:
         raise ValueError(f"divisor has degree {degree}, expected 0")
-    r = mat_vec(_kronecker_lambda_inverse(n), vec)
+    r = _apply(_kronecker_lambda_inverse(n), vec)
     if sum(r) != 0:
         raise ValueError("exponent vector has nonzero weight; no multiple is principal")
     k = math.lcm(*(x.denominator for x in r))
@@ -344,10 +379,10 @@ def test_engine_matches_dense_and_solve(data):
     )
     vec = tuple(data.draw(_rational_vectors(len(divisors_of(n)))))
     got = _engine(n, vec)
-    assert got == mat_vec(_kronecker_lambda_inverse(n), vec)
-    assert mat_vec(lambda_matrix(n), got) == vec
+    assert got == _apply(_kronecker_lambda_inverse(n), vec)
+    assert _apply(_lambda(n), got) == vec
     if len(vec) <= 24:
-        assert got == solve_lambda(n, vec)
+        assert got == _solve(n, vec)
 
 
 @pytest.mark.parametrize("n", HIGH_POWER_LEVELS)
@@ -364,7 +399,7 @@ def test_engine_on_unit_vectors(n):
     n=st.one_of(st.integers(min_value=1, max_value=399), st.sampled_from(HIGH_POWER_LEVELS))
 )
 def test_dense_inverse_matches_kronecker(n):
-    assert lambda_inverse(n) == _kronecker_lambda_inverse(n)
+    assert _inverse(n) == _kronecker_lambda_inverse(n)
 
 
 def test_engine_rejects_wrong_length():
@@ -432,8 +467,9 @@ def test_solve_lambda_matches_fraction_reference_and_engine(data):
         )
     )
     vec = data.draw(_int_or_rational_vectors(len(divisors_of(n))))
-    got = solve_lambda(n, vec)
-    assert all(type(x) is Fraction for x in got)
+    y, den = solve_lambda(n, vec)
+    assert all(type(x) is int for x in (*y, den))
+    got = _solve(n, vec)
     assert got == _fraction_solve_lambda(n, vec)
     assert got == _engine(n, vec)
 
@@ -445,9 +481,9 @@ def test_solve_lambda_at_tau_120():
         Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 60)) if i % 2 else rng.randint(-9, 9)
         for i in range(len(divisors_of(n)))
     ]
-    got = solve_lambda(n, vec)
+    got = _solve(n, vec)
     assert got == _engine(n, vec)
-    assert mat_vec(lambda_matrix(n), got) == tuple(Fraction(x) for x in vec)
+    assert _apply(_lambda(n), got) == tuple(Fraction(x) for x in vec)
 
 
 def test_solve_lambda_rejects_wrong_length():
@@ -464,7 +500,7 @@ def test_solve_lambda_is_independent_of_the_engine(monkeypatch):
     expected = _fraction_solve_lambda(360, list(range(24)))
     for name in ("apply_lambda_inverse", "_level_table", "_block"):
         monkeypatch.setattr(classlattice, name, unavailable)
-    assert solve_lambda(360, list(range(24))) == expected
+    assert _solve(360, list(range(24))) == expected
 
 
 # Wide levels for the table-driven engine: deep prime powers, two deep

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from cuspidal import arith, classifier, classlattice, cli, cusps, eisq, heckediv
 from cuspidal.arith import divisors_of, parts, prime_divisors
 from cuspidal.classifier import enumerate_data
+from cuspidal.classlattice import lambda_inverse, lambda_rows
 from cuspidal.cusps import RationalCuspDivisor, cusp_count
 from cuspidal.cli import main, to_json
 
@@ -227,6 +229,23 @@ def test_lambda_inverse_flag(capsys):
     assert parsed["outputs"]["rows"][1][1] == {"num": "10", "den": "1"}
 
 
+def test_lambda_writes_each_entry_as_its_fraction(capsys):
+    # Integer rows over their scales, and over the inverse's one den, read
+    # as Fractions: the numerator and denominator strings the report holds.
+    for n in sorted({*range(1, 400), *_pinned_levels("lambda")}):
+        matrix, scale = lambda_rows(n)
+        inverse, den = lambda_inverse(n)
+        cases = (((), matrix, scale), (("--inverse",), inverse, [den] * len(inverse)))
+        for flag, rows, dens in cases:
+            code, out, _ = _run(capsys, "lambda", str(n), *flag, "--format", "json")
+            fractions = [[Fraction(x, s) for x in row] for row, s in zip(rows, dens)]
+            expected = [
+                [{"num": str(x.numerator), "den": str(x.denominator)} for x in row]
+                for row in fractions
+            ]
+            assert (code, json.loads(out)["outputs"]["rows"]) == (0, expected), (n, flag)
+
+
 def test_sweep_small(capsys):
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     parsed = json.loads(out)
@@ -331,21 +350,17 @@ def test_sweep_reads_the_normalization_off_the_checked_series(capsys, monkeypatc
 
 
 def _one_entry_off(real):
+    """real, with the first entry of the (vector, den) it returns raised by one."""
+
     def patched(*args):
-        x = real(*args)
-        return (x[0] + 1, *x[1:])
+        (first, *rest), den = real(*args)
+        return (first + 1, *rest), den
 
     return patched
 
 
 def test_sweep_reports_a_broken_exponent_vector(capsys, monkeypatch):
-    real = cli.r_vector
-
-    def one_entry_off(datum):
-        u, den = real(datum)
-        return (u[0] + 1, *u[1:]), den
-
-    monkeypatch.setattr(cli, "r_vector", one_entry_off)
+    monkeypatch.setattr(cli, "r_vector", _one_entry_off(cli.r_vector))
     report, ok = cli.run_sweep(12)
     assert not ok
     assert report["failures"] == [
@@ -721,13 +736,16 @@ _P79 = 3217644767340672907899084554130
         (["classify"], "divisors", 8192),
         (["order", "--M", "2"], "divisors", 65536),
         (["order", "--M", "2", "--method", "lattice"], "divisors", 65536),
+        (["residues", "--M", "2"], "divisors", 65536),
+        (["cdivisor", "--M", "2"], "divisors", 65536),
     ],
-    ids=["lambda", "cusps", "classify", "order", "order-lattice"],
+    ids=["lambda", "cusps", "classify", "order", "order-lattice", "residues", "cdivisor"],
 )
 def test_a_level_of_many_divisors_is_refused_at_once(argv, counted, budget):
     # tau(N) and the cusp count are read off the factorization.  These used
     # to list every divisor first: 2.0 s for lambda, 3.3 s for cusps, and
-    # classify and order at tau = 2^20 ran past 19 s.
+    # classify and order at tau = 2^20 ran past 19 s; residues took 4.6 s
+    # at tau = 2^20 and cdivisor 1.9 s here.
     run = _entry([argv[0], str(_P79), *argv[1:]], timeout=1)
     assert (run.returncode, run.stdout) == (1, "")
     message = f"level {_P79} has {2**22} {counted}, above the budget {budget}"
@@ -743,9 +761,16 @@ def test_order_by_the_closed_form_alone_has_no_tau_budget(capsys):
 
 
 def test_the_tau_budgets_sit_above_every_pinned_classify_and_order_request():
-    for command, budget in (("classify", cli._CLASSIFY_BUDGET), ("order", cli._ORDER_BUDGET)):
+    budgets = (("classify", cli._CLASSIFY_BUDGET), ("order", cli._WHOLE_LEVEL_BUDGET))
+    for command, budget in budgets:
         levels = _pinned_levels(command)
         assert levels and max(len(divisors_of(n)) for n in levels) <= budget, command
+
+
+def test_the_whole_level_budget_sits_above_every_pinned_residues_and_cdivisor_request():
+    # The pool pins no `cdivisor` request; `residues` builds the same divisor.
+    levels = _pinned_levels("residues") + _pinned_levels("cdivisor")
+    assert levels and max(len(divisors_of(n)) for n in levels) <= cli._WHOLE_LEVEL_BUDGET
 
 
 def test_cusps_exits_two_when_the_count_disagrees_with_the_formula(capsys, monkeypatch):
@@ -1222,19 +1247,18 @@ def test_importing_the_command_line_loads_neither_fractions_nor_eisq():
             ("cdivisor", "304920", "--M", "15", "--D", "33"),
             "0bf2eeae3a7795f634ce629f31d84b632c89a79b3231ea6a1b201a3fe2149885",
         ),
+        (("lambda", "1024", "--inverse"), dict(_GOLDEN)["lambda", "1024", "--inverse"]),
     ],
 )
 def test_an_integer_request_loads_neither_fractions_nor_eisq(argv, sha256):
-    # Only the series subcommands import eisq, and only they and `lambda`
-    # build a Fraction.
+    # Only the series subcommands import eisq or build a Fraction; `lambda`
+    # writes its integer rows over their denominators.
     run = _entry([*argv, "--format", "json"], _RATIONALS)
     assert (run.returncode, run.stderr) == (0, "[]\n")
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == sha256
 
 
-@pytest.mark.parametrize(
-    "argv", [("qexp", "4725", "--M", "7", "--prec", "300"), ("lambda", "1024", "--inverse")]
-)
+@pytest.mark.parametrize("argv", [("qexp", "4725", "--M", "7", "--prec", "300")])
 def test_a_rational_request_loads_fractions_on_demand(argv):
     run = _entry([*argv, "--format", "json"])
     assert (run.returncode, run.stderr) == (0, "")

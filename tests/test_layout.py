@@ -64,3 +64,19 @@ def test_classifier_reads_eigenvalues_through_epsilon():
         "parts": {"enumerate_data"},
         "epsilon": {"normalize_datum", "_hypothesis_ok", "_new_candidate"},
     }
+
+
+def test_classlattice_imports_fractions_only_for_the_degree_message():
+    # Lambda(N), its inverse and the solve are integers over a denominator;
+    # only `class_order`'s error for a nonzero degree writes a Fraction.
+    def owners(node, owner):
+        for child in ast.iter_child_nodes(node):
+            names = [alias.name for alias in getattr(child, "names", ())]
+            if isinstance(child, ast.Import) and "fractions" in names or (
+                isinstance(child, ast.ImportFrom) and child.module == "fractions"
+            ):
+                yield owner
+            inner = child.name if isinstance(child, ast.FunctionDef) else owner
+            yield from owners(child, inner)
+
+    assert list(owners(_tree(SRC / "classlattice.py"), None)) == ["class_order"]
