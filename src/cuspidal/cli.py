@@ -8,10 +8,11 @@ order, so identical inputs always produce byte-identical output.
 The JSON report is exactly the bytes of json.dumps(report, sort_keys=True,
 indent=2): keys sorted, two-space indent, "," and ": " separators, non-ASCII
 and control characters as \\uXXXX escapes, tuples as arrays.  `to_json`
-writes those bytes itself in one pass rather than calling json.dumps:
-CPython 3.11's C encoder does not run with `indent`, and the pure-Python
-encoder took most of the time of a large `qexp` report.  It imports `json`
-only for a string that needs escaping or a float.
+writes those bytes itself in one pass: CPython 3.11's C encoder does not run
+with `indent`.  The package's own rational lists (`_Ratios`: the series and
+the rows of Lambda(N)) and divisor vectors (`_Vector`) are written from one
+string template each; everything else takes a generic walk, which imports
+`json` only for a string that needs escaping or a float.
 
 One table, `_ARGUMENTS`, names every subcommand's handler and arguments.
 A well-formed request in canonical form (the subcommand, then its level and
@@ -133,7 +134,20 @@ def _emit(value, nl: str, out: list[str]) -> None:
         out.append("{}" if isinstance(value, dict) else "[]")
         return
     inner = nl + "  "
-    if isinstance(value, dict):
+    deep = inner + "  "
+    if type(value) is _Ratios:  # keys sorted: "den" before "num", "c" before "d"
+        den, num, end = "{" + deep + '"den": "', '",' + deep + '"num": "', '"' + inner + "}"
+        items = [f'{den}{r["den"]}{num}{r["num"]}{end}' for r in value]
+        out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+    elif type(value) is _Vector:
+        den, num = "{" + deep + '"c": {' + deep + '  "den": "', '",' + deep + '  "num": "'
+        d, end = '"' + deep + "}," + deep + '"d": ', inner + "}"
+        items = [
+            f'{den}{v["c"]["den"]}{num}{v["c"]["num"]}{d}{int.__repr__(v["d"])}{end}'
+            for v in value
+        ]
+        out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+    elif isinstance(value, dict):
         sep = "{" + inner
         for key, x in sorted(value.items()):
             out.append(sep + _quote(key) + ": ")
@@ -187,6 +201,14 @@ def _scalar(x) -> str:
     return json.dumps(x)
 
 
+class _Ratios(list):
+    """Only {"num": str, "den": str} dicts, which `_emit` writes from one template."""
+
+
+class _Vector(list):
+    """Only {"d": int, "c": `_rat` dict}s, which `_emit` writes from one template."""
+
+
 def _rat(x) -> dict:
     """An int or Fraction as its numerator and denominator strings."""
     return {"num": str(x.numerator), "den": str(x.denominator)}
@@ -198,8 +220,8 @@ def _ratio(num: int, den: int) -> dict:
     return {"num": str(num // g), "den": str(den // g)}
 
 
-def _vec(pairs) -> list:
-    return [{"d": d, "c": _rat(c)} for d, c in sorted(pairs)]
+def _vec(pairs) -> _Vector:
+    return _Vector([{"d": d, "c": _rat(c)} for d, c in sorted(pairs)])
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
@@ -277,7 +299,7 @@ def cmd_lambda(args) -> tuple[dict, int]:
     outputs = {
         "divisors": list(divisors_of(args.N)),
         "inverse": bool(args.inverse),
-        "rows": [[_ratio(x, s) for x in row] for row, s in zip(rows, scale)],
+        "rows": [_Ratios([_ratio(x, s) for x in row]) for row, s in zip(rows, scale)],
     }
     return {"outputs": outputs, "consistency": {}}, 0
 
@@ -349,7 +371,7 @@ def cmd_qexp(args) -> tuple[dict, int]:
     outputs = {
         "level": f.n,
         "precision": f.prec,
-        "coefficients": [_rat(a) for a in f.coeffs],
+        "coefficients": _Ratios(map(_rat, f.coeffs)),
     }
     return {"outputs": outputs, "consistency": {}}, 0
 

@@ -12,9 +12,9 @@ each workload is replayed here in-process, so a change to the JSON
 rendering, the series, the divisors, the coverings or the sweep's checks
 fails tier-1 before it fails the benchmark.
 
-The package's four caches are pinned: `factor` and `divisors_of` are
-unbounded, because the tracer reads their hit ratios, and the other two
-(`parts` and the per-level table) are listed with their `maxsize`.  The
+The package's four caches are pinned with their `maxsize`, and none is
+unbounded: `factor` and `divisors_of` (4096 each, whose hit ratios the
+tracer reads), `parts` and the per-level table.  The
 coverings on (P_d) sums are closed forms, cusp lists are built afresh on
 every call, and a datum's divisor, class order and residues read one closed
 local table per prime power (`heckediv.local_tables`), so none of them needs
@@ -130,16 +130,16 @@ def test_hecke_deep_pool_bytes():
     assert _replay_first_of_each_stratum("hecke_deep") == (87, [])
 
 
-def test_only_the_arithmetic_caches_are_unbounded():
-    unbounded, bounded = set(), {}
+def test_every_cache_is_bounded_at_its_pinned_size():
+    sizes = {}
     for info in pkgutil.iter_modules(cuspidal.__path__):
         module = importlib.import_module(f"cuspidal.{info.name}")
         for name, fn in vars(module).items():
             if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
-                maxsize = fn.cache_parameters()["maxsize"]
-                if maxsize is None:
-                    unbounded.add(f"{info.name}.{name}")
-                else:
-                    bounded[f"{info.name}.{name}"] = maxsize
-    assert unbounded == {"arith.factor", "arith.divisors_of"}
-    assert bounded == {"arith.parts": 1024, "classlattice._level_table": 64}
+                sizes[f"{info.name}.{name}"] = fn.cache_parameters()["maxsize"]
+    assert sizes == {
+        "arith.factor": 4096,
+        "arith.divisors_of": 4096,
+        "arith.parts": 1024,
+        "classlattice._level_table": 64,
+    }

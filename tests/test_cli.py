@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import traceback
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal import arith, classifier, classlattice, cli, cusps, eisq, heckediv
-from cuspidal.arith import divisors_of, parts, prime_divisors
+from cuspidal.arith import divisors_of, parts, prime_divisors, primes_upto
 from cuspidal.classifier import enumerate_data
 from cuspidal.classlattice import lambda_inverse, lambda_rows
 from cuspidal.cusps import RationalCuspDivisor, cusp_count
@@ -94,8 +95,20 @@ _JSON_LEAVES = st.one_of(
     st.floats(),
     _JSON_TEXT,
 )
+# The strings of the package's rationals: str(int) of any sign and size.
+_DECIMAL = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**256),
+    st.integers(min_value=-(2**256), max_value=-(2**64)),
+).map(str)
+_RATIO = st.fixed_dictionaries({"num": _DECIMAL, "den": _DECIMAL})
+_RATIOS = st.lists(_RATIO, max_size=4).map(cli._Ratios)
+_VECTOR = st.lists(
+    st.fixed_dictionaries({"d": st.integers(), "c": _RATIO}), max_size=4
+).map(cli._Vector)
+_MARKED = st.one_of(_RATIOS, _VECTOR, st.lists(_RATIOS, max_size=3))  # lambda's rows
 _JSON_TREES = st.recursive(
-    _JSON_LEAVES,
+    st.one_of(_JSON_LEAVES, _MARKED),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
         st.lists(kids, max_size=4).map(tuple),
@@ -109,6 +122,85 @@ _JSON_TREES = st.recursive(
 @given(tree=_JSON_TREES)
 def test_to_json_matches_json_dumps(tree):
     assert to_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_the_package_builds_its_rational_lists_and_vectors_marked(capsys, monkeypatch):
+    # The reports' own lists reach the writer as `_Ratios` and `_Vector`,
+    # whose template `test_to_json_matches_json_dumps` checks.
+    seen = []
+    monkeypatch.setattr(cli, "to_json", lambda report: seen.append(report["outputs"]) or "")
+    for argv in (
+        ("qexp", "60", "--M", "3", "--prec", "5"),
+        ("lambda", "12"),
+        ("residues", "60", "--M", "3"),
+        ("cdivisor", "60", "--M", "3"),
+        ("hecke", "12", "--p", "2", "--divisor", "1:1,3:-1"),
+    ):
+        assert _run(capsys, *argv, "--format", "json")[0] == 0
+    qexp, lam, residues, cdivisor, hecke = seen
+    assert type(qexp["coefficients"]) is cli._Ratios
+    assert {type(row) for row in lam["rows"]} == {cli._Ratios}
+    assert type(residues["residues"]) is cli._Vector
+    assert type(cdivisor["coefficients"]) is cli._Vector
+    assert type(hecke["image"]) is type(hecke["input"]) is cli._Vector
+
+
+# `--format text` of reports with rational lists and divisor vectors, and
+# the SHA-256 of their bytes, taken before `_emit` wrote them by template.
+_TEXT_GOLDEN = [
+    (
+        ("qexp", "4725", "--M", "7", "--prec", "300"),
+        "932688f62d4b062be443362f4a00429052ee46e1854c94e81c740a081b11a241",
+    ),
+    (
+        ("qexp", "304920", "--M", "15", "--D", "33", "--prec", "300"),
+        "951673b7296cdf97c488c175a38224a1c7ed9382d5f08ed7067541887fb053d8",
+    ),
+    (
+        ("qexp", "2310", "--M", "1155", "--D", "1", "--prec", "2000"),
+        "bc5a6a621af3d0d82a4bf339a1cc8d965ac4559dfc2a2ce23b13e82365cd1333",
+    ),
+    (
+        ("residues", "4725", "--M", "7"),
+        "e6b07aeac3861085b3f704b002b19398c3e8df5d9fbc5512d75a4553be6caef4",
+    ),
+    (
+        ("residues", "304920", "--M", "15", "--D", "33"),
+        "0feee4a6cc2cf5518f9cea1d887844c9c25facea9c5b1d4cbd1bf20f64b9991a",
+    ),
+    (
+        ("residues", "1990656", "--M", "2", "--D", "6"),
+        "92d1484b69b0d160e981ac287f18aa791dd7450a813f4e4ac58f1d7245f2ba22",
+    ),
+    (
+        ("lambda", "1024", "--inverse"),
+        "d9f6cbc9230f760ccfc29c3ff585ec23e7dc3ef4ae5a70dc1be7e9759ac16192",
+    ),
+    (
+        ("lambda", "27720", "--inverse"),
+        "d92ca69bd49af306f23db9421552338e6a86e2d3f4ba394d855b7e950a7d009b",
+    ),
+    (
+        ("lambda", "153125", "--inverse"),
+        "adabc5bfcb4d9753cf797d032b84af64fdba0e93b28a3bb909d260697ba919ea",
+    ),
+    (("lambda", "360"), "8d6ecd45bec9340ac63d89a1783d86a2d33676f70737aab4b8ab52d2a92edf24"),
+    (
+        ("cdivisor", "27720", "--M", "7"),
+        "ab0a9d364fe5d2788f54c89fea4681d316ee5113cd49482f534957a32a109ae8",
+    ),
+    (
+        ("hecke", "27720", "--p", "13", "--divisor", "1:3,8:-1,45:2,27720:-5,12:4"),
+        "ad27a1286d9b0a5a7a076acc98ce18f67d6ace3df89784a7dd152d0463557cc9",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", _TEXT_GOLDEN)
+def test_text_reports_keep_their_bytes(capsys, argv, sha256):
+    code, out, _ = _run(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_determinism(capsys):
@@ -773,6 +865,18 @@ def test_the_whole_level_budget_sits_above_every_pinned_residues_and_cdivisor_re
     assert levels and max(len(divisors_of(n)) for n in levels) <= cli._WHOLE_LEVEL_BUDGET
 
 
+def test_classifying_every_level_to_3000_keeps_both_caches_within_their_bound(capsys):
+    # One process asks `factor` for 4241 numbers here and `divisors_of` for
+    # 1824, so `factor` evicts.
+    for fn in (arith.factor, arith.divisors_of):
+        fn.cache_clear()
+    for n in range(1, 3001):
+        assert _run(capsys, "classify", str(n), "--format", "json")[0] == 0
+    for fn in (arith.factor, arith.divisors_of):
+        assert fn.cache_info().currsize <= 4096
+    assert arith.factor.cache_info().misses > 4096
+
+
 def test_cusps_exits_two_when_the_count_disagrees_with_the_formula(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cusp_count", lambda n: cusp_count(n) + 1)
     code, out, err = _run(capsys, "cusps", "9", "--format", "json")
@@ -896,6 +1000,10 @@ _GOLDEN = [
         ("sweep", "--max-N", "161"),
         "b167a16566a963fa386b559488262623e0c33e65483027a0a94536b39e87553d",
     ),
+    (
+        ("residues", "7420738134810", "--M", "2"),  # 2*3*...*37: tau = 4096, 438 KB
+        "a7d2b6f98af6096edaf3cd3c1a3d5b9065f24d3dcf30c23b9cbcbab8f4605951",
+    ),
 ]
 
 
@@ -937,12 +1045,40 @@ _SUBCOMMANDS = (
 _DIVISOR_TEXTS = ("", "1", "1:1:1", "1:x", "1:1,,2:1", "7:1", "0:1", "-2:1", "1:1,1:-1")
 
 
+# Products of two of these are past Pollard-Brent's budget.
+_P18S = (100000000000000003, 100000000000000013, 999999999999999877, 999999999999999989)
+
+
+# The least primorial past each tau budget (2^k divisors, 2^k > budget for
+# k = budget.bit_length()): 2*3*...*23, 2*3*...*43 and 2*3*...*59.
+_PAST_BUDGETS = tuple(
+    math.prod(primes_upto(100)[: b.bit_length()])
+    for b in (cli._LAMBDA_BUDGET, cli._CLASSIFY_BUDGET, cli._WHOLE_LEVEL_BUDGET)
+)
+
+
+@st.composite
+def _level(draw) -> int:
+    """A level: of 64 shapes, 8 up to 10^30, 4 a semiprime of two 18-digit
+    primes, 2 a primorial just past a tau budget and the rest -2 to 2000.
+    Hypothesis draws the ends of the range most often, so they are the
+    cheap shape."""
+    shape = draw(st.integers(min_value=0, max_value=63))
+    if 8 <= shape < 16:
+        return draw(st.integers(min_value=2001, max_value=10**30))
+    if 16 <= shape < 20:
+        return math.prod(draw(st.sampled_from(list(itertools.combinations(_P18S, 2)))))
+    if shape in (20, 21):
+        return draw(st.sampled_from(_PAST_BUDGETS))
+    return draw(st.integers(min_value=-2, max_value=2000))
+
+
 @st.composite
 def _argv(draw):
     """One command line from the subcommand grammar, valid or not."""
-    n = draw(st.integers(min_value=-2, max_value=2000))
+    n = draw(_level())
     level = str(n)
-    divs = divisors_of(n) if n > 0 else (1,)
+    divs = divisors_of(n) if 0 < n <= 2000 else (1, max(n, 1))
     some_divisor = st.sampled_from(divs).map(str)
     small = st.integers(min_value=-2, max_value=60).map(str)
     command = draw(st.sampled_from(_SUBCOMMANDS))
@@ -996,13 +1132,27 @@ def _run_isolated(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# The most seconds one fuzzed request may take: a hostile level is refused
+# before the work it would start.
+_FUZZ_SECONDS = 2.0
+
+
 @settings(max_examples=80, deadline=None)
 @given(argv=_argv())
 def test_cli_fuzz_contract(argv):
-    code, out, err = _run_isolated(argv)
-    assert code in (0, 1, 2), (argv, err)
-    assert "Traceback" not in err, (argv, err)
-    assert _run_isolated(argv) == (code, out, err)
+    # Hypothesis varies an example it has drawn, so one semiprime level comes
+    # back several times.  Pollard-Brent is held to 2^16 steps here (about
+    # 0.05 s, against 0.5 s for its 2^20), so the test stays within seconds;
+    # test_a_level_that_rho_cannot_split_is_refused_within_its_budget times
+    # the full budget.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "_RHO_BUDGET", 1 << 16)
+        started = time.perf_counter()
+        code, out, err = _run_isolated(argv)
+        assert time.perf_counter() - started < _FUZZ_SECONDS, argv
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err, (argv, err)
+        assert _run_isolated(argv) == (code, out, err)
 
 
 # The options of each subcommand beside --format and --timing, as the
