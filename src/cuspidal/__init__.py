@@ -2,13 +2,13 @@
 
 Cusps and degeneracy maps, rational cuspidal divisors and their class
 orders, weight-2 Eisenstein q-expansions with residues, and the resulting
-classification of rational Eisenstein primes.  Everything is computed in
-exact rational arithmetic.  The package root names the paper's objects;
-every other function is imported from its submodule.
+classification of rational Eisenstein primes.  Everything is exact, every
+rational integers over a denominator (the series of `build_qexp` as 24 E,
+the residues of `residue_table` over rad(N)).  The package root names the
+paper's objects; every other function is imported from its submodule.
 
 `build_qexp` and `residue_table` are resolved from `eisq` on each access
-(PEP 562) and never stored here, so importing the package loads neither
-`eisq` nor the `fractions` it uses.
+(PEP 562) and never stored here, so importing the package loads no `eisq`.
 """
 
 from .classifier import rational_eisenstein_primes

@@ -9,6 +9,8 @@ ell is attached to a datum exactly when it divides the datum's class order,
 
 from __future__ import annotations
 
+import math
+
 from .arith import Record, divisors_of, is_prime, parts, prime_divisors
 from .classlattice import index_n
 from .heckediv import EisensteinDatum, epsilon
@@ -90,10 +92,13 @@ def rational_eisenstein_primes(n: int, ell: int | None = None) -> tuple[Eisenste
     # normalize_datum keeps D and enlarges m only within sf*D, so every
     # normalized datum is again one of the level's data.
     orders = {datum: index_n(datum) for datum in enumerate_data(n)}
+    # Each order's primes are among those of the lcm of all of them, factored
+    # once: an order apart may keep a prime above the trial-division bound.
+    primes = prime_divisors(math.lcm(*orders.values())) if ell is None else (ell,)
     found: dict[tuple[int, int, int], tuple[EisensteinDatum, int]] = {}
     for datum, order in orders.items():
-        for p in prime_divisors(order):
-            if ell is not None and p != ell:
+        for p in primes:
+            if order % p:
                 continue
             nd = normalize_datum(datum, p)
             idx = orders[nd] if orders[nd] % p == 0 else order

@@ -19,8 +19,7 @@ The dense inverse of `cuspidal lambda --inverse` is the engine's columns.
 Every matrix and vector here is integers over a denominator: Lambda(N) is
 `lambda_rows`'s rows over their scales, Lambda(N)^{-1} is `lambda_inverse`'s
 rows over one den, and `solve_lambda` and the engine return (vector, den).
-The module imports `fractions` only for `class_order`'s degree message, so
-no subcommand but the series ones loads it.
+Even `class_order`'s degree message reduces its rational with `math.gcd`.
 
 A datum's divisor is a tensor product of local vectors, so its Lambda(N)^{-1}
 image is 24 times the tensor product of the closed local entries over their
@@ -220,10 +219,10 @@ def class_order(n: int, a) -> int:
     nums, den = _integer_vector(n, a)
     u, den = apply_lambda_inverse(n, nums, den)
     if sum(u) != 0:
-        from fractions import Fraction
-
-        psi = math.prod(q ** (e - 1) * (q + 1) for q, e in factor(n))
-        raise ValueError(f"divisor has degree {Fraction(psi * sum(u), 24 * den)}, expected 0")
+        num = math.prod(q ** (e - 1) * (q + 1) for q, e in factor(n)) * sum(u)
+        g = math.gcd(num, 24 * den)
+        degree = f"{num // g}" if g == 24 * den else f"{num // g}/{24 * den // g}"
+        raise ValueError(f"divisor has degree {degree}, expected 0")
     divs = divisors_of(n)
     s1 = sum(map(mul, u, divs))
     s2 = sum(n // d * x for d, x in zip(divs, u))

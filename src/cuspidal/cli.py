@@ -24,11 +24,11 @@ table, with argparse's messages and exit codes.  That parser reads
 `--opt=--` as the value "--" on every Python version, as 3.13 does.
 
 Start-up loads only what a request uses.  `json` and `argparse` are imported
-where they are needed, and so is `eisq`, with the `fractions` it brings: only
-`qexp`, `residues` and `sweep` import it, inside `cmd_qexp`, `cmd_residues`
-and `_sweep_level`.  `lambda`, `cusps`, `cdivisor`, `order`, `hecke` and
-`classify` compute in integers and load neither; `lambda` writes each entry
-of its integer rows over their denominator in lowest terms (`_ratio`).
+where they are needed, and so is `eisq`: only `qexp`, `residues` and `sweep`
+import it, inside `cmd_qexp`, `cmd_residues` and `_sweep_level`.  No request
+loads `fractions`: `_ratio` writes each rational in lowest terms from an
+integer over its denominator (the series over 24, the residues over rad(N),
+Lambda(N)'s rows over their scales).
 
 Exit costs only what a request allocates.  Serving the process's own argv,
 `main` freezes the garbage collector on entry: everything alive then lives
@@ -206,22 +206,18 @@ class _Ratios(list):
 
 
 class _Vector(list):
-    """Only {"d": int, "c": `_rat` dict}s, which `_emit` writes from one template."""
-
-
-def _rat(x) -> dict:
-    """An int or Fraction as its numerator and denominator strings."""
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    """Only {"d": int, "c": `_ratio` dict}s, which `_emit` writes from one template."""
 
 
 def _ratio(num: int, den: int) -> dict:
-    """num / den for den > 0 in lowest terms, as `_rat` writes the Fraction."""
+    """num / den for den > 0 in lowest terms, as numerator and denominator strings."""
     g = math.gcd(num, den)
     return {"num": str(num // g), "den": str(den // g)}
 
 
-def _vec(pairs) -> _Vector:
-    return _Vector([{"d": d, "c": _rat(c)} for d, c in sorted(pairs)])
+def _vec(pairs, den: int = 1) -> _Vector:
+    """The (d, num) pairs as a divisor vector of num / den, ascending in d."""
+    return _Vector([{"d": d, "c": _ratio(c, den)} for d, c in sorted(pairs)])
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
@@ -334,13 +330,15 @@ def cmd_order(args) -> tuple[dict, int]:
 def _residue_checks(datum: EisensteinDatum, table, at_inf, at_ml, f) -> dict[str, bool]:
     """The four residue invariants of a datum's table against its closed
     values at infinity and at level ML and against the constant term of its
-    series f (at any precision), keyed as `residues` reports them."""
+    series f (at any precision), keyed as `residues` reports them.  The
+    residues are numerators over table.den and f is 24 times the series, so
+    residue at infinity = -24 a_0 reads res[n] == -coeffs[0] den."""
     res = dict(table.res)
     return {
         "weighted_sum_zero": table.weighted_sum() == 0,
         "closed_matches_infinity": res[datum.n] == at_inf,
         "closed_matches_level_ml": res[datum.m * datum.l_part] == at_ml,
-        "normalization_link": res[datum.n] == f.a(0) * -24,
+        "normalization_link": res[datum.n] == -f.coeffs[0] * table.den,
     }
 
 
@@ -352,9 +350,9 @@ def cmd_residues(args) -> tuple[dict, int]:
     table = residue_table(datum)
     at_inf, at_ml = residue_closed(datum)
     outputs = {
-        "residues": _vec(table.res),
-        "closed_at_infinity": _rat(at_inf),
-        "closed_at_level_ml": _rat(at_ml),
+        "residues": _vec(table.res, table.den),
+        "closed_at_infinity": _ratio(at_inf, table.den),
+        "closed_at_level_ml": _ratio(at_ml, table.den),
         "level_ml": datum.m * datum.l_part,
     }
     consistency = _residue_checks(datum, table, at_inf, at_ml, build_qexp(datum, 4))
@@ -371,7 +369,7 @@ def cmd_qexp(args) -> tuple[dict, int]:
     outputs = {
         "level": f.n,
         "precision": f.prec,
-        "coefficients": _Ratios(map(_rat, f.coeffs)),
+        "coefficients": _Ratios([_ratio(x, 24) for x in f.coeffs]),
     }
     return {"outputs": outputs, "consistency": {}}, 0
 

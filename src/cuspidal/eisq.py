@@ -5,6 +5,9 @@ level-q operator at every prime q | N, and both the series and its residues
 are products of one local factor per prime power q^r || N chosen by eps:
 the Euler factor (1 - X)^[eps != 1] (1 - qX)^[eps != q] on the series, and
 on the residues the datum's local divisor over q^0, ..., q^r times a scalar.
+Every rational is integers over one denominator: a series is held as 24
+times itself, integers at every index, and a residue table over rad(n).  The
+operators on a series are linear, so none of them sees the factor 24.
 Truncations carry their precision, and operators shrink it explicitly.
 Nothing here checks itself: the weighted residue sum and the closed values
 are checks of `cuspidal residues` and `sweep`.
@@ -13,7 +16,6 @@ are checks of `cuspidal residues` and `sweep`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .arith import (
     Record,
@@ -41,16 +43,13 @@ __all__ = [
 
 
 class QExpansion(Record):
-    """Exact q-expansion a_0 + a_1 q + ... + a_prec q^prec at one level.
-
-    The series built here have a rational a_0 (a Fraction) and integer
-    coefficients a_k for k >= 1 (ints), so the operators on them run in
-    integer arithmetic beyond the constant term.
-    """
+    """Exact q-expansion a_0 + a_1 q + ... + a_prec q^prec at one level,
+    held as coeffs[k] = 24 a_k: the series built here are integers that way,
+    so the operators on them run in integer arithmetic."""
 
     __slots__ = ("n", "prec", "coeffs")
 
-    def __init__(self, n: int, prec: int, coeffs: tuple[Fraction | int, ...]) -> None:
+    def __init__(self, n: int, prec: int, coeffs: tuple[int, ...]) -> None:
         if prec < 0 or len(coeffs) != prec + 1:  # spelled out, as in Cusp
             raise ValueError("coefficient count must equal prec + 1")
         set_n, set_prec, set_coeffs = self._setters
@@ -58,13 +57,8 @@ class QExpansion(Record):
         set_prec(self, prec)
         set_coeffs(self, coeffs)
 
-    def a(self, k: int) -> Fraction | int:
-        return self.coeffs[k]
 
-
-def _euler_step(
-    coeffs: tuple[Fraction | int, ...], q: int, k: int
-) -> tuple[Fraction | int, ...]:
+def _euler_step(coeffs: tuple[int, ...], q: int, k: int) -> tuple[int, ...]:
     """Coefficients of f(z) - k f(qz) to the same precision: a_j - k a_{j/q}
     at the multiples j of q, a_j elsewhere."""
     out = list(coeffs)
@@ -73,8 +67,9 @@ def _euler_step(
 
 
 def base_epp(p: int, prec: int) -> QExpansion:
-    """The weight-2 Eisenstein series at prime level p normalized to
-    (p-1)/24 + sum_{n>=1} (sum of divisors of n coprime to p) q^n."""
+    """24 times the weight-2 Eisenstein series at prime level p normalized to
+    (p-1)/24 + sum_{n>=1} (sum of divisors of n coprime to p) q^n, which is
+    p E_2(pz) - E_2(z) with E_2 = 1 - 24 sum sigma(n) q^n."""
     if prec < 0:
         raise ValueError("precision must be non-negative")
     if not is_prime(p):
@@ -84,7 +79,7 @@ def base_epp(p: int, prec: int) -> QExpansion:
         if d % p:
             for k in range(d, prec + 1, d):
                 sigma[k] += d
-    return QExpansion(p, prec, (Fraction(p - 1, 24), *sigma[1:]))
+    return QExpansion(p, prec, (p - 1, *[24 * x for x in sigma[1:]]))
 
 
 def build_qexp(datum: EisensteinDatum, prec: int) -> QExpansion:
@@ -162,21 +157,15 @@ def _eigen_fact(f: QExpansion, q: int, eigenvalue: int, on_level: bool) -> Eigen
 
 
 class ResidueTable(Record):
-    """Residue of a series at the cusps of X0(n), one (level, value) pair per level."""
+    """Residue of a series at the cusps of X0(n), one (level, numerator) pair
+    per level, each residue the numerator over den = rad(n)."""
 
-    __slots__ = ("n", "res")
+    __slots__ = ("n", "den", "res")
 
-    def at_level(self, d: int) -> Fraction:
-        for dd, v in self.res:
-            if dd == d:
-                return v
-        raise KeyError(f"{d} is not a level of X0({self.n})")
-
-    def weighted_sum(self) -> Fraction:
-        n, ratios = self.n, [(d, *v.as_integer_ratio()) for d, v in self.res]
-        den = math.lcm(*(b for _, _, b in ratios))
-        total = sum(euler_phi(math.gcd(d, n // d)) * a * (den // b) for d, a, b in ratios if a)
-        return Fraction(total, den)
+    def weighted_sum(self) -> int:
+        """den times the sum of the residues over every cusp of X0(n)."""
+        n = self.n
+        return sum(euler_phi(math.gcd(d, n // d)) * a for d, a in self.res if a)
 
 
 def residue_table(datum: EisensteinDatum) -> ResidueTable:
@@ -186,21 +175,21 @@ def residue_table(datum: EisensteinDatum) -> ResidueTable:
     and the scale over q elsewhere.  `residues` and `sweep` check its sum."""
     table, scale = over_primes(datum, 0)
     num, rad, divs = datum.m * scale, parts(datum.n)[2], divisors_of(datum.n)
-    return ResidueTable(datum.n, tuple((d, Fraction(num * table[d], rad)) for d in divs))
+    return ResidueTable(datum.n, rad, tuple((d, num * table[d]) for d in divs))
 
 
-def residue_closed(datum: EisensteinDatum) -> tuple[Fraction, Fraction]:
-    """Closed residues at the cusp at infinity (level n) and at level m*L.
+def residue_closed(datum: EisensteinDatum) -> tuple[int, int]:
+    """Closed residues at the cusp at infinity (level n) and at level m*L,
+    as numerators over rad(n), the den of `residue_table`.
 
     At infinity the residue vanishes unless m is the full radical, where it
     is the product of (1 - p) over the primes of n.
     """
     n, m = datum.n, datum.m
     sf, _, rad = parts(n)
-    at_inf = Fraction(math.prod(1 - p for p in prime_divisors(n)) if m == rad else 0)
+    at_inf = rad * math.prod(1 - p for p in prime_divisors(n)) if m == rad else 0
     num = 1
     for p, r in factor(n):
         num *= (p - 1 if m % p == 0 else p * p - 1) * p ** max(r - 2, 0)
     den = math.prod(prime_divisors((sf // math.gcd(m, sf)) * datum.l_part))
-    at_ml = Fraction((-1) ** omega(m * datum.l_part) * num, den)
-    return at_inf, at_ml
+    return at_inf, (-1) ** omega(m * datum.l_part) * num * (rad // den)

@@ -50,7 +50,7 @@ from cuspidal.cusps import (
     make_cusp,
     normalize_fraction,
 )
-from cuspidal.eisq import QExpansion
+from cuspidal.eisq import QExpansion, residue_closed
 from cuspidal.heckediv import EisensteinDatum, build_c_divisor
 
 enumerate_cusps = functools.cache(enumerate_cusps)
@@ -227,6 +227,21 @@ def level_map(kind: str, f: QExpansion, p: int) -> QExpansion:
     k = {"plus": p, "minus": 1, "plain": 0}[kind]
     coeffs = tuple(a - k * f.coeffs[j // p] if j % p == 0 else a for j, a in enumerate(f.coeffs))
     return QExpansion(f.n * p, f.prec, coeffs)
+
+
+def fraction_qexp(f: QExpansion) -> tuple[Fraction, ...]:
+    """The coefficients a_0, ..., a_prec of the series that f holds as 24 a_k."""
+    return tuple(Fraction(x, 24) for x in f.coeffs)
+
+
+def fraction_residues(table) -> tuple[tuple[int, Fraction], ...]:
+    """A residue table's (level, residue) pairs, each numerator over table.den."""
+    return tuple((d, Fraction(x, table.den)) for d, x in table.res)
+
+
+def fraction_residue_closed(datum: EisensteinDatum) -> tuple[Fraction, Fraction]:
+    """`residue_closed`'s two residues, each numerator over rad(n)."""
+    return tuple(Fraction(x, parts(datum.n)[2]) for x in residue_closed(datum))
 
 
 def _kernel_prediction(kind: str, datum) -> int:

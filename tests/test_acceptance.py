@@ -25,7 +25,7 @@ from cuspidal.classlattice import (
     r_vector,
     solve_lambda,
 )
-from cuspidal.eisq import build_qexp, eigen_check, residue_closed, residue_table
+from cuspidal.eisq import build_qexp, eigen_check, residue_table
 from cuspidal.heckediv import (
     EisensteinDatum,
     build_c_divisor,
@@ -33,7 +33,15 @@ from cuspidal.heckediv import (
     hecke_delta,
     hecke_delta_closed,
 )
-from reference import deg_map, kernel_intersection_order, numerator_of, p_divisor
+from reference import (
+    deg_map,
+    fraction_qexp,
+    fraction_residue_closed,
+    fraction_residues,
+    kernel_intersection_order,
+    numerator_of,
+    p_divisor,
+)
 
 MAX_N = 150
 
@@ -160,10 +168,11 @@ def test_criterion_07_residues():
         for datum in enumerate_data(n):
             table = residue_table(datum)
             assert table.weighted_sum() == 0, datum
-            at_inf, at_ml = residue_closed(datum)
-            assert table.at_level(n) == at_inf, datum
-            assert table.at_level(datum.m * datum.l_part) == at_ml, datum
-            assert table.at_level(n) == -24 * build_qexp(datum, 2).a(0), datum
+            res = dict(fraction_residues(table))
+            at_inf, at_ml = fraction_residue_closed(datum)
+            assert res[n] == at_inf, datum
+            assert res[datum.m * datum.l_part] == at_ml, datum
+            assert res[n] == -24 * fraction_qexp(build_qexp(datum, 2))[0], datum
             count += 1
     _report(7, f"residue sum, closed values, and -24*a0 link on {count} data, N <= {MAX_N}")
 

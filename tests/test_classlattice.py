@@ -5,7 +5,7 @@ from operator import mul
 from typing import Mapping
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspidal.arith import (
@@ -240,6 +240,35 @@ def test_class_order_rejects_nonzero_degree():
         class_order(11, (1, 0))
     with pytest.raises(ValueError):
         class_order(9, {1: 1})
+
+
+@pytest.mark.parametrize(
+    "n, a, degree",
+    [
+        (11, (1, 0), "1"),
+        (11, (-1, 0), "-1"),
+        (11, (Fraction(1, 2), 0), "1/2"),
+        (6, (0, 0, 0, Fraction(-5, 7)), "-5/7"),
+        (9, (Fraction(2, 3), 0, 0), "2/3"),
+    ],
+)
+def test_class_order_names_a_nonzero_degree_in_lowest_terms(n, a, degree):
+    # An integral degree reads as an integer, a fractional one as num/den.
+    with pytest.raises(ValueError, match=f"^divisor has degree {degree}, expected 0$"):
+        class_order(n, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([1, 6, 11, 12, 36, 60]), data=st.data())
+def test_class_order_writes_a_nonzero_degree_as_a_fraction_prints(n, data):
+    divs = divisors_of(n)
+    size = len(divs)
+    vec = data.draw(st.lists(st.fractions(max_denominator=30), min_size=size, max_size=size))
+    degree = sum(x * euler_phi(math.gcd(d, n // d)) for x, d in zip(vec, divs))
+    assume(degree != 0)
+    with pytest.raises(ValueError) as caught:
+        class_order(n, vec)
+    assert str(caught.value) == f"divisor has degree {degree}, expected 0"
 
 
 def test_is_principal_examples():

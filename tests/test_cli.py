@@ -430,7 +430,7 @@ def test_sweep_reads_the_normalization_off_the_checked_series(capsys, monkeypatc
 
     def shifted(datum, prec):
         f = real(datum, prec)
-        return eisq.QExpansion(f.n, f.prec, (f.a(0) + 1, *f.coeffs[1:]))
+        return eisq.QExpansion(f.n, f.prec, (f.coeffs[0] + 24, *f.coeffs[1:]))  # a_0 + 1
 
     monkeypatch.setattr(eisq, "build_qexp", shifted)
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
@@ -866,8 +866,8 @@ def test_the_whole_level_budget_sits_above_every_pinned_residues_and_cdivisor_re
 
 
 def test_classifying_every_level_to_3000_keeps_both_caches_within_their_bound(capsys):
-    # One process asks `factor` for 4241 numbers here and `divisors_of` for
-    # 1824, so `factor` evicts.
+    # One process asks `factor` for 4127 numbers here (each level and the
+    # lcm of its class orders) and `divisors_of` for 1824, so `factor` evicts.
     for fn in (arith.factor, arith.divisors_of):
         fn.cache_clear()
     for n in range(1, 3001):
@@ -875,6 +875,28 @@ def test_classifying_every_level_to_3000_keeps_both_caches_within_their_bound(ca
     for fn in (arith.factor, arith.divisors_of):
         assert fn.cache_info().currsize <= 4096
     assert arith.factor.cache_info().misses > 4096
+
+
+def test_classifying_every_level_to_1000_keeps_its_bytes(capsys):
+    # Taken while `classify` factored every class order.
+    digest = hashlib.sha256()
+    for n in range(1, 1001):
+        code, out, _ = _run(capsys, "classify", str(n), "--format", "json")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "6c5a4d3d77e19e2b29fe9e9d7ff702060f58e3ceedc9fb1cf3a5f7f985c65eff"
+
+
+def test_classify_factors_the_lcm_of_its_class_orders_once(capsys):
+    # 3075 misses when each order was factored apart, most of them trial
+    # division of an order with a prime above 2^16.
+    level = "12345678901234567890123456789"  # tau = 4096, largest prime 2906161
+    arith.factor.cache_clear()
+    code, out, _ = _run(capsys, "classify", level, "--format", "json")
+    assert code == 0 and arith.factor.cache_info().misses <= 40
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9215cae795fbbc3844e8fe9f81ebae8179555d983300603024060ad52a18e260"
+    )
 
 
 def test_cusps_exits_two_when_the_count_disagrees_with_the_formula(capsys, monkeypatch):
@@ -1408,11 +1430,36 @@ def test_an_integer_request_loads_neither_fractions_nor_eisq(argv, sha256):
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("argv", [("qexp", "4725", "--M", "7", "--prec", "300")])
-def test_a_rational_request_loads_fractions_on_demand(argv):
-    run = _entry([*argv, "--format", "json"])
-    assert (run.returncode, run.stderr) == (0, "")
-    assert hashlib.sha256(run.stdout.encode()).hexdigest() == dict(_GOLDEN)[argv]
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("qexp", "4725", "--M", "7", "--prec", "300"),
+            dict(_GOLDEN)["qexp", "4725", "--M", "7", "--prec", "300"],
+        ),
+        (("residues", "4725", "--M", "7"), dict(_GOLDEN)["residues", "4725", "--M", "7"]),
+        # taken while eisq still held the series and residues as Fractions
+        (("sweep", "--max-N", "12"), "8ec79aac3367a3373ea701946a68c30bac2f74fd3e571d8ff51a7b38a0ec8378"),
+    ],
+    ids=["qexp", "residues", "sweep"],
+)
+def test_a_series_request_loads_eisq_but_neither_fractions_nor_decimal(argv, sha256):
+    # The series and residues are integers over 24 and rad(N); no request
+    # builds a Fraction.
+    run = _entry([*argv, "--format", "json"], _RATIONALS)
+    assert (run.returncode, run.stderr) == (0, "['cuspidal.eisq']\n")
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == sha256
+
+
+def test_a_nonzero_degree_is_named_without_fractions():
+    # `class_order` reduces the degree in its message with math.gcd.
+    code = (
+        "import sys\nfrom cuspidal.classlattice import class_order\n"
+        "try:\n    class_order(11, (1, 0))\n"
+        "except ValueError as exc:\n    print(exc, file=sys.stderr)\n"
+    )
+    run = _fresh(code + _RATIONALS)
+    assert (run.returncode, run.stderr) == (0, "divisor has degree 1, expected 0\n[]\n")
 
 
 def test_the_package_root_resolves_the_series_names_on_each_access():

@@ -17,7 +17,7 @@ from cuspidal.eisq import (
     residue_table,
 )
 from cuspidal.heckediv import EisensteinDatum
-from reference import level_map
+from reference import fraction_qexp, fraction_residue_closed, fraction_residues, level_map
 
 
 def _valid_data(n):
@@ -30,7 +30,8 @@ def _valid_data(n):
 
 def test_base_epp_coefficients():
     f = base_epp(3, 6)
-    assert f.coeffs == (
+    assert f.coeffs == (2, 24, 72, 24, 168, 144, 72)  # 24 a_k
+    assert fraction_qexp(f) == (
         Fraction(1, 12),
         Fraction(1),
         Fraction(3),
@@ -57,13 +58,13 @@ def test_build_qexp_base_cases():
     f = build_qexp(EisensteinDatum(9, 3, 3), 10)
     assert f.coeffs == base_epp(3, 10).coeffs
     assert f.n == 9
-    assert build_qexp(EisensteinDatum(9, 1, 1), 10).a(0) == 0
+    assert build_qexp(EisensteinDatum(9, 1, 1), 10).coeffs[0] == 0
 
 
 def test_build_qexp_constant_terms():
-    assert build_qexp(EisensteinDatum(22, 22, 1), 4).a(0) == Fraction(-5, 12)
-    assert build_qexp(EisensteinDatum(22, 11, 1), 4).a(0) == 0
-    assert build_qexp(EisensteinDatum(3, 3, 1), 4).a(0) == Fraction(1, 12)
+    assert fraction_qexp(build_qexp(EisensteinDatum(22, 22, 1), 4))[0] == Fraction(-5, 12)
+    assert fraction_qexp(build_qexp(EisensteinDatum(22, 11, 1), 4))[0] == 0
+    assert fraction_qexp(build_qexp(EisensteinDatum(3, 3, 1), 4))[0] == Fraction(1, 12)
 
 
 def test_hecke_annihilates_square_level_series():
@@ -74,9 +75,9 @@ def test_hecke_annihilates_square_level_series():
 
 
 def test_hecke_constant_term_off_level():
-    f = QExpansion(5, 4, (Fraction(7), Fraction(0), Fraction(0), Fraction(0), Fraction(0)))
+    f = QExpansion(5, 4, (7, 0, 0, 0, 0))
     g = hecke_on_qexp(f, 3)
-    assert g.a(0) == (3 + 1) * 7
+    assert g.coeffs[0] == (3 + 1) * 7
 
 
 def test_precision_contracts():
@@ -142,21 +143,24 @@ def test_eigen_check_rejects_a_series_of_another_level():
 
 
 def test_residue_tables():
-    assert residue_table(EisensteinDatum(3, 3, 1)).res == (
+    # Each table holds its residues as numerators over rad(n).
+    assert residue_table(EisensteinDatum(45, 15, 3)).den == 15
+    assert residue_table(EisensteinDatum(9, 1, 1)).res == ((1, 16), (3, -8), (9, 0))
+    assert fraction_residues(residue_table(EisensteinDatum(3, 3, 1))) == (
         (1, Fraction(2)),
         (3, Fraction(-2)),
     )
-    assert residue_table(EisensteinDatum(9, 1, 1)).res == (
+    assert fraction_residues(residue_table(EisensteinDatum(9, 1, 1))) == (
         (1, Fraction(16, 3)),
         (3, Fraction(-8, 3)),
         (9, Fraction(0)),
     )
-    assert residue_table(EisensteinDatum(9, 3, 3)).res == (
+    assert fraction_residues(residue_table(EisensteinDatum(9, 3, 3))) == (
         (1, Fraction(6)),
         (3, Fraction(-2)),
         (9, Fraction(-2)),
     )
-    assert residue_table(EisensteinDatum(45, 15, 3)).res == (
+    assert fraction_residues(residue_table(EisensteinDatum(45, 15, 3))) == (
         (1, Fraction(24)),
         (3, Fraction(-8)),
         (5, Fraction(-24)),
@@ -167,12 +171,14 @@ def test_residue_tables():
 
 
 def test_residue_closed_examples():
-    assert residue_closed(EisensteinDatum(9, 1, 1)) == (Fraction(0), Fraction(-8, 3))
-    assert residue_closed(EisensteinDatum(3, 3, 1)) == (Fraction(-2), Fraction(-2))
-    assert residue_closed(EisensteinDatum(11, 11, 1))[1] == Fraction(-10)
+    # numerators over rad(n), as in the table
+    assert residue_closed(EisensteinDatum(9, 1, 1)) == (0, -8)
+    assert fraction_residue_closed(EisensteinDatum(9, 1, 1)) == (Fraction(0), Fraction(-8, 3))
+    assert fraction_residue_closed(EisensteinDatum(3, 3, 1)) == (Fraction(-2), Fraction(-2))
+    assert fraction_residue_closed(EisensteinDatum(11, 11, 1))[1] == Fraction(-10)
     # at full radical the residue at infinity is prod (1 - p)
-    assert residue_closed(EisensteinDatum(22, 22, 1))[0] == Fraction(10)
-    assert residue_closed(EisensteinDatum(22, 11, 1))[0] == Fraction(0)
+    assert fraction_residue_closed(EisensteinDatum(22, 22, 1))[0] == Fraction(10)
+    assert fraction_residue_closed(EisensteinDatum(22, 11, 1))[0] == Fraction(0)
 
 
 def test_residue_invariants_sweep():
@@ -180,10 +186,11 @@ def test_residue_invariants_sweep():
         for datum in _valid_data(n):
             table = residue_table(datum)
             assert table.weighted_sum() == 0
-            at_inf, at_ml = residue_closed(datum)
-            assert table.at_level(n) == at_inf, datum
-            assert table.at_level(datum.m * datum.l_part) == at_ml, datum
-            assert table.at_level(n) == -24 * build_qexp(datum, 2).a(0), datum
+            res = dict(fraction_residues(table))
+            at_inf, at_ml = fraction_residue_closed(datum)
+            assert res[n] == at_inf, datum
+            assert res[datum.m * datum.l_part] == at_ml, datum
+            assert res[n] == -24 * fraction_qexp(build_qexp(datum, 2))[0], datum
 
 
 @settings(max_examples=30)
@@ -240,8 +247,8 @@ def _fraction_hecke_on_qexp(f, q):
     return QExpansion(f.n, prec, coeffs)
 
 
-def _integral_beyond_a0(f):
-    return type(f.coeffs[0]) is Fraction and all(type(a) is int for a in f.coeffs[1:])
+def _integral(f):
+    return all(type(a) is int for a in f.coeffs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,12 +265,13 @@ def test_integer_series_match_fraction_reference(n, pick, prec, q, kind):
     f = build_qexp(datum, prec)
     with mock.patch.object(eisq, "base_epp", _fraction_base_epp):
         ref = build_qexp(datum, prec)
-    assert f.coeffs == ref.coeffs and _integral_beyond_a0(f)
+    # The package holds 24 a_k in integers; the reference holds a_k as Fractions.
+    assert fraction_qexp(f) == ref.coeffs and _integral(f)
     g = hecke_on_qexp(f, q)
-    assert g.coeffs == _fraction_hecke_on_qexp(ref, q).coeffs and _integral_beyond_a0(g)
+    assert fraction_qexp(g) == _fraction_hecke_on_qexp(ref, q).coeffs and _integral(g)
     h = level_map(kind, f, q)
-    assert h.coeffs == level_map(kind, ref, q).coeffs and _integral_beyond_a0(h)
-    assert base_epp(q, prec).coeffs == _fraction_base_epp(q, prec).coeffs
+    assert fraction_qexp(h) == level_map(kind, ref, q).coeffs and _integral(h)
+    assert fraction_qexp(base_epp(q, prec)) == _fraction_base_epp(q, prec).coeffs
 
 
 def _enumerated_euler_step(coeffs, q, k):

@@ -66,17 +66,17 @@ def test_classifier_reads_eigenvalues_through_epsilon():
     }
 
 
-def test_classlattice_imports_fractions_only_for_the_degree_message():
-    # Lambda(N), its inverse and the solve are integers over a denominator;
-    # only `class_order`'s error for a nonzero degree writes a Fraction.
-    def owners(node, owner):
-        for child in ast.iter_child_nodes(node):
-            names = [alias.name for alias in getattr(child, "names", ())]
-            if isinstance(child, ast.Import) and "fractions" in names or (
-                isinstance(child, ast.ImportFrom) and child.module == "fractions"
-            ):
-                yield owner
-            inner = child.name if isinstance(child, ast.FunctionDef) else owner
-            yield from owners(child, inner)
-
-    assert list(owners(_tree(SRC / "classlattice.py"), None)) == ["class_order"]
+def test_no_module_of_the_package_imports_fractions():
+    # Every rational is an integer over a denominator: Lambda(N) and its
+    # inverse, the series as 24 E, the residues over rad(N), and even
+    # `class_order`'s degree message.
+    imports = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "fractions"
+    ]
+    assert imports == []

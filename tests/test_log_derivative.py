@@ -23,6 +23,7 @@ from cuspidal.classifier import enumerate_data
 from cuspidal.classlattice import r_vector
 from cuspidal.eisq import build_qexp
 from cuspidal.heckediv import over_primes
+from reference import fraction_qexp
 
 PREC = 120
 DATA = tuple(datum for n in range(1, 200) for datum in enumerate_data(n))
@@ -43,10 +44,10 @@ def _log_derivative(datum, prec):
 def _coordinates(f):
     """y over the divisors d of the level with a_{d'} = -sum_{d | d'} y_d d
     sigma(d'/d) at every divisor d', the coefficients of sum y_d (d/24) E_2(dz)."""
-    y = {}
+    a, y = fraction_qexp(f), {}
     for top in divisors_of(f.n):
         rest = sum(y[d] * d * SIGMA[top // d] for d in y if top % d == 0)
-        y[top] = Fraction(-(f.a(top) + rest), top)
+        y[top] = Fraction(-(a[top] + rest), top)
     return list(y.values())
 
 
@@ -63,7 +64,7 @@ def _failures(data):
     identity, converse = [], []
     for datum in data:
         f = build_qexp(datum, max(PREC, datum.n))
-        if [24 * parts(datum.n)[2] * a for a in f.coeffs] != _log_derivative(datum, f.prec):
+        if [24 * parts(datum.n)[2] * a for a in fraction_qexp(f)] != _log_derivative(datum, f.prec):
             identity.append(datum)
         if not _proportional(_coordinates(f), r_vector(datum)[0]):
             converse.append(datum)
