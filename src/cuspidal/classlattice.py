@@ -23,11 +23,11 @@ Even `class_order`'s degree message reduces its rational with `math.gcd`.
 
 A datum's divisor is a tensor product of local vectors, so its Lambda(N)^{-1}
 image is 24 times the tensor product of the closed local entries over their
-scales, both read off `heckediv.local_tables`: every sum the eta-quotient
-conditions read is a product of local sums over at most three nonzero
-entries per q^r || N, which `index_n` combines in O(omega(N)) per datum for
-`classify`.  The engine stays the definition for arbitrary divisors; `sweep`
-checks both orders against the third, `closed_form_order`.
+scales, both read off `heckediv.local_tables`, and the eta-quotient
+conditions reduce to the scales, the local weights and one moment:
+`index_n` is the closed formula h * num(prod s / 24), h = 1 or 2, in
+O(omega(N)) per datum for `classify`.  The engine stays the definition for
+arbitrary divisors; `sweep` checks both against `closed_form_order`.
 """
 
 from __future__ import annotations
@@ -233,45 +233,37 @@ def class_order(n: int, a) -> int:
     return _eta_order(den, math.gcd(*u), s1, s2, parities)
 
 
-def _datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
-    """The arguments of _eta_order for the datum's divisor, from the closed
-    local entries alone.  Lambda(N)^{-1} of the divisor is 24 (tensor of the
-    local entries e) over the product of the local scales, so each sum
-    class_order reads is 24 times a product of local sums over e_0, e_1 and
-    e_2: gcd(e), Sum q^a e_a, Sum q^(r-a) e_a, and for the parity sum at p,
-    Sum a e_a at p and Sum e_a at every other prime.  A nonzero weight at
-    every prime contradicts the datum's degree 0: ConsistencyError."""
-    den, g, s1, s2, totals, moments = 1, 24, 24, 24, [], []
-    for q, r, _, entries, scale in local_tables(datum):
-        e = entries[:3]
-        den *= scale
-        g *= math.gcd(*e)
-        powers = (1, q, q * q)
-        s1 *= sum(map(mul, e, powers))
-        # Sum q^(r-a) e_a, with len(e) = min(r + 1, 3)
-        s2 *= q ** (r + 1 - len(e)) * sum(map(mul, reversed(e), powers))
-        totals.append(sum(e))
-        moments.append(sum(map(mul, e, range(3))))
-    if all(totals):
-        raise ConsistencyError(f"local exponents of {datum} have nonzero weight at every prime")
-    parities = [
-        24 * moment * math.prod(totals[:i] + totals[i + 1 :]) for i, moment in enumerate(moments)
-    ]
-    return den, g, s1, s2, parities
-
-
 def index_n(datum: EisensteinDatum) -> int:
-    """Order of the datum's divisor class, from the local factors at each
-    q^r || n in O(omega(n)) operations: class_order of build_c_divisor(datum)
-    without building the divisor."""
-    return _eta_order(*_datum_sums(datum))
+    """Order of the datum's divisor class, class_order of build_c_divisor(datum),
+    as h * num(den / 24), den the product of the local scales s_q.
+
+    The eta-quotient conditions on 24 (tensor of the local entries e) / den
+    reduce term by term (README, "The order of C^D_{M,N}"): gcd(e) = 1, so
+    integrality asks den / gcd(den, 24); Sum d r_d and Sum (N/d) r_d are 0 mod
+    24 (prod_q A_q is 0 or +-den, each B_q a multiple of s_q); the parity sum
+    at p, 24 D_p prod_{q != p} W_q, is nonzero only at the one prime whose
+    entries have weight W = 0, and h = 2 exactly when that product is odd and
+    8 | den.  A nonzero weight at every prime (degree 0 rules it out) raises
+    ConsistencyError.
+    """
+    tables = local_tables(datum)
+    den = math.prod(s for *_, s in tables)
+    weights = [sum(e) for _, _, _, e, _ in tables]
+    if all(weights):
+        raise ConsistencyError(f"local exponents of {datum} have nonzero weight at every prime")
+    order = den // math.gcd(den, 24)
+    if weights.count(0) == 1 and den % 8 == 0:
+        moment = sum(map(mul, tables[weights.index(0)][3], range(3)))
+        if moment * math.prod(filter(None, weights)) % 2:
+            order *= 2
+    return order
 
 
 def closed_form_order(datum: EisensteinDatum) -> int | None:
     """Closed-form order of the datum's divisor class, or None in the one
     regime it does not cover: after reducing the primes shared by m and the
     square support, L = 1 while the reduced level is still not squarefree.
-    An independent oracle against the local orders of `index_n` and the
+    An independent oracle against the closed formula of `index_n` and the
     engine's class_order, which `sweep` runs.  The order is the numerator of
     h * Pi s / 24, with Pi s the product of the reduced datum's local scales
     read off `local_tables`, and a power of 2 on the 2-power levels.

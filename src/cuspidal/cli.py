@@ -222,10 +222,12 @@ def _vec(pairs, den: int = 1) -> _Vector:
 
 def _render_text(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
+    if type(value) is _Ratios:
+        return [line for r in value for line in (f"{pad}{r['num']}/{r['den']}", f"{pad}-")]
+    if type(value) is _Vector:
+        return [f"{pad}{v['d']} -> {v['c']['num']}/{v['c']['den']}" for v in value]
     lines: list[str] = []
     if isinstance(value, dict):
-        if set(value) == {"num", "den"}:
-            return [f"{pad}{value['num']}/{value['den']}"]
         for key in sorted(value):
             sub = value[key]
             if isinstance(sub, dict) and set(sub) == {"num", "den"}:
@@ -237,9 +239,7 @@ def _render_text(value, indent: int = 0) -> list[str]:
                 lines.append(f"{pad}{key}: {sub}")
     elif isinstance(value, list):
         for item in value:
-            if isinstance(item, dict) and set(item) == {"d", "c"}:
-                lines.append(f"{pad}{item['d']} -> {item['c']['num']}/{item['c']['den']}")
-            elif isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list)):
                 lines.extend(_render_text(item, indent))
                 lines.append(f"{pad}-")
             else:

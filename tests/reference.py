@@ -10,9 +10,10 @@ does the recursive builder of a datum's divisor that the tensor product of
 `heckediv.build_c_divisor` replaced.  So do the general entry formula of the
 tridiagonal block T_q of Lambda(q^r)^{-1}, the whole-level Lambda(N)^{-1}
 engine that walked a dict keyed by divisor, rebuilding T_q from that
-formula, with the class order on it, the ell = 2 hypothesis test that
-tried every presentation of a datum, and the normalization and newness
-conditions as they read (m, d_part) rather than the eigenvalues.
+formula, with the class order on it, the local sums of the eta-quotient
+conditions that `index_n`'s closed formula replaced, the ell = 2 hypothesis
+test that tried every presentation of a datum, and the normalization and
+newness conditions as they read (m, d_part) rather than the eigenvalues.
 `chain_multiplicity` keeps the derivation of the beta pushforward
 multiplicities from cusp counts, and `VALUATION_MAPS` the per-cusp coverings
 as they were computed before their closed forms: from the valuations at p of
@@ -26,6 +27,7 @@ the cusp tests share.
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 
 from cuspidal.arith import (
     divisors_of,
@@ -51,7 +53,7 @@ from cuspidal.cusps import (
     normalize_fraction,
 )
 from cuspidal.eisq import QExpansion, residue_closed
-from cuspidal.heckediv import EisensteinDatum, build_c_divisor
+from cuspidal.heckediv import EisensteinDatum, build_c_divisor, local_tables
 
 enumerate_cusps = functools.cache(enumerate_cusps)
 
@@ -348,6 +350,34 @@ def dict_class_order(n: int, a) -> int:
     s2 = sum(x * (n // d) for x, d in zip(u, divs))
     parities = [sum(x * valuation(d, p) for x, d in zip(u, divs)) for p in prime_divisors(n)]
     return _eta_order(den, math.gcd(*u), s1, s2, parities)
+
+
+def datum_sums(datum: EisensteinDatum) -> tuple[int, int, int, int, list[int]]:
+    """The arguments of _eta_order for the datum's divisor, from the closed
+    local entries alone: the local sums that `index_n` combined before its
+    closed formula.  Lambda(N)^{-1} of the divisor is 24 (tensor of the local
+    entries e) over the product of the local scales, so each sum class_order
+    reads is 24 times a product of local sums over e_0, e_1 and e_2: gcd(e),
+    Sum q^a e_a, Sum q^(r-a) e_a, and for the parity sum at p, Sum a e_a at p
+    and Sum e_a at every other prime.  A nonzero weight at every prime
+    contradicts the datum's degree 0: ConsistencyError."""
+    den, g, s1, s2, totals, moments = 1, 24, 24, 24, [], []
+    for q, r, _, entries, scale in local_tables(datum):
+        e = entries[:3]
+        den *= scale
+        g *= math.gcd(*e)
+        powers = (1, q, q * q)
+        s1 *= sum(map(mul, e, powers))
+        # Sum q^(r-a) e_a, with len(e) = min(r + 1, 3)
+        s2 *= q ** (r + 1 - len(e)) * sum(map(mul, reversed(e), powers))
+        totals.append(sum(e))
+        moments.append(sum(map(mul, e, range(3))))
+    if all(totals):
+        raise ConsistencyError(f"local exponents of {datum} have nonzero weight at every prime")
+    parities = [
+        24 * moment * math.prod(totals[:i] + totals[i + 1 :]) for i, moment in enumerate(moments)
+    ]
+    return den, g, s1, s2, parities
 
 
 def hypothesis_ok_by_presentations(ell: int, datum: EisensteinDatum) -> bool:

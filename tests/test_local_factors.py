@@ -21,11 +21,18 @@ from hypothesis import strategies as st
 
 from cuspidal.arith import divisors_of, factor, parts, prime_divisors, primes_upto, valuation
 from cuspidal.classifier import enumerate_data, index_n
-from cuspidal.classlattice import _datum_sums, apply_lambda_inverse, class_order, r_vector
+from cuspidal.classlattice import _eta_order, apply_lambda_inverse, class_order, r_vector
 from cuspidal.cusps import RationalCuspDivisor, alpha_pullback
 from cuspidal.eisq import QExpansion, base_epp, build_qexp, residue_table
-from cuspidal.heckediv import EisensteinDatum, _local, build_c_divisor, epsilon, over_primes
-from reference import fraction_residues, recursive_c_divisor
+from cuspidal.heckediv import (
+    EisensteinDatum,
+    _local,
+    build_c_divisor,
+    epsilon,
+    local_tables,
+    over_primes,
+)
+from reference import datum_sums, fraction_residues, recursive_c_divisor
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -275,7 +282,7 @@ def test_datum_order_matches_the_whole_level_engine(datum):
         sum(x * (n // d) for x, d in zip(u, divs)),
         *(sum(x * valuation(d, p) for x, d in zip(u, divs)) for p in prime_divisors(n)),
     )
-    local_den, g, s1, s2, parities = _datum_sums(datum)
+    local_den, g, s1, s2, parities = datum_sums(datum)
     # _eta_order reads each sum only over den.  Every datum's Sum d u_d and
     # Sum (N/d) u_d are multiples of 24 den, so the order alone cannot see a
     # wrong local factor in them; the sums over den can.
@@ -283,6 +290,33 @@ def test_datum_order_matches_the_whole_level_engine(datum):
         Fraction(x, den) for x in whole_level_sums
     ], datum
     assert index_n(datum) == class_order(n, build_c_divisor(datum)), datum
+
+
+def test_index_n_is_the_closed_formula_of_the_local_sums():
+    # index_n reads only den, the weights and one moment; the local sums
+    # feed every eta-quotient condition to _eta_order.
+    count = 0
+    for n in range(1, 3001):
+        for datum in enumerate_data(n):
+            assert index_n(datum) == _eta_order(*datum_sums(datum)), datum
+            count += 1
+    assert count == 18606
+    # Far from the walk: 2-power levels and a prime 1 or 5 mod 8 squared,
+    # where the parity term doubles den / 24 or leaves it.
+    levels = [2**k for k in range(1, 41)]
+    for q in (1000033, 1000037):
+        levels += [q * q, 2 * q**3, 4 * q * q, 8 * q * q]
+    far, doubled = 0, 0
+    for n in levels:
+        for datum in enumerate_data(n):
+            order = index_n(datum)
+            assert order == class_order(n, build_c_divisor(datum)), datum
+            den = math.prod(s for *_, s in local_tables(datum))
+            far += 1
+            doubled += order != den // math.gcd(den, 24)
+    # Doubled: (1; 1) at 2^k, 5 <= k <= 40; (q; q) at q^2 and 2q^3 for the q = 1
+    # mod 8 alone; (q; 2q) at 4q^2 and 8q^2 for both.
+    assert (far, doubled) == (125, 42)
 
 
 # Every local type up to q = 23 and q^8: 9 primes, eigenvalues 1 and q at
@@ -318,7 +352,7 @@ def test_closed_local_table_matches_the_engine_and_the_pullback():
         }[eps]
         assert scalar == (scale if eps == 1 else Fraction(scale, q)), (q, r, eps)
         # The README's order table: gcd(e), Sum q^a e_a, Sum q^(r-a) e_a,
-        # Sum e_a, Sum a e_a and the scale, the local factors of _datum_sums.
+        # Sum e_a, Sum a e_a and the scale, the local factors of datum_sums.
         sums = (
             math.gcd(*entries),
             sum(q**a * x for a, x in enumerate(entries)),
