@@ -42,7 +42,6 @@ from .arith import (
     factor,
     is_prime,
     parts,
-    prime_divisors,
     valuation,
 )
 from .cusps import ConsistencyError, RationalCuspDivisor
@@ -260,26 +259,20 @@ def index_n(datum: EisensteinDatum) -> int:
 
 
 def closed_form_order(datum: EisensteinDatum) -> int | None:
-    """Closed-form order of the datum's divisor class, or None in the one
-    regime it does not cover: after reducing the primes shared by m and the
-    square support, L = 1 while the reduced level is still not squarefree.
-    An independent oracle against the closed formula of `index_n` and the
-    engine's class_order, which `sweep` runs.  The order is the numerator of
-    h * Pi s / 24, with Pi s the product of the reduced datum's local scales
-    read off `local_tables`, and a power of 2 on the 2-power levels.
+    """Closed-form order of the datum's divisor class, or None where no prime
+    has eps = 0 (L = 1) and some q with q^2 | N has eps_q = q: the numerator
+    of h * prod s / 24 over the scales of `local_tables`, with h = 2 in case
+    (a), M = 1 and N a power of 2 with 8 | prod s, and in case (b), M a prime
+    = 1 mod 8 with N / M^v_M(N) in {1, 2}.  An oracle that `sweep` runs
+    against `index_n` and the engine's class_order.
     """
-    n, m, dp = datum.n, datum.m, datum.d_part
+    n, m = datum.n, datum.m
     _, sq, _ = parts(n)
-    a = math.gcd(m, sq)
-    b = math.prod(p ** (valuation(n, p) - 1) for p in prime_divisors(a))
-    n2, d2 = n // b, dp // a
-    k2 = valuation(n2, 2)
-    if n2 == 2**k2 and k2 >= 2:
-        return 2 ** max(k2 - 4, 0)
-    reduced = datum if a == 1 else EisensteinDatum(n2, m, d2)
-    _, sq2, _ = parts(n2)
-    if reduced.l_part == 1 and sq2 != 1:
+    if datum.l_part == 1 and sq != math.gcd(m, sq):
         return None
-    h = 2 if (is_prime(m) and m % 8 == 1 and n2 in (m, 2 * m)) else 1
-    x = h * math.prod(s for *_, s in local_tables(reduced))
+    x = math.prod(s for *_, s in local_tables(datum))
+    if (m == 1 and n & (n - 1) == 0 and x % 8 == 0) or (
+        is_prime(m) and m % 8 == 1 and n // m ** valuation(n, m) in (1, 2)
+    ):
+        x *= 2
     return x // math.gcd(x, 24)

@@ -65,7 +65,7 @@ def epsilon(datum: EisensteinDatum, p: int) -> int:
     The one per-prime classification of the package: every local factor at
     p^r || n is a function of this value and r, and `classifier` reads its
     normal forms and flags from it.  The oracles `eisq.residue_closed` and
-    `classlattice.closed_form_order` keep their own (m, d_part) arithmetic.
+    `classlattice.closed_form_order` (its None line and h) read (m, d_part).
     """
     if datum.n % p:
         raise ValueError(f"{p} does not divide {datum.n}")

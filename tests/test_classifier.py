@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cuspidal import classifier, classlattice, heckediv
-from cuspidal.arith import primes_upto
+from cuspidal.arith import factor, primes_upto
 from cuspidal.classifier import (
     _hypothesis_ok,
     _new_candidate,
@@ -207,12 +207,27 @@ def test_classify_never_builds_the_whole_level_divisor(monkeypatch):
         assert rational_eisenstein_primes(n) == primes
 
 
-@pytest.mark.parametrize("levels", [range(1, 1500), (720720, 9699690, 15315300, 223092870)])
+def _outside_the_closed_form(datum):
+    # No prime has eps = 0, and some q with q^2 | N has eps_q = q.
+    eps = [(q, r, heckediv.epsilon(datum, q)) for q, r in factor(datum.n)]
+    return all(e for *_, e in eps) and any(r >= 2 and e == q for q, r, e in eps)
+
+
+_FAR_LEVELS = (
+    *(2**k for k in range(1, 41)),
+    *(q**b * t for q in (1000033, 1000037) for b in range(1, 4) for t in (1, 2, 4, 8)),
+)
+
+
+@pytest.mark.parametrize(
+    "levels", [range(1, 3001), (720720, 9699690, 15315300, 223092870), _FAR_LEVELS]
+)
 def test_index_n_matches_the_closed_form_wherever_it_applies(levels):
     covered = 0
     for n in levels:
         for datum in enumerate_data(n):
             closed = classlattice.closed_form_order(datum)
+            assert (closed is None) == _outside_the_closed_form(datum), datum
             if closed is not None:
                 assert index_n(datum) == closed, datum
                 covered += 1

@@ -314,7 +314,7 @@ def test_closed_form_examples():
 
 
 def test_closed_form_not_covered():
-    # L = 1 with M inert in the square support and a non-squarefree reduction
+    # no prime has eps = 0 (L = 1), and 3^2 | 45 with eps_3 = 3 (3 | D, 3 does not divide M)
     assert closed_form_order(EisensteinDatum(45, 5, 3)) is None
 
 

@@ -5,14 +5,18 @@ is known in the module that defines it and nowhere else.  The datum's local
 table is the sharpest case: `heckediv._local` has one caller,
 `heckediv.local_tables`, and every other reader goes through that.  In
 `classifier`, a datum's eigenvalues are read through `heckediv.epsilon`.
+The README's map from the paper's objects to the code names live code.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cuspidal"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cuspidal"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -80,3 +84,19 @@ def test_no_module_of_the_package_imports_fractions():
         and (node.module or "").split(".")[0] == "fractions"
     ]
     assert imports == []
+
+
+def test_the_readme_map_names_the_code():
+    from cuspidal.cli import _ARGUMENTS
+
+    # The Layout table's cells, one list per object row (past the header rows).
+    section = (ROOT / "README.md").read_text().split("## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split(" | ") for line in section.splitlines() if line.startswith("|")][2:]
+    assert len(rows) == 9 and all(len(row) == 4 for row in rows)
+    names = [name for row in rows for name in re.findall(r"`(\w+)\.(\w+)`", " ".join(row[1:]))]
+    assert len(names) > len(rows)
+    for module, name in names:
+        found = importlib.import_module(module if module == "reference" else f"cuspidal.{module}")
+        assert hasattr(found, name), f"{module}.{name}"
+    commands = {word for row in rows for word in re.findall(r"`(\w+)`", " ".join(row[2:]))}
+    assert commands == set(_ARGUMENTS)

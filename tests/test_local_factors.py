@@ -247,10 +247,10 @@ def test_build_c_divisor_matches_recursive_builder(datum):
     assert build_c_divisor(datum) == recursive_c_divisor(datum), datum
 
 
-# Data outside the closed form (closed_form_order is None: L = 1 at a
-# non-squarefree reduced level), where `sweep` has no closed value to check
-# the local orders against, and data at high prime powers besides the 2^10
-# of EXAMPLES.
+# Data outside the closed form (closed_form_order is None: no prime has
+# eps = 0, and some q with q^2 | N has eps_q = q), where `sweep` has no closed
+# value to check the local orders against, and data at high prime powers
+# besides the 2^10 of EXAMPLES.
 ORDER_EXAMPLES = (
     EisensteinDatum(12, 3, 2),
     EisensteinDatum(50, 2, 5),
