@@ -23,12 +23,10 @@ malformed command line, goes to the argparse parser built from the same
 table, with argparse's messages and exit codes.  That parser reads
 `--opt=--` as the value "--" on every Python version, as 3.13 does.
 
-Start-up loads only what a request uses.  `json` and `argparse` are imported
-where they are needed, and so is `eisq`: only `qexp`, `residues` and `sweep`
-import it, inside `cmd_qexp`, `cmd_residues` and `_sweep_level`.  No request
-loads `fractions`: `_ratio` writes each rational in lowest terms from an
-integer over its denominator (the series over 24, the residues over rad(N),
-Lambda(N)'s rows over their scales).
+`argparse` is imported only for a command line that `_read` does not
+accept.  No request loads `fractions`: `_ratio` writes each rational in
+lowest terms from an integer over its denominator (the series over 24, the
+residues over rad(N), Lambda(N)'s rows over their scales).
 
 Exit costs only what a request allocates.  Serving the process's own argv,
 `main` freezes the garbage collector on entry: everything alive then lives
@@ -85,6 +83,7 @@ from .cusps import (
     alpha_image,
     beta_image,
 )
+from .eisq import build_qexp, eigen_check, residue_closed, residue_table
 from .heckediv import (
     EisensteinDatum,
     build_c_divisor,
@@ -344,8 +343,6 @@ def _residue_checks(datum: EisensteinDatum, table, at_inf, at_ml, f) -> dict[str
 
 def cmd_residues(args) -> tuple[dict, int]:
     _check_tau(args.N, _WHOLE_LEVEL_BUDGET)
-    from .eisq import build_qexp, residue_closed, residue_table
-
     datum = _datum(args)
     table = residue_table(datum)
     at_inf, at_ml = residue_closed(datum)
@@ -363,8 +360,6 @@ def cmd_residues(args) -> tuple[dict, int]:
 def cmd_qexp(args) -> tuple[dict, int]:
     if args.prec > _PREC_BUDGET:
         raise ValueError(f"--prec {args.prec} exceeds the budget {_PREC_BUDGET}")
-    from .eisq import build_qexp
-
     f = build_qexp(_datum(args), args.prec)
     outputs = {
         "level": f.n,
@@ -458,8 +453,6 @@ def run_sweep(max_n: int, fork: bool = False) -> tuple[dict, bool]:
 def _sweep_level(n: int) -> tuple[int, int, list[str]]:
     """(data, checks, failures) of the invariant suite at level n, which
     lists the cusps of X0(n) and of its coverings X0(np) itself."""
-    from .eisq import build_qexp, eigen_check, residue_closed, residue_table
-
     data = checks = 0
     failures: list[str] = []
 
@@ -528,16 +521,11 @@ def _sweep_level(n: int) -> tuple[int, int, list[str]]:
 
 
 def _deal(levels) -> tuple[list[int], list[int]]:
-    """Two shares of the levels, each ascending: by descending tau(n), each
-    level goes to the share whose tau-load is smaller (the first on a tie),
-    so the loads differ by at most the largest tau."""
-    shares: tuple[list[int], list[int]] = ([], [])
-    loads = [0, 0]
-    for n in sorted(levels, key=lambda n: -len(divisors_of(n))):
-        i = 1 if loads[1] < loads[0] else 0
-        shares[i].append(n)
-        loads[i] += len(divisors_of(n))
-    return sorted(shares[0]), sorted(shares[1])
+    """Two shares of the levels, each ascending: ranked by descending tau(n),
+    the levels go to the shares in snake order (first, second, second,
+    first), so the tau-loads differ by at most the largest tau."""
+    ranked = sorted(levels, key=lambda n: -len(divisors_of(n)))
+    return sorted(ranked[::4] + ranked[3::4]), sorted(ranked[1::4] + ranked[2::4])
 
 
 def _sweep_forked(levels) -> dict[int, tuple]:
@@ -693,10 +681,6 @@ def _build_parser():
     return parser
 
 
-# Built by `main` on the first argv that `_read` does not serve.
-_PARSER = None
-
-
 def main(argv: list[str] | None = None) -> int:
     """Serve one command line and return its exit code.
 
@@ -709,17 +693,14 @@ def main(argv: list[str] | None = None) -> int:
     that passes argv keeps its collector and its stdout, and its process
     runs every level of a sweep.
     """
-    global _PARSER
     entry = argv is None
     if entry:
         argv = sys.argv[1:]
         gc.freeze()
     args = _read(argv)
     if args is None:
-        if _PARSER is None:
-            _PARSER = _build_parser()
         try:
-            args = _PARSER.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # `--help` may still sit in stdout's buffer
             return _written(None, int(exc.code or 0), entry)
     started = time.perf_counter()

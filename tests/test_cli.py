@@ -300,7 +300,7 @@ def test_precision_above_the_budget_exits_one(capsys, monkeypatch, prec):
     def refused(*args):
         raise AssertionError("qexp started the series")
 
-    monkeypatch.setattr(eisq, "build_qexp", refused)
+    monkeypatch.setattr(cli, "build_qexp", refused)
     code, out, err = _run(capsys, "qexp", "6", "--M", "2", "--prec", prec)
     assert code == 1
     assert out == ""
@@ -426,13 +426,13 @@ def test_sweep_reports_a_block_that_breaks_the_weight(capsys, monkeypatch):
 
 
 def test_sweep_reads_the_normalization_off_the_checked_series(capsys, monkeypatch):
-    real = eisq.build_qexp
+    real = cli.build_qexp
 
     def shifted(datum, prec):
         f = real(datum, prec)
         return eisq.QExpansion(f.n, f.prec, (f.coeffs[0] + 24, *f.coeffs[1:]))  # a_0 + 1
 
-    monkeypatch.setattr(eisq, "build_qexp", shifted)
+    monkeypatch.setattr(cli, "build_qexp", shifted)
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
     assert code == 2
     parsed = json.loads(out)
@@ -925,16 +925,15 @@ def test_sweep_rejects_a_bound_below_one(capsys, bound):
 
 def test_parser_is_built_once(capsys, monkeypatch):
     # A well-formed request is read from the option table and builds no
-    # parser; the first malformed one builds it, and later ones reuse it.
+    # parser; each malformed one builds it once.
     built = []
     build = cli._build_parser
-    monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
     assert _run(capsys, "cusps", "4")[0] == 0
     assert built == []
     assert _run(capsys, "cusps")[0] == 1
     assert _run(capsys, "cusps", "4", "--format", "xml")[0] == 1
-    assert built == [1]
+    assert built == [1, 1]
 
 
 def test_timing_flag_optional(capsys):
@@ -1396,13 +1395,11 @@ def _into_a_closed_pipe(argv: list[str], unbuffered: bool) -> subprocess.Complet
         os.close(write)
 
 
-# Prints which of the modules that rationals and series need are loaded.
-_RATIONALS = (
-    "print(sorted({'fractions', 'decimal', 'cuspidal.eisq'} & set(sys.modules)), file=sys.stderr)"
-)
+# Prints which of the modules that rationals need are loaded.
+_RATIONALS = "print(sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)"
 
 
-def test_importing_the_command_line_loads_neither_fractions_nor_eisq():
+def test_importing_the_command_line_loads_neither_fractions_nor_decimal():
     run = _fresh(f"import sys, cuspidal.cli\n{_RATIONALS}")
     assert (run.returncode, run.stderr) == (0, "[]\n")
 
@@ -1425,19 +1422,6 @@ def test_importing_the_command_line_loads_neither_fractions_nor_eisq():
             "0bf2eeae3a7795f634ce629f31d84b632c89a79b3231ea6a1b201a3fe2149885",
         ),
         (("lambda", "1024", "--inverse"), dict(_GOLDEN)["lambda", "1024", "--inverse"]),
-    ],
-)
-def test_an_integer_request_loads_neither_fractions_nor_eisq(argv, sha256):
-    # Only the series subcommands import eisq or build a Fraction; `lambda`
-    # writes its integer rows over their denominators.
-    run = _entry([*argv, "--format", "json"], _RATIONALS)
-    assert (run.returncode, run.stderr) == (0, "[]\n")
-    assert hashlib.sha256(run.stdout.encode()).hexdigest() == sha256
-
-
-@pytest.mark.parametrize(
-    "argv, sha256",
-    [
         (
             ("qexp", "4725", "--M", "7", "--prec", "300"),
             dict(_GOLDEN)["qexp", "4725", "--M", "7", "--prec", "300"],
@@ -1446,13 +1430,13 @@ def test_an_integer_request_loads_neither_fractions_nor_eisq(argv, sha256):
         # taken while eisq still held the series and residues as Fractions
         (("sweep", "--max-N", "12"), "8ec79aac3367a3373ea701946a68c30bac2f74fd3e571d8ff51a7b38a0ec8378"),
     ],
-    ids=["qexp", "residues", "sweep"],
 )
-def test_a_series_request_loads_eisq_but_neither_fractions_nor_decimal(argv, sha256):
-    # The series and residues are integers over 24 and rad(N); no request
-    # builds a Fraction.
+def test_an_integer_request_loads_neither_fractions_nor_eisq(argv, sha256):
+    # No request builds a Fraction or a Decimal: `lambda` writes its integer
+    # rows over their denominators, the series is integers over 24 and the
+    # residues over rad(N).
     run = _entry([*argv, "--format", "json"], _RATIONALS)
-    assert (run.returncode, run.stderr) == (0, "['cuspidal.eisq']\n")
+    assert (run.returncode, run.stderr) == (0, "[]\n")
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == sha256
 
 
@@ -1468,7 +1452,8 @@ def test_a_nonzero_degree_is_named_without_fractions():
 
 
 def test_the_package_root_resolves_the_series_names_on_each_access():
-    # Stored at the root, a name would keep the tracer's wrapper after uninstall.
+    # The tracer wraps the series names at the package root as in `eisq`, and
+    # its uninstall leaves the originals in both.
     import cuspidal
 
     spec = importlib.util.spec_from_file_location(
@@ -1492,7 +1477,7 @@ def test_the_package_root_resolves_the_series_names_on_each_access():
     finally:
         tracer.uninstall()
     assert resolved() == originals
-    assert set(names).isdisjoint(vars(cuspidal))
+    assert {name: getattr(eisq, name) for name in names} == originals
 
 
 # Run before the entry's main: the process may use two CPUs, whatever the
@@ -1687,7 +1672,11 @@ def test_a_fork_that_fails_leaves_every_level_to_the_process(monkeypatch):
     assert cli.run_sweep(30, fork=True) == report
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 60, 161, 1000])
+# The small bounds, every `sweep` workload bound (121-125, 145-149, 157-161)
+# and the budget.
+@pytest.mark.parametrize(
+    "bound", [1, 2, 3, 60, *range(121, 126), *range(145, 150), *range(157, 162), 1000]
+)
 def test_the_deal_splits_the_levels_by_tau_load(bound):
     levels = range(1, bound + 1)
     shares = cli._deal(levels)

@@ -41,6 +41,26 @@ def test_no_module_imports_a_private_name(path):
     assert private == []
 
 
+def test_no_function_imports_a_module_of_the_package():
+    # Each module imports the package's modules it uses at its top.
+    nested = [
+        (path.stem, function.name)
+        for path in MODULES
+        for function in ast.walk(_tree(path))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("cuspidal"))
+        )
+        or (
+            isinstance(node, ast.Import)
+            and any(alias.name.startswith("cuspidal") for alias in node.names)
+        )
+    ]
+    assert nested == []
+
+
 def test_the_local_table_has_one_caller():
     callers = [
         (path.stem, function.name)
