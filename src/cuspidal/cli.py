@@ -57,6 +57,7 @@ import os
 import sys
 import time
 from collections import defaultdict
+from itertools import repeat
 from operator import mul
 from types import SimpleNamespace
 
@@ -146,22 +147,11 @@ def _emit(value, nl: str, out: list[str]) -> None:
             for v in value
         ]
         out.append("[" + inner + ("," + inner).join(items) + nl + "]")
-    elif isinstance(value, dict):
-        sep = "{" + inner
-        for key, x in sorted(value.items()):
-            out.append(sep + _quote(key) + ": ")
-            if isinstance(x, str):
-                out.append(_quote(x))
-            elif isinstance(x, (dict, list, tuple)):
-                _emit(x, inner, out)
-            else:
-                out.append(_scalar(x))
-            sep = "," + inner
-        out.append(nl + "}")
     else:
-        sep = "[" + inner
-        for x in value:
-            out.append(sep)
+        keyed = isinstance(value, dict)
+        sep, close = ("{" if keyed else "[") + inner, nl + ("}" if keyed else "]")
+        for key, x in sorted(value.items()) if keyed else zip(repeat(None), value):
+            out.append(sep if key is None else sep + _quote(key) + ": ")
             if isinstance(x, str):
                 out.append(_quote(x))
             elif isinstance(x, (dict, list, tuple)):
@@ -169,7 +159,7 @@ def _emit(value, nl: str, out: list[str]) -> None:
             else:
                 out.append(_scalar(x))
             sep = "," + inner
-        out.append(nl + "]")
+        out.append(close)
 
 
 def _quote(s: str) -> str:
@@ -515,8 +505,7 @@ def _sweep_level(n: int) -> tuple[int, int, list[str]]:
         residues = _residue_checks(datum, residue_table(datum), *residue_closed(datum), f)
         for key, label in _RESIDUE_LABELS.items():
             check(residues[key], label, datum)
-        eigen = eigen_check(datum, f, _SWEEP_QMAX)
-        check(eigen.passed, "eigenform checks of {}", datum)
+        check(not eigen_check(datum, f, _SWEEP_QMAX), "eigenform checks of {}", datum)
     return data, checks, failures
 
 

@@ -8,7 +8,8 @@ on the residues the datum's local divisor over q^0, ..., q^r times a scalar.
 Every rational is integers over one denominator: a series is held as 24
 times itself, integers at every index, and a residue table over rad(n).  The
 operators on a series are linear, so none of them sees the factor 24.
-Truncations carry their precision, and operators shrink it explicitly.
+A truncation's precision is its coefficient count less one, so an
+operator that shortens the coefficients shrinks it.
 Nothing here checks itself: the weighted residue sum and the closed values
 are checks of `cuspidal residues` and `sweep`.
 """
@@ -36,7 +37,6 @@ __all__ = [
     "build_qexp",
     "hecke_on_qexp",
     "eigen_check",
-    "EigenReport",
     "residue_table",
     "residue_closed",
 ]
@@ -47,15 +47,11 @@ class QExpansion(Record):
     held as coeffs[k] = 24 a_k: the series built here are integers that way,
     so the operators on them run in integer arithmetic."""
 
-    __slots__ = ("n", "prec", "coeffs")
+    __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, prec: int, coeffs: tuple[int, ...]) -> None:
-        if prec < 0 or len(coeffs) != prec + 1:  # spelled out, as in Cusp
-            raise ValueError("coefficient count must equal prec + 1")
-        set_n, set_prec, set_coeffs = self._setters
-        set_n(self, n)
-        set_prec(self, prec)
-        set_coeffs(self, coeffs)
+    @property
+    def prec(self) -> int:
+        return len(self.coeffs) - 1
 
 
 def _euler_step(coeffs: tuple[int, ...], q: int, k: int) -> tuple[int, ...]:
@@ -79,7 +75,7 @@ def base_epp(p: int, prec: int) -> QExpansion:
         if d % p:
             for k in range(d, prec + 1, d):
                 sigma[k] += d
-    return QExpansion(p, prec, (p - 1, *[24 * x for x in sigma[1:]]))
+    return QExpansion(p, (p - 1, *[24 * x for x in sigma[1:]]))
 
 
 def build_qexp(datum: EisensteinDatum, prec: int) -> QExpansion:
@@ -98,7 +94,7 @@ def build_qexp(datum: EisensteinDatum, prec: int) -> QExpansion:
     for q, k in steps:
         if (q, k) != (base, base):
             coeffs = _euler_step(coeffs, q, k)
-    return QExpansion(datum.n, prec, coeffs)
+    return QExpansion(datum.n, coeffs)
 
 
 def hecke_on_qexp(f: QExpansion, q: int) -> QExpansion:
@@ -106,54 +102,32 @@ def hecke_on_qexp(f: QExpansion, q: int) -> QExpansion:
     the level, b_k = a_{qk} on it.  Output precision is floor(prec / q)."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    prec = f.prec // q
-    coeffs = list(f.coeffs[: q * prec + 1 : q])
+    coeffs = list(f.coeffs[::q])
     if f.n % q:
         coeffs[::q] = [b + a * q for b, a in zip(coeffs[::q], f.coeffs)]
-    return QExpansion(f.n, prec, tuple(coeffs))
+    return QExpansion(f.n, tuple(coeffs))
 
 
-class EigenFact(Record):
-    """One Hecke eigenvalue test: the first coefficient index that fails, or None."""
-
-    __slots__ = ("prime", "on_level", "eigenvalue", "checked_prec", "first_bad")
-
-    @property
-    def ok(self) -> bool:
-        return self.first_bad is None
-
-
-class EigenReport(Record):
-    """The eigenvalue tests of one datum's series at one precision."""
-
-    __slots__ = ("datum", "prec", "checks")
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def eigen_check(datum: EisensteinDatum, f: QExpansion, qmax: int) -> EigenReport:
-    """Verify the eigenvalue pattern on the datum's series f: q+1 for primes
-    q off the level (q <= qmax), and the datum's eigenvalue at every prime of
-    the level, each to the precision that f.prec leaves after the operator.
-    f must have the datum's level, which picks T_q or U_q at each prime."""
+def eigen_check(datum: EisensteinDatum, f: QExpansion, qmax: int) -> dict[int, int]:
+    """The primes q at which the datum's series f fails its eigenvalue, each
+    with the first index k where (T_q f)_k or (U_q f)_k differs from the
+    eigenvalue times a_k; empty when f passes.  The eigenvalue is q+1 at the
+    primes q <= qmax off the level and the datum's at every prime of the
+    level, each checked to the precision that f.prec leaves after the
+    operator.  f must have the datum's level, which picks T_q or U_q."""
     if f.n != datum.n:
         raise ValueError(f"series of level {f.n} cannot check a datum of level {datum.n}")
     if f.prec < 2 * qmax:
         raise ValueError("need a series of precision >= 2 * qmax for a meaningful check")
-    off_level = [q for q in range(2, qmax + 1) if is_prime(q) and datum.n % q]
-    checks = [_eigen_fact(f, q, q + 1, on_level=False) for q in off_level]
-    for p in prime_divisors(datum.n):
-        checks.append(_eigen_fact(f, p, epsilon(datum, p), on_level=True))
-    return EigenReport(datum, f.prec, tuple(checks))
-
-
-def _eigen_fact(f: QExpansion, q: int, eigenvalue: int, on_level: bool) -> EigenFact:
-    g = hecke_on_qexp(f, q)
-    pairs = enumerate(zip(g.coeffs, f.coeffs))
-    bad = next((k for k, (b, a) in pairs if b != a * eigenvalue), None)
-    return EigenFact(q, on_level, eigenvalue, g.prec, bad)
+    off_level = [(q, q + 1) for q in range(2, qmax + 1) if is_prime(q) and datum.n % q]
+    on_level = [(p, epsilon(datum, p)) for p in prime_divisors(datum.n)]
+    bad = {}
+    for q, eigenvalue in off_level + on_level:
+        pairs = enumerate(zip(hecke_on_qexp(f, q).coeffs, f.coeffs))
+        first = next((k for k, (b, a) in pairs if b != a * eigenvalue), None)
+        if first is not None:
+            bad[q] = first
+    return bad
 
 
 class ResidueTable(Record):

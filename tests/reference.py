@@ -228,7 +228,7 @@ def level_map(kind: str, f: QExpansion, p: int) -> QExpansion:
     minus to f(z) - f(pz), plain leaves the expansion unchanged."""
     k = {"plus": p, "minus": 1, "plain": 0}[kind]
     coeffs = tuple(a - k * f.coeffs[j // p] if j % p == 0 else a for j, a in enumerate(f.coeffs))
-    return QExpansion(f.n * p, f.prec, coeffs)
+    return QExpansion(f.n * p, coeffs)
 
 
 def fraction_qexp(f: QExpansion) -> tuple[Fraction, ...]:

@@ -430,7 +430,7 @@ def test_sweep_reads_the_normalization_off_the_checked_series(capsys, monkeypatc
 
     def shifted(datum, prec):
         f = real(datum, prec)
-        return eisq.QExpansion(f.n, f.prec, (f.coeffs[0] + 24, *f.coeffs[1:]))  # a_0 + 1
+        return eisq.QExpansion(f.n, (f.coeffs[0] + 24, *f.coeffs[1:]))  # a_0 + 1
 
     monkeypatch.setattr(cli, "build_qexp", shifted)
     code, out, _ = _run(capsys, "sweep", "--max-N", "12", "--format", "json")
@@ -842,6 +842,22 @@ def test_a_level_of_many_divisors_is_refused_at_once(argv, counted, budget):
     assert run.stderr == f"cuspidal: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "level, budget, past",
+    [
+        (19399380, cli._LAMBDA_BUDGET, 23),  # 2^2*3*5*...*19: tau = 384
+        (math.prod(primes_upto(41)), cli._CLASSIFY_BUDGET, 43),  # tau = 8192
+        (math.prod(primes_upto(53)), cli._WHOLE_LEVEL_BUDGET, 59),  # tau = 65536
+    ],
+)
+def test_a_level_at_its_tau_budget_is_served_and_one_prime_more_is_refused(level, budget, past):
+    assert math.prod(e + 1 for _, e in arith.factor(level)) == budget
+    cli._check_tau(level, budget)
+    message = f"level {level * past} has {2 * budget} divisors, above the budget {budget}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cli._check_tau(level * past, budget)
+
+
 def test_order_by_the_closed_form_alone_has_no_tau_budget(capsys):
     argv = ("order", str(_P79), "--M", "2", "--method", "closed", "--format", "json")
     code, out, _ = _run(capsys, *argv)
@@ -923,7 +939,7 @@ def test_sweep_rejects_a_bound_below_one(capsys, bound):
         cli.run_sweep(int(bound))
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
+def test_only_a_malformed_request_builds_the_parser(capsys, monkeypatch):
     # A well-formed request is read from the option table and builds no
     # parser; each malformed one builds it once.
     built = []
@@ -1451,7 +1467,7 @@ def test_a_nonzero_degree_is_named_without_fractions():
     assert (run.returncode, run.stderr) == (0, "divisor has degree 1, expected 0\n[]\n")
 
 
-def test_the_package_root_resolves_the_series_names_on_each_access():
+def test_the_tracer_wraps_and_restores_the_series_names_at_the_package_root():
     # The tracer wraps the series names at the package root as in `eisq`, and
     # its uninstall leaves the originals in both.
     import cuspidal

@@ -202,10 +202,11 @@ def test_fiber_degree_sums(n, p):
     _fiber_sums(n, p)
 
 
-@settings(max_examples=40)
-@given(st.integers(min_value=1, max_value=100), st.sampled_from([2, 3, 5]))
-def test_fiber_degree_sums_random(n, p):
-    if n * p <= 400:
+def test_fiber_degree_sums_on_the_whole_table():
+    # Every pair that `sweep`'s fiber family can reach: p <= 7 and n p <= 400.
+    pairs = [(n, p) for p in (2, 3, 5, 7) for n in range(1, 400 // p + 1)]
+    assert len(pairs) == 470
+    for n, p in pairs:
         _fiber_sums(n, p)
 
 

@@ -16,7 +16,7 @@ from cuspidal.eisq import (
     residue_closed,
     residue_table,
 )
-from cuspidal.heckediv import EisensteinDatum
+from cuspidal.heckediv import EisensteinDatum, epsilon
 from reference import fraction_qexp, fraction_residue_closed, fraction_residues, level_map
 
 
@@ -75,7 +75,7 @@ def test_hecke_annihilates_square_level_series():
 
 
 def test_hecke_constant_term_off_level():
-    f = QExpansion(5, 4, (7, 0, 0, 0, 0))
+    f = QExpansion(5, (7, 0, 0, 0, 0))
     g = hecke_on_qexp(f, 3)
     assert g.coeffs[0] == (3 + 1) * 7
 
@@ -106,24 +106,40 @@ def _eigen_check(datum, prec, qmax):
 
 
 def test_eigen_check_examples():
-    assert _eigen_check(EisensteinDatum(11, 11, 1), 60, 13).passed
-    report = _eigen_check(EisensteinDatum(9, 1, 1), 60, 13)
-    assert report.passed
-    (u3,) = [c for c in report.checks if c.on_level]
-    assert u3.eigenvalue == 0
-    report45 = _eigen_check(EisensteinDatum(45, 3, 3), 60, 13)
-    assert report45.passed
-    assert report45.prec == 60
-    (u5,) = [c for c in report45.checks if c.on_level and c.prime == 5]
-    assert u5.eigenvalue == 5
+    assert _eigen_check(EisensteinDatum(11, 11, 1), 60, 13) == {}
+    assert _eigen_check(EisensteinDatum(9, 1, 1), 60, 13) == {}
+    assert _eigen_check(EisensteinDatum(45, 3, 3), 60, 13) == {}
+    # a level-prime eigenvalue that check holds: U_5 = 5 at 45 (U_3 = 0 at 9 is
+    # test_hecke_annihilates_square_level_series)
+    f = build_qexp(EisensteinDatum(45, 3, 3), 60)
+    assert hecke_on_qexp(f, 5).coeffs == tuple(5 * a for a in f.coeffs[:13])
     with pytest.raises(ValueError):
         _eigen_check(EisensteinDatum(11, 11, 1), 10, 13)
+
+
+def test_eigen_check_names_each_refuted_prime_with_its_first_bad_index():
+    datum = EisensteinDatum(11, 11, 1)
+    f = build_qexp(datum, 60)
+    assert eigen_check(datum, f, 13) == {}
+    g = QExpansion(11, (*f.coeffs[:6], f.coeffs[6] + 24, *f.coeffs[7:]))  # a_6 + 1
+    # a_6 enters (T_2 g)_3 and (T_3 g)_2, and the eigenvalue side (q+1) a_6
+    # at k = 6 for T_5 and T_7; T_13 and U_11 stop at k = 4 and 5.
+    assert eigen_check(datum, g, 13) == {2: 3, 3: 2, 5: 6, 7: 6}
+    # One datum's series against another datum of its level fails U_p
+    # exactly where their eigenvalues at p differ, and nowhere else.
+    assert eigen_check(EisensteinDatum(6, 6), build_qexp(EisensteinDatum(6, 2), 60), 13) == {3: 1}
+    data = list(_valid_data(45))
+    for a in data:
+        f = build_qexp(a, 60)
+        for b in data:
+            differ = {p for p in (3, 5) if epsilon(a, p) != epsilon(b, p)}
+            assert set(eigen_check(b, f, 13)) == differ, (a, b)
 
 
 def test_eigen_check_sweep_small():
     for n in range(2, 40):
         for datum in _valid_data(n):
-            assert _eigen_check(datum, 30, 7).passed, datum
+            assert _eigen_check(datum, 30, 7) == {}, datum
 
 
 @pytest.mark.parametrize("prec", [0, 4, 25])
@@ -201,7 +217,7 @@ def test_residue_invariants_sweep():
 )
 def test_level_maps_are_linear(p, k, prec):
     f = base_epp(p, prec)
-    kf = QExpansion(f.n, f.prec, tuple(k * a for a in f.coeffs))
+    kf = QExpansion(f.n, tuple(k * a for a in f.coeffs))
     for kind in ("plus", "minus", "plain"):
         g = level_map(kind, f, 2)
         h = level_map(kind, kf, 2)
@@ -229,7 +245,7 @@ def _fraction_base_epp(p, prec):
         if d % p:
             for k in range(d, prec + 1, d):
                 sigma[k] += d
-    return QExpansion(p, prec, (Fraction(p - 1, 24), *map(Fraction, sigma[1:])))
+    return QExpansion(p, (Fraction(p - 1, 24), *map(Fraction, sigma[1:])))
 
 
 def _fraction_hecke_on_qexp(f, q):
@@ -244,7 +260,7 @@ def _fraction_hecke_on_qexp(f, q):
             f.coeffs[q * k] + q * (f.coeffs[k // q] if k % q == 0 else Fraction(0))
             for k in range(prec + 1)
         )
-    return QExpansion(f.n, prec, coeffs)
+    return QExpansion(f.n, coeffs)
 
 
 def _integral(f):

@@ -63,7 +63,7 @@ def _split_build_qexp(datum, prec):
             coeffs = tuple(a - q * b for a, b in zip(coeffs, dil))
         else:
             coeffs = tuple(a - b for a, b in zip(coeffs, dil))
-    return QExpansion(n, prec, coeffs)
+    return QExpansion(n, coeffs)
 
 
 def _split_residue_table(datum):

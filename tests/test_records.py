@@ -2,7 +2,8 @@
 
 The oracles below are the dataclass definitions the package used before its
 records moved onto arith.Record: their fields, their validation and Cusp's
-own repr.  Methods that do not touch record semantics are left out.  Every
+own repr.  Methods that do not touch record semantics are left out; the one
+exception is QExpansion's `prec`, read off the coefficients on both sides.  Every
 record must match its oracle on equality, hash and repr bytes, never equal a
 plain tuple, refuse assignment, and raise the same validation errors.
 """
@@ -63,28 +64,11 @@ class EisensteinDatum:
 @dataclass(frozen=True)
 class QExpansion:
     n: int
-    prec: int
     coeffs: tuple
 
-    def __post_init__(self) -> None:
-        if self.prec < 0 or len(self.coeffs) != self.prec + 1:
-            raise ValueError("coefficient count must equal prec + 1")
-
-
-@dataclass(frozen=True)
-class EigenFact:
-    prime: int
-    on_level: bool
-    eigenvalue: int
-    checked_prec: int
-    first_bad: object
-
-
-@dataclass(frozen=True)
-class EigenReport:
-    datum: object
-    prec: int
-    checks: tuple
+    @property
+    def prec(self) -> int:
+        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -107,8 +91,7 @@ class EisensteinPrime:
 FREE = [
     (Cusp, cusps.Cusp),
     (RationalCuspDivisor, cusps.RationalCuspDivisor),
-    (EigenFact, eisq.EigenFact),
-    (EigenReport, eisq.EigenReport),
+    (QExpansion, eisq.QExpansion),
     (ResidueTable, eisq.ResidueTable),
     (EisensteinPrime, classifier.EisensteinPrime),
 ]
@@ -188,11 +171,12 @@ def test_eisenstein_datum_matches_its_dataclass(n, m, d):
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=50),
-    prec=st.integers(min_value=-2, max_value=6),
     coeffs=st.lists(st.one_of(st.integers(), st.fractions(max_denominator=24)), max_size=8),
 )
-def test_qexpansion_matches_its_dataclass(n, prec, coeffs):
-    _both(QExpansion, eisq.QExpansion, n, prec, tuple(coeffs))
+def test_qexpansion_matches_its_dataclass(n, coeffs):
+    # The precision is read off the coefficients, so no field can disagree.
+    old, new = _both(QExpansion, eisq.QExpansion, n, tuple(coeffs))
+    assert new.prec == old.prec == len(coeffs) - 1
 
 
 def test_validation_texts():
@@ -204,8 +188,6 @@ def test_validation_texts():
         heckediv.EisensteinDatum(12, 5)
     with pytest.raises(ValueError, match="^degenerate datum: M = 1 and D is the whole"):
         heckediv.EisensteinDatum(4, 1, 2)
-    with pytest.raises(ValueError, match="^coefficient count must equal prec \\+ 1$"):
-        eisq.QExpansion(5, 2, (1, 2))
 
 
 def test_records_of_different_classes_never_meet():
@@ -229,7 +211,7 @@ def test_wrong_field_count_is_a_type_error():
         cusps.Cusp(60, 6, 5),
         heckediv.EisensteinDatum(60, 3, 2),
         cusps.RationalCuspDivisor(6, ((1, 1), (6, -1))),
-        eisq.QExpansion(11, 1, (10, 24)),
+        eisq.QExpansion(11, (10, 24)),
     ],
 )
 def test_records_copy_and_pickle(record):
