@@ -1,9 +1,9 @@
 """Command-line front end: exact reports as text or canonical JSON.
 
-Exit codes: 0 success, 1 invalid input, 2 internal consistency failure.
-Rationals serialize as {"num": "...", "den": "..."} decimal strings and
-divisor-indexed vectors as [{"d": ..., "c": ...}] in ascending divisor
-order, so identical inputs always produce byte-identical output.
+Exit codes: 0 success, 1 invalid input, 2 a failed consistency check, with
+the report if it holds the check.  Rationals as {"num": "...", "den": "..."}
+decimal strings and divisor-indexed vectors as [{"d": ..., "c": ...}] in
+ascending divisor order make identical inputs give identical bytes.
 
 The JSON report is exactly the bytes of json.dumps(report, sort_keys=True,
 indent=2): keys sorted, two-space indent, "," and ": " separators, non-ASCII
@@ -61,7 +61,7 @@ from itertools import repeat
 from operator import mul
 from types import SimpleNamespace
 
-from .arith import divisors_of, factor, is_prime, prime_divisors, primes_upto
+from .arith import divisors_of, factor, prime_divisors, primes_upto
 from .classifier import enumerate_data, index_n, rational_eisenstein_primes
 from .classlattice import (
     apply_lambda_inverse,
@@ -152,9 +152,7 @@ def _emit(value, nl: str, out: list[str]) -> None:
         sep, close = ("{" if keyed else "[") + inner, nl + ("}" if keyed else "]")
         for key, x in sorted(value.items()) if keyed else zip(repeat(None), value):
             out.append(sep if key is None else sep + _quote(key) + ": ")
-            if isinstance(x, str):
-                out.append(_quote(x))
-            elif isinstance(x, (dict, list, tuple)):
+            if isinstance(x, (dict, list, tuple)):
                 _emit(x, inner, out)
             else:
                 out.append(_scalar(x))
@@ -292,11 +290,9 @@ def cmd_lambda(args) -> tuple[dict, int]:
 def cmd_cdivisor(args) -> tuple[dict, int]:
     _check_tau(args.N, _WHOLE_LEVEL_BUDGET)
     div = build_c_divisor(_datum(args))
-    outputs = {
-        "coefficients": _vec(div.coeffs),
-        "degree": div.degree(),
-    }
-    return {"outputs": outputs, "consistency": {"degree_zero": div.degree() == 0}}, 0
+    outputs = {"coefficients": _vec(div.coeffs), "degree": div.degree()}
+    code = 0 if outputs["degree"] == 0 else 2
+    return {"outputs": outputs, "consistency": {"degree_zero": code == 0}}, code
 
 
 def cmd_order(args) -> tuple[dict, int]:
@@ -306,7 +302,10 @@ def cmd_order(args) -> tuple[dict, int]:
     engine = closed = None
     if args.method in ("lattice", "both"):
         _check_tau(datum.n, _WHOLE_LEVEL_BUDGET)
-        engine = outputs["engine"] = class_order(datum.n, build_c_divisor(datum))
+        div = build_c_divisor(datum)
+        if div.degree():
+            raise ConsistencyError(f"divisor built for {datum} has degree {div.degree()}")
+        engine = outputs["engine"] = class_order(datum.n, div)
     if args.method in ("closed", "both"):
         closed = outputs["closed"] = closed_form_order(datum)
     order = outputs["order"] = index_n(datum)
@@ -317,14 +316,14 @@ def cmd_order(args) -> tuple[dict, int]:
 
 
 def _residue_checks(datum: EisensteinDatum, table, at_inf, at_ml, f) -> dict[str, bool]:
-    """The four residue invariants of a datum's table against its closed
-    values at infinity and at level ML and against the constant term of its
-    series f (at any precision), keyed as `residues` reports them.  The
-    residues are numerators over table.den and f is 24 times the series, so
-    residue at infinity = -24 a_0 reads res[n] == -coeffs[0] den."""
+    """The four residue invariants of a datum's table, keyed as `residues`
+    reports them: the sum over the cusps, the degree of sum_d res_d (P_d),
+    is 0; the closed values at infinity and at level ML match; and against
+    f, 24 times the series at any precision, residue at infinity = -24 a_0
+    reads res[n] == -coeffs[0] den (the residues are over table.den)."""
     res = dict(table.res)
     return {
-        "weighted_sum_zero": table.weighted_sum() == 0,
+        "weighted_sum_zero": RationalCuspDivisor(table.n, table.res).degree() == 0,
         "closed_matches_infinity": res[datum.n] == at_inf,
         "closed_matches_level_ml": res[datum.m * datum.l_part] == at_ml,
         "normalization_link": res[datum.n] == -f.coeffs[0] * table.den,
@@ -360,8 +359,6 @@ def cmd_qexp(args) -> tuple[dict, int]:
 
 
 def cmd_hecke(args) -> tuple[dict, int]:
-    if not is_prime(args.p):
-        raise ValueError(f"{args.p} is not prime")
     div = _parse_divisor(args.N, args.divisor)
     image = hecke_delta(div, args.p)
     outputs = {

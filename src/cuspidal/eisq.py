@@ -10,8 +10,8 @@ times itself, integers at every index, and a residue table over rad(n).  The
 operators on a series are linear, so none of them sees the factor 24.
 A truncation's precision is its coefficient count less one, so an
 operator that shortens the coefficients shrinks it.
-Nothing here checks itself: the weighted residue sum and the closed values
-are checks of `cuspidal residues` and `sweep`.
+Nothing here checks itself: the residues' sum over the cusps, the degree of
+their divisor, and the closed values are checks of `residues` and `sweep`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from .arith import (
     Record,
     divisors_of,
-    euler_phi,
     factor,
     is_prime,
     omega,
@@ -135,11 +134,6 @@ class ResidueTable(Record):
     per level, each residue the numerator over den = rad(n)."""
 
     __slots__ = ("n", "den", "res")
-
-    def weighted_sum(self) -> int:
-        """den times the sum of the residues over every cusp of X0(n)."""
-        n = self.n
-        return sum(euler_phi(math.gcd(d, n // d)) * a for d, a in self.res if a)
 
 
 def residue_table(datum: EisensteinDatum) -> ResidueTable:

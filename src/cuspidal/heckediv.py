@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .arith import Record, factor, is_prime, parts, valuation
-from .cusps import ConsistencyError, RationalCuspDivisor, alpha_pullback, beta_pushforward
+from .cusps import RationalCuspDivisor, alpha_pullback, beta_pushforward
 
 __all__ = [
     "EisensteinDatum",
@@ -111,13 +111,10 @@ def _local(q: int, r: int, eps: int) -> tuple[list[int], list[int], int]:
 
 
 def build_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:
-    """The degree-0 divisor attached to a datum: the tensor product of the
-    local divisors at each q^r || n, chosen by epsilon(datum, q)."""
+    """The datum's divisor, the tensor product of the local divisors at each
+    q^r || n chosen by epsilon(datum, q); its readers check its degree 0."""
     table, _ = over_primes(datum, 0)
-    div = RationalCuspDivisor(datum.n, tuple(sorted(filter(itemgetter(1), table.items()))))
-    if div.degree() != 0:
-        raise ConsistencyError(f"divisor built for {datum} has degree {div.degree()}")
-    return div
+    return RationalCuspDivisor(datum.n, tuple(sorted(filter(itemgetter(1), table.items()))))
 
 
 def hecke_delta(div: RationalCuspDivisor, p: int) -> RationalCuspDivisor:

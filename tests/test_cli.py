@@ -516,6 +516,68 @@ def _patch_local_table(monkeypatch, patched) -> None:
     monkeypatch.setattr(heckediv, "_local", patched)
 
 
+def _break_local_divisor(monkeypatch) -> None:
+    """Raise the entry at q^0 of every local divisor by one, so that every
+    datum's divisor has a nonzero degree."""
+    real = heckediv._local
+
+    def patched(*args):
+        c, entries, scale = real(*args)
+        return [c[0] + 1, *c[1:]], entries, scale
+
+    _patch_local_table(monkeypatch, patched)
+
+
+def test_cdivisor_prints_a_nonzero_degree_and_exits_two(capsys, monkeypatch):
+    _break_local_divisor(monkeypatch)
+    code, out, err = _run(capsys, "cdivisor", "11", "--M", "11", "--format", "json")
+    assert (code, err) == (2, "")
+    parsed = json.loads(out)
+    assert parsed["outputs"]["degree"] == 1
+    assert parsed["consistency"] == {"degree_zero": False}
+
+
+@pytest.mark.parametrize("method", ["lattice", "both"])
+def test_order_refuses_a_nonzero_degree_before_the_engine(capsys, monkeypatch, method):
+    _break_local_divisor(monkeypatch)
+
+    def engine(n, div):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(cli, "class_order", engine)
+    assert _run(capsys, "order", "11", "--M", "11", "--method", method) == (
+        2,
+        "",
+        "cuspidal: consistency failure: divisor built for "
+        "EisensteinDatum(n=11, m=11, d_part=1) has degree 1\n",
+    )
+
+
+def test_sweep_lists_divisors_of_nonzero_degree_under_their_families(monkeypatch):
+    # No check aborts the sweep: each family that reads the divisor reports
+    # it, and the sweep runs as many checks as on the sound table.
+    clean, _ = cli.run_sweep(12)
+    _break_local_divisor(monkeypatch)
+    report, ok = cli.run_sweep(12)
+    assert not ok
+    assert report["checks"] == clean["checks"] == 547
+    data = [datum for n in range(1, 13) for datum in enumerate_data(n)]
+    failures = report["failures"]
+
+    def family(prefix: str) -> list[str]:
+        return [label for label in failures if label.startswith(prefix)]
+
+    assert family("residue sum of ") == [f"residue sum of {datum}" for datum in data]
+    closed = [datum for datum in data if classlattice.closed_form_order(datum) is not None]
+    assert family("order of ") == [f"order of {datum}" for datum in closed]
+    assert family("exponent vector of ") == [
+        f"exponent vector of {datum}" for datum in data if math.gcd(datum.m, datum.d_part) == 1
+    ]
+    assert len(family("divisor eigenvalue of ")) == 26
+    assert len(family("residue at level ML of ")) == 7
+    assert len(failures) == 93
+
+
 def _sweep_with_broken_local_exponents(capsys, monkeypatch, broken) -> list[str]:
     real = heckediv._local
 
@@ -702,6 +764,11 @@ _BIG_SQUARE = (10**9 + 7) ** 2
         (
             ("cusps", str(2**91)),
             f"level {2**91} has 70368744177664 cusps, above the budget 100000",
+        ),
+        # `hecke_delta` tests the prime, after the divisor is read.
+        (
+            ("hecke", "12", "--p", "4", "--divisor", "1:x"),
+            "--divisor term '1:x' is not level:coefficient",
         ),
     ],
 )
@@ -1447,7 +1514,7 @@ def test_importing_the_command_line_loads_neither_fractions_nor_decimal():
         (("sweep", "--max-N", "12"), "8ec79aac3367a3373ea701946a68c30bac2f74fd3e571d8ff51a7b38a0ec8378"),
     ],
 )
-def test_an_integer_request_loads_neither_fractions_nor_eisq(argv, sha256):
+def test_no_request_loads_fractions(argv, sha256):
     # No request builds a Fraction or a Decimal: `lambda` writes its integer
     # rows over their denominators, the series is integers over 24 and the
     # residues over rad(N).
