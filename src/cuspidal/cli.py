@@ -76,8 +76,6 @@ from .classlattice import (
 from .cusps import (
     ConsistencyError,
     RationalCuspDivisor,
-    alpha_ram,
-    beta_ram,
     covering_degree,
     cusp_count,
     enumerate_cusps,
@@ -456,9 +454,9 @@ def _sweep_level(n: int) -> tuple[int, int, list[str]]:
         deg = covering_degree(n, p)
         afibers, bfibers = defaultdict(int), defaultdict(int)
         for c in enumerate_cusps(n * p):
-            a, b = alpha_image(c, p), beta_image(c, p)
-            afibers[a.d, a.x] += alpha_ram(c, p)
-            bfibers[b.d, b.x] += beta_ram(c, p)
+            (a, ea), (b, eb) = alpha_image(c, p), beta_image(c, p)
+            afibers[a.d, a.x] += ea
+            bfibers[b.d, b.x] += eb
         for c in cusps:
             check(afibers.get((c.d, c.x)) == deg, "alpha fiber degree at N={}, p={}", n, p)
             check(bfibers.get((c.d, c.x)) == deg, "beta fiber degree at N={}, p={}", n, p)

@@ -5,6 +5,8 @@ modulo y = gcd(d, N/d).  The canonical representative is the smallest
 positive integer in its class coprime to d.  A reduced fraction a/c is the
 cusp (a*c/d : d) with d = gcd(c, N), so both coverings act on the pair in
 closed form: z -> z by the level gcd(d, N), z -> p*z through the fraction p*x/d.
+Each map returns the image with its ramification index, read off the valuation
+at p of the level d.
 
 Cuspidal divisors are the Galois-stable level-indexed sums a_d * (P_d)
 (RationalCuspDivisor), where (P_d) collects every cusp of level d.  On them
@@ -29,8 +31,6 @@ __all__ = [
     "normalize_fraction",
     "alpha_image",
     "beta_image",
-    "alpha_ram",
-    "beta_ram",
     "covering_degree",
     "alpha_pullback",
     "beta_pushforward",
@@ -171,31 +171,22 @@ def _require_covering(c: Cusp, p: int) -> int:
     return c.n // p
 
 
-def alpha_image(c: Cusp, p: int) -> Cusp:
-    """Image of a cusp (x : d) of X0(Np) on X0(N) under z -> z: (x : gcd(d, N))."""
+def alpha_image(c: Cusp, p: int) -> tuple[Cusp, int]:
+    """Image (x : gcd(d, N)) of a cusp (x : d) of X0(Np) on X0(N) under z -> z,
+    and its ramification index there: p iff p^(2i) | N, i = val_p(d)."""
     n = _require_covering(c, p)
-    return make_cusp(n, math.gcd(c.d, n), c.x)
+    e = p if n % p ** (2 * valuation(c.d, p)) == 0 else 1
+    return make_cusp(n, math.gcd(c.d, n), c.x), e
 
 
-def beta_image(c: Cusp, p: int) -> Cusp:
-    """Image under z -> p*z: the fraction p*x/d in lowest terms, normalized."""
+def beta_image(c: Cusp, p: int) -> tuple[Cusp, int]:
+    """Image under z -> p*z, the fraction p*x/d in lowest terms normalized, and
+    its ramification index: p iff i = val_p(d) >= 1 and p^(2i-1) does not divide N."""
     n = _require_covering(c, p)
     if c.d % p:
-        return normalize_fraction(p * c.x, c.d, n)
-    return normalize_fraction(c.x, c.d // p, n)
-
-
-def alpha_ram(c: Cusp, p: int) -> int:
-    """Ramification index of z -> z at a cusp of level p^i d: p iff p^(2i) | N."""
-    n = _require_covering(c, p)
-    return p if n % p ** (2 * valuation(c.d, p)) == 0 else 1
-
-
-def beta_ram(c: Cusp, p: int) -> int:
-    """Ramification of z -> p*z at level p^i d: p iff i >= 1 and p^(2i-1) does not divide N."""
-    n = _require_covering(c, p)
+        return normalize_fraction(p * c.x, c.d, n), 1
     i = valuation(c.d, p)
-    return p if i and n % p ** (2 * i - 1) else 1
+    return normalize_fraction(c.x, c.d // p, n), p if n % p ** (2 * i - 1) else 1
 
 
 def covering_degree(n: int, p: int) -> int:

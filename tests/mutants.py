@@ -63,6 +63,7 @@ MUTANTS = [
         "found[key] = nd, max(idx, found.get(key, (nd, 0))[1])",
         "found[key] = nd, idx",
         [
+            "tests/test_classifier.py::test_each_index_is_the_largest_over_the_ideals_presentations",
             CLI + "test_classifying_every_level_to_1000_keeps_its_bytes",
             BENCH + "test_classify_smooth_pool_bytes",
         ],
@@ -161,10 +162,22 @@ MUTANTS = [
     ),
     (
         "cusps",
-        "    return p if i and n % p ** (2 * i - 1) else 1",
-        "    return p if i and n % p ** (2 * i) else 1",
+        "p if n % p ** (2 * i - 1) else 1",
+        "p if n % p ** (2 * i) else 1",
         [CLI + "test_sweep_small", BENCH + "test_sweep_pool_bytes"],
         "the ramification of z -> pz is read one step too far up the chain",
+    ),
+    (
+        "cusps",
+        "p ** (2 * valuation(c.d, p))",
+        "p ** (2 * valuation(c.d, p) + 1)",
+        [
+            "tests/test_cusps.py::test_ramification_split_level",
+            "tests/test_cusps.py::test_fiber_degree_sums",
+            "tests/test_cusps.py::test_closed_cusp_maps_match_the_valuation_oracles",
+            CLI + "test_sweep_small",
+        ],
+        "the ramification of z -> z is read one step too far up the chain",
     ),
     (
         "eisq",

@@ -45,9 +45,7 @@ from cuspidal.cusps import (
     RationalCuspDivisor,
     alpha_image,
     alpha_pullback,
-    alpha_ram,
     beta_image,
-    beta_ram,
     enumerate_cusps,
     make_cusp,
     normalize_fraction,
@@ -57,7 +55,7 @@ from cuspidal.heckediv import EisensteinDatum, build_c_divisor, local_tables
 
 enumerate_cusps = functools.cache(enumerate_cusps)
 
-MAPS = {"alpha": (alpha_image, alpha_ram), "beta": (beta_image, beta_ram)}
+MAPS = {"alpha": alpha_image, "beta": beta_image}
 
 
 def numerator_of(r) -> int:
@@ -94,21 +92,20 @@ def aggregate(n: int, div: dict) -> RationalCuspDivisor:
 def pullback(kind: str, div: dict, n: int, p: int) -> dict:
     """Pullback of a cusp divisor of X0(n) to X0(np): each cusp of X0(np)
     takes the coefficient of its image, times its ramification index."""
-    image, ram = MAPS[kind]
     out = {}
     for c in enumerate_cusps(n * p):
-        v = div.get(image(c, p), 0)
+        img, e = MAPS[kind](c, p)
+        v = div.get(img, 0)
         if v:
-            out[c] = v * ram(c, p)
+            out[c] = v * e
     return out
 
 
 def pushforward(kind: str, div: dict, p: int) -> dict:
     """Pushforward of a cusp divisor of X0(np) to X0(n), cusp by cusp."""
-    image, _ = MAPS[kind]
     out: dict = {}
     for c, v in div.items():
-        img = image(c, p)
+        img, _ = MAPS[kind](c, p)
         out[img] = out.get(img, 0) + v
     return out
 
@@ -133,40 +130,28 @@ def _covered_level(c, p: int) -> int:
 
 
 def _valuation_alpha_image(c, p: int):
-    """z -> z: the level p^i d0 goes to p^min(i, r) d0 on X0(N), r = val_p(N)."""
+    """z -> z: the level p^i d0 goes to p^min(i, r) d0 on X0(N), r = val_p(N),
+    ramified iff 2i <= r."""
     n = _covered_level(c, p)
     r = valuation(n, p)
     i = valuation(c.d, p)
     d0 = c.d // p**i
-    return make_cusp(n, p ** min(i, r) * d0, c.x)
+    return make_cusp(n, p ** min(i, r) * d0, c.x), p if 2 * i <= r else 1
 
 
 def _valuation_beta_image(c, p: int):
-    """z -> p*z: the fraction p*x/(p^i d0) reduced, then normalized."""
+    """z -> p*z: the fraction p*x/(p^i d0) reduced, then normalized, ramified
+    iff 2i >= r + 2."""
     n = _covered_level(c, p)
     i = valuation(c.d, p)
     d0 = c.d // p**i
+    e = p if 2 * i >= valuation(n, p) + 2 else 1
     if i >= 1:
-        return normalize_fraction(c.x, p ** (i - 1) * d0, n)
-    return normalize_fraction(p * c.x, d0, n)
+        return normalize_fraction(c.x, p ** (i - 1) * d0, n), e
+    return normalize_fraction(p * c.x, d0, n), e
 
 
-def _valuation_alpha_ram(c, p: int) -> int:
-    n = _covered_level(c, p)
-    return p if 2 * valuation(c.d, p) <= valuation(n, p) else 1
-
-
-def _valuation_beta_ram(c, p: int) -> int:
-    n = _covered_level(c, p)
-    return p if 2 * valuation(c.d, p) >= valuation(n, p) + 2 else 1
-
-
-VALUATION_MAPS = {
-    alpha_image: _valuation_alpha_image,
-    beta_image: _valuation_beta_image,
-    alpha_ram: _valuation_alpha_ram,
-    beta_ram: _valuation_beta_ram,
-}
+VALUATION_MAPS = {alpha_image: _valuation_alpha_image, beta_image: _valuation_beta_image}
 
 
 def recursive_c_divisor(datum: EisensteinDatum) -> RationalCuspDivisor:

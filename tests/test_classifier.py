@@ -112,6 +112,32 @@ def test_normalized_data_stay_among_the_level_data():
                 assert normalize_datum(datum, ell) in data, (datum, ell)
 
 
+def test_each_index_is_the_largest_over_the_ideals_presentations():
+    # The presentations of an emitted ideal are the data whose order ell
+    # divides and that normalize to the emitted datum.  The index is the
+    # emitted datum's order when ell divides it, else the largest order over
+    # the presentations: at N = 21, ell = 2 those are M = 3 (order 4) and
+    # M = 7 (order 2), and the index is 4.
+    emitted = decided = 0
+    for n in range(1, 1001):
+        orders = {datum: index_n(datum) for datum in enumerate_data(n)}
+        for entry in rational_eisenstein_primes(n):
+            ell, nd = entry.ell, entry.datum
+            own = orders[nd]
+            if own % ell == 0:
+                assert entry.index_n == own, (n, ell, nd)
+            else:
+                shown = [
+                    order
+                    for datum, order in orders.items()
+                    if order % ell == 0 and normalize_datum(datum, ell) == nd
+                ]
+                assert entry.index_n == max(shown), (n, ell, nd, shown)
+                decided += len(set(shown)) > 1
+            emitted += 1
+    assert (emitted, decided) == (6676, 541)
+
+
 def test_hypothesis_flags():
     # odd ell fails exactly when ell^2 divides N
     primes = rational_eisenstein_primes(125)

@@ -1113,6 +1113,11 @@ _GOLDEN = [
         ("residues", "7420738134810", "--M", "2"),  # 2*3*...*37: tau = 4096, 438 KB
         "a7d2b6f98af6096edaf3cd3c1a3d5b9065f24d3dcf30c23b9cbcbab8f4605951",
     ),
+    (
+        # The first bound whose fiber family covers every (n, p) with p <= 7, n p <= 400.
+        ("sweep", "--max-N", "200"),
+        "4c55ecfe2f0044c80f94f02fa2a32c8b2f61b29d7b5e6114a00475b3c2cc750e",
+    ),
 ]
 
 
