@@ -58,13 +58,11 @@ import sys
 import time
 from collections import defaultdict
 from itertools import repeat
-from operator import mul
 from types import SimpleNamespace
 
 from .arith import divisors_of, factor, prime_divisors, primes_upto
 from .classifier import enumerate_data, index_n, rational_eisenstein_primes
 from .classlattice import (
-    apply_lambda_inverse,
     class_order,
     closed_form_order,
     lambda_inverse,
@@ -392,18 +390,6 @@ def cmd_sweep(args, fork: bool = False) -> tuple[dict, int]:
     return {"outputs": report, "consistency": {"all_invariants_hold": ok}}, 0 if ok else 2
 
 
-def _inverts_columns(n: int, rows, scale) -> bool:
-    """Whether the engine sends every column of Lambda(n) = diag(scale)^{-1}
-    rows to its unit vector; column j is read over lcm(scale)."""
-    den = math.lcm(*scale)
-    lifts = [den // s for s in scale]
-    for j, column in enumerate(zip(*rows)):
-        u, out = apply_lambda_inverse(n, list(map(mul, column, lifts)), den)
-        if u[j] != out or any(u[:j]) or any(u[j + 1 :]):
-            return False
-    return True
-
-
 # The sweep's failure label of each residue check, in the order it runs them.
 _RESIDUE_LABELS = {
     "weighted_sum_zero": "residue sum of {}",
@@ -460,12 +446,15 @@ def _sweep_level(n: int) -> tuple[int, int, list[str]]:
         for c in cusps:
             check(afibers.get((c.d, c.x)) == deg, "alpha fiber degree at N={}, p={}", n, p)
             check(bfibers.get((c.d, c.x)) == deg, "beta fiber degree at N={}, p={}", n, p)
+    # Lambda(n) (inverse / den) == 1, that is rows . inverse == den * diag(scale)
     rows, scale = lambda_rows(n)
-    check(_inverts_columns(n, rows, scale), "Lambda inverse at {}", n)
+    inverse, den = lambda_inverse(n)
+    diag = [tuple([den * s * (i == j) for i, s in enumerate(scale)]) for j in range(len(scale))]
+    check([mat_vec(rows, col) for col in zip(*inverse)] == diag, "Lambda inverse at {}", n)
     divs = divisors_of(n)
     rhs = tuple((-1) ** i * (i + 1) for i in range(len(divs)))
-    u, den = apply_lambda_inverse(n, rhs)
     y, den_y = solve_lambda(n, rhs)
+    u = mat_vec(inverse, rhs)
     check(all(a * den == b * den_y for a, b in zip(y, u)), "solver agreement at {}", n)
     for p in prime_divisors(n):
         for d in divs:

@@ -305,6 +305,13 @@ MUTANTS = [
         [CLI + "test_residues", "tests/test_acceptance.py::test_criterion_07_residues"],
         "the closed residue at level ML takes p^2 + 1 at the primes outside M",
     ),
+    (
+        "classlattice",
+        "    return tuple(zip(*columns)), dens[0]",
+        "    return tuple(columns), dens[0]",
+        [CLI + "test_sweep_small", "tests/test_classlattice.py::test_lambda_inverse_small"],
+        "the dense inverse is transposed, which shows only at a non-squarefree level",
+    ),
 ]
 
 

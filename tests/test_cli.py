@@ -347,13 +347,13 @@ def test_sweep_small(capsys):
 
 
 def test_sweep_reports_a_broken_engine(capsys, monkeypatch):
-    real = cli.apply_lambda_inverse
+    real = cli.lambda_inverse
 
-    def one_entry_off(n, a, den=1):
-        u, den = real(n, a, den)
-        return (u[0] + 1, *u[1:]), den
+    def one_entry_off(n):
+        (first, *rest), den = real(n)
+        return ((first[0] + 1, *first[1:]), *rest), den
 
-    monkeypatch.setattr(cli, "apply_lambda_inverse", one_entry_off)
+    monkeypatch.setattr(cli, "lambda_inverse", one_entry_off)
     report, ok = cli.run_sweep(6)
     assert not ok
     labels = ("Lambda inverse at {}", "solver agreement at {}")
@@ -1118,6 +1118,12 @@ _GOLDEN = [
         ("sweep", "--max-N", "200"),
         "4c55ecfe2f0044c80f94f02fa2a32c8b2f61b29d7b5e6114a00475b3c2cc750e",
     ),
+    (
+        # The sweep's budget; tau(N) peaks there, at 32 (840), and the dense
+        # inverse check costs O(tau^3) a level.
+        ("sweep", "--max-N", "1000"),
+        "dbde5f1a2b34deedac5b61dad6d91e12d573775ea3d937a8b5abb50285ce2669",
+    ),
 ]
 
 
@@ -1607,15 +1613,17 @@ def test_the_entry_sweeps_alone_on_one_cpu():
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == dict(_GOLDEN)[argv]
 
 
-# Breaks the engine at the given levels; runs with `cli` and `levels` bound.
+# Breaks the dense inverse at the given levels; runs with `cli` and `levels` bound.
 _BREAK_ENGINE = """
-real = cli.apply_lambda_inverse
+real = cli.lambda_inverse
 
-def broken(n, a, den=1):
-    u, den = real(n, a, den)
-    return ((u[0] + 1, *u[1:]), den) if n in levels else (u, den)
+def broken(n):
+    (first, *rest), den = real(n)
+    if n in levels:
+        first = (first[0] + 1, *first[1:])
+    return (first, *rest), den
 
-cli.apply_lambda_inverse = broken
+cli.lambda_inverse = broken
 """
 
 
@@ -1625,7 +1633,7 @@ def test_a_dealt_sweep_reports_the_failures_of_both_shares_in_level_order(
     mine, theirs = cli._deal(range(1, 41))
     levels = {*mine[3:5], *theirs[2:4]}
     assert len(levels) == 4
-    monkeypatch.setattr(cli, "apply_lambda_inverse", cli.apply_lambda_inverse)
+    monkeypatch.setattr(cli, "lambda_inverse", cli.lambda_inverse)
     exec(_BREAK_ENGINE, {"cli": cli, "levels": levels})
     code, out, _ = _run(capsys, "sweep", "--max-N", "40", "--format", "json")
     failures = json.loads(out)["outputs"]["failures"]

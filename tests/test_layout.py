@@ -120,3 +120,21 @@ def test_the_readme_map_names_the_code():
         assert hasattr(found, name), f"{module}.{name}"
     commands = {word for row in rows for word in re.findall(r"`(\w+)`", " ".join(row[2:]))}
     assert commands == set(_ARGUMENTS)
+
+
+def test_every_top_level_definition_is_used_in_src():
+    # Dead code: a top-level function or class that nothing in src/ names
+    # as a name or an attribute.  Imports and `__all__` strings do not count.
+    defined = {
+        (path.stem, node.name)
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted((module, name) for module, name in defined if name not in used) == []
